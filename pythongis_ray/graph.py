@@ -1,33 +1,38 @@
 """Distributed graph operators over edge Datasets.
 
-The one the dedup plan needs: connected components, to turn a
+Most operators here run on ONE resident-shard engine (Pregel/GraphX
+layout): a pool of shard actors, each holding the edges whose key
+endpoint hashes to it plus the state of the nodes that hash to it.
+One streaming pass routes the edge Dataset into the pool (the load is
+the only time O(E) bytes move); every round after that is a local
+pre-combine, then an owner-side combine of the per-destination
+messages — the two-phase aggregation shape, with only
+O(nodes-touched) message bytes per round.
+
+  * ``_Shard`` owns what every algorithm shares: idempotent edge
+    ingest, the node exchange that registers in-link-only nodes, the
+    by-destination-shard edge layout, the result table and atomic
+    per-round checkpoint/restore of the state columns.
+  * One subclass per algorithm keeps only ``init``, its message
+    send/receive methods and its state.
+  * ``_run`` is the one round loop: spawn, edge load, init, the
+    loop over rounds (each an ``_exchange`` all-to-all), round-level
+    checkpoint/resume, materialize-before-teardown.
+
+The one the dedup plan needs is connected components, turning a
 near-duplicate PAIR table (MinHash/SimHash/embedding candidates) into
 CLUSTERS so a corpus keeps exactly one representative per duplicate
 group — pairwise output alone under-deletes transitively-linked dups
-(a~b, b~c but a!~c by the pair list). The reference has no graph ops
-(its dedup is exact keep-first, /root/reference/pythongis/vector/
-data.py:990-1015); this is the web-corpus extension.
+(a~b, b~c but a!~c by the pair list). It is hash-min label
+propagation (Kiveris et al., "Connected Components in MapReduce and
+Beyond", SoCC 2014): every node starts labeled with its own id, each
+round sends labels across every edge and keeps the min, converging
+in O(diameter) rounds. The reference has no graph ops (its dedup is
+exact keep-first); this is the web-corpus extension.
 
-Algorithm: hash-min label propagation (the MapReduce-CC baseline of
-Kiveris et al., "Connected Components in MapReduce and Beyond", SoCC
-2014). Every node starts labeled with its own id; each round sends
-each endpoint's current label across every edge and takes the min;
-converges in O(diameter) rounds. Near-dup graphs are unions of
-near-cliques (LSH buckets emit all pairs), so the diameter — and the
-round count — is small in practice; ``max_iters`` bounds pathological
-chains.
-
-Each round is exactly TWO hash-bucketed shuffles, nothing driver-side:
-
-  1. scatter: edge rows keyed by each endpoint + label rows, grouped
-     by node — every edge meets its endpoint's label in one bucket
-     and emits that label to the OTHER endpoint;
-  2. gather: messages grouped by destination node — min-combine plus
-     the convergence flag (the old label rides along).
-
-The label table (nodes that appear in any edge — candidate dups only,
-far smaller than the corpus) is materialized once per round to cut
-the iterative lineage.
+The Dataset-only operators (``pagerank`` with its per-round trace,
+``triangle_count``, ``ktruss``, ``clustering_coefficient``) are
+hash-partitioned joins and shuffles with nothing resident.
 """
 
 from __future__ import annotations
@@ -40,111 +45,6 @@ import pyarrow.compute as pc
 from pythongis_ray import relational as rel
 
 _NO_LABEL = np.iinfo(np.int64).min
-
-
-def connected_components(edges, src: str = "id_a", dst: str = "id_b",
-                         max_iters: int = 50, engine: str = "actors",
-                         checkpoint_dir: str | None = None):
-    """Edge Dataset (src, dst) → Dataset (node, component) where
-    ``component`` is the minimum node id reachable from ``node``
-    (undirected). Only nodes appearing in at least one edge are
-    returned. Raises if ``max_iters`` rounds don't converge.
-
-    ``engine="actors"`` (default) runs on the resident-shard Pregel
-    layout (see connected_components_actors — edges loaded once,
-    rounds exchange label minima only); ``engine="dataset"`` keeps the
-    portable shuffle-per-round formulation below. Both reach the same
-    unique fixed point."""
-    if engine == "actors":
-        return connected_components_actors(edges, src=src, dst=dst,
-                                           max_iters=max_iters,
-                                           checkpoint_dir=checkpoint_dir)
-    if engine != "dataset":
-        raise ValueError(f"unknown engine {engine!r} "
-                         "(expected 'actors' or 'dataset')")
-    if checkpoint_dir is not None:
-        raise ValueError("checkpoint_dir is only supported by "
-                         "engine='actors' — the dataset fallback "
-                         "would silently drop the resumability "
-                         "request")
-
-    def to_labels(batch: pa.Table) -> pa.Table:
-        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node": pa.array(np.unique(np.concatenate([a, b])))})
-
-    nodes = edges.map_batches(to_labels, batch_format="pyarrow",
-                              batch_size=65536)
-    # per-batch unique above, global unique here (node cardinality =
-    # candidate-dup docs, tiny vs corpus)
-    nodes = rel.dedup(nodes, ["node"])
-    labels = nodes.map_batches(
-        lambda b: b.append_column("label", b["node"]),
-        batch_format="pyarrow", batch_size=65536).materialize()
-
-    def doubled(batch: pa.Table) -> pa.Table:
-        """Each undirected edge keyed by BOTH endpoints: (key, other)."""
-        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"key": pa.array(np.concatenate([a, b])),
-                         "other": pa.array(np.concatenate([b, a]))})
-
-    # static across rounds; materialize once so rounds don't re-explode
-    keyed_edges = edges.map_batches(doubled, batch_format="pyarrow",
-                                    batch_size=65536).materialize()
-
-    def scatter(bucket: pd.DataFrame) -> pd.DataFrame:
-        """One bucket holds every edge row keyed here plus the key
-        nodes' label rows (other == _NO_LABEL). Emits the key's label
-        to each neighbor, plus the self row (old label riding along
-        for the convergence check)."""
-        is_lbl = bucket["other"].to_numpy() == _NO_LABEL
-        lbl = bucket[is_lbl]
-        # edge rows carry a _NO_LABEL placeholder 'label' (union schema
-        # compat) — drop it so the merge brings in the real one
-        e = bucket[~is_lbl].drop(columns=["label"])
-        m = e.merge(lbl[["key", "label"]], on="key", how="left")
-        msgs = pd.DataFrame({
-            "node": m["other"].to_numpy(),
-            "label": m["label"].to_numpy(),
-            "old": np.full(len(m), _NO_LABEL),
-        })
-        self_rows = pd.DataFrame({
-            "node": lbl["key"].to_numpy(),
-            "label": lbl["label"].to_numpy(),
-            "old": lbl["label"].to_numpy(),
-        })
-        return pd.concat([msgs, self_rows], ignore_index=True)
-
-    def gather(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.groupby("node", sort=False).agg(
-            label=("label", "min"), old=("old", "max")).reset_index()
-        g["changed"] = (g["label"] != g["old"]).astype(np.int64)
-        return g[["node", "label", "changed"]]
-
-    for _ in range(max_iters):
-        lbl_rows = labels.map_batches(
-            lambda b: b.append_column(
-                "other", pa.array(np.full(b.num_rows, _NO_LABEL))
-            ).select(["node", "other", "label"]).rename_columns(
-                ["key", "other", "label"]),
-            batch_format="pyarrow", batch_size=65536)
-        edge_rows = keyed_edges.map_batches(
-            lambda b: b.append_column(
-                "label", pa.array(np.full(b.num_rows, _NO_LABEL))),
-            batch_format="pyarrow", batch_size=65536)
-        msgs = rel.bucketed_group_apply(edge_rows.union(lbl_rows),
-                                        ["key"], scatter)
-        combined = rel.bucketed_group_apply(msgs, ["node"],
-                                            gather).materialize()
-        n_changed = combined.sum("changed")
-        labels = combined.drop_columns(["changed"]).materialize()
-        if not n_changed:
-            return labels.map_batches(
-                lambda b: b.rename_columns(["node", "component"]),
-                batch_format="pyarrow", batch_size=65536)
-    raise RuntimeError(f"connected_components: no convergence "
-                       f"in {max_iters} rounds")
 
 
 def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
@@ -174,7 +74,7 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
     for convergence diagnostics.
 
     Structure per iteration (the Pregel round as TWO hash-bucketed
-    shuffles, same scatter/gather shape as connected_components):
+    shuffles, the scatter/gather shape of the resident-shard engine):
     edge rows (+ pre-joined outdeg) union mass rows, grouped by source
     node — each edge meets its source's mass and emits a contribution
     to its destination; then contributions grouped by destination and
@@ -300,9 +200,10 @@ def triangle_count(edges, src: str = "src", dst: str = "dst"):
     return pa.table({"n_triangles": pa.array([n], pa.int64())})
 
 
-# ---------------------------------------------------------------- pregel
+# ------------------------------------------------- resident-shard engine
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
+_EMPTY = np.empty(0, np.int64)
 
 
 def _bucket_of(ids: np.ndarray, nb: int) -> np.ndarray:
@@ -338,104 +239,120 @@ def _group_sum(ids: np.ndarray, vals: np.ndarray):
     return ids[starts], np.add.reduceat(vals, starts)
 
 
-class _PregelShard:
-    """One graph partition for iterative vertex programs: holds the
-    edges whose SOURCE hashes here plus the state of the nodes that
-    hash here (same hash → a node's out-edges and its state are
+def _group_min(ids: np.ndarray, vals: np.ndarray):
+    """Per-id minima (sort + minimum.reduceat), exact int64."""
+    if len(ids) == 0:
+        return ids, vals
+    o = np.argsort(ids, kind="stable")
+    ids, vals = ids[o], vals[o]
+    first = np.concatenate(([True], ids[1:] != ids[:-1]))
+    starts = np.nonzero(first)[0]
+    return ids[starts], np.minimum.reduceat(vals, starts)
+
+
+def _cat(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else _EMPTY
+
+
+class _Shard:
+    """One graph partition of the resident-shard engine. It holds the
+    edges whose KEY endpoint hashes here plus the state of the nodes
+    that hash here (same hash → a node's edges and its state are
     co-resident, so a round reads state locally and ships only
     pre-combined messages). This is the raw-actor escape hatch the
     Dataset API can't express: the edge table must stay RESIDENT
     across rounds — re-shuffling it every round (the union+groupby
-    formulation above) moves O(E) per round where messages are only
-    O(nodes-touched)."""
+    formulation of ``pagerank``) moves O(E) per round where messages
+    are only O(nodes-touched).
+
+    Edges arrive as kind-tagged blocks: ``"f"`` is the layout keyed by
+    src (or by both endpoints, for undirected algorithms) and ``"r"``
+    the reversed layout keyed by dst. ``state`` names the per-node
+    arrays that form the result columns after ``node`` and the
+    per-round checkpoint."""
+
+    state: tuple = ()
 
     def __init__(self, b: int, nb: int):
         self.b, self.nb = b, nb
-        self._src, self._dst = [], []
-        self._seen_tokens = set()
+        self._blocks = {"f": [], "r": []}
+        self._seen = set()
+        self._loaded = None
 
-    def add_edges(self, token: int, src: np.ndarray,
-                  dst: np.ndarray) -> int:
+    def add_edges(self, kind: str, token: int, key: np.ndarray,
+                  other: np.ndarray) -> int:
         # idempotence under Ray task retry: a re-executed route task
         # re-sends the same arrays; the content token dedups them so a
-        # retry can't double the outdegrees/mass contributions
-        if token in self._seen_tokens:
-            return len(src)
-        self._seen_tokens.add(token)
-        self._src.append(src)
-        self._dst.append(dst)
-        return len(src)
+        # retry can't double outdegrees or inflate shard memory
+        if (kind, token) not in self._seen:
+            self._seen.add((kind, token))
+            self._blocks[kind].append((key, other))
+        return len(key)
+
+    def _edges(self, keep: bool = False) -> dict:
+        """The ingested layouts as {kind: (key, other)}, concatenated
+        on first use. ``node_exchange`` keeps them for ``init``;
+        ``init`` takes them and the shard drops its copy."""
+        if self._blocks is not None:
+            self._loaded = {
+                kind: (_cat([k for k, _ in blocks]),
+                       _cat([o for _, o in blocks]))
+                for kind, blocks in self._blocks.items()}
+            self._blocks = None
+        edges = self._loaded
+        if not keep:
+            self._loaded = None
+        return edges
 
     def node_exchange(self):
-        """Route every referenced dst id to its owner shard so nodes
-        with only in-links get registered (num_returns=nb)."""
-        self.src = (np.concatenate(self._src) if self._src
-                    else np.empty(0, np.int64))
-        self.dst = (np.concatenate(self._dst) if self._dst
-                    else np.empty(0, np.int64))
-        self._src = self._dst = None
-        d = np.unique(self.dst)
-        db = _bucket_of(d, self.nb)
-        return tuple(d[db == t] for t in range(self.nb))
+        """Route every referenced other-end id to its owner shard so
+        nodes that are never a key (e.g. only in-links) get registered
+        (one part per shard)."""
+        ends = np.unique(np.concatenate(
+            [o for _, o in self._edges(keep=True).values()]))
+        eb = _bucket_of(ends, self.nb)
+        return tuple(ends[eb == t] for t in range(self.nb))
 
-    def init(self, init_mass: int, d_num: int, d_den: int,
-             base_mass: int, seed_mod: int | None, *incoming) -> int:
-        self.d_num, self.d_den = np.int64(d_num), np.int64(d_den)
-        self.owned = np.unique(np.concatenate([self.src, *incoming]))
-        # personalized (TrustRank) teleport: base/init mass only on the
-        # seed set {node % seed_mod == 0}; None = uniform PageRank
-        if seed_mod:
-            seeds = self.owned % np.int64(seed_mod) == 0
-            self.base_vec = np.where(seeds, np.int64(base_mass),
-                                     np.int64(0))
-            init_vec = np.where(seeds, np.int64(init_mass), np.int64(0))
-        else:
-            self.base_vec = np.full(len(self.owned), base_mass,
-                                    np.int64)
-            init_vec = np.full(len(self.owned), init_mass, np.int64)
-        # per-edge outdeg + owned-index of each edge's source
-        us, inv, cnt = np.unique(self.src, return_inverse=True,
-                                 return_counts=True)
-        edge_od = cnt[inv]
-        edge_src = np.searchsorted(self.owned, self.src)
-        # pre-split edges by destination shard (stable sort ONCE)
-        db = _bucket_of(self.dst, self.nb)
+    def _by_dest(self, dest: np.ndarray, *cols):
+        """Stable-sort edge columns ONCE by the shard owning ``dest``,
+        so each round's per-destination parts are contiguous slices.
+        Returns (splits, dest, *cols) in that order."""
+        db = _bucket_of(dest, self.nb)
         o = np.argsort(db, kind="stable")
-        self.e_dst = self.dst[o]
-        self.e_src_idx = edge_src[o]
-        self.e_od = edge_od[o]
-        self.splits = np.searchsorted(db[o], np.arange(self.nb + 1))
-        self.src = self.dst = None
-        self.mass = init_vec
-        return len(self.owned)
+        return (np.searchsorted(db[o], np.arange(self.nb + 1)), dest[o],
+                *(c[o] for c in cols))
 
-    def scatter(self):
-        """Per-edge contributions, locally pre-combined per dst, split
-        per destination shard (num_returns=nb)."""
-        contrib = (self.d_num * self.mass[self.e_src_idx]) \
-            // (self.d_den * self.e_od)
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.splits[t], self.splits[t + 1])
-            out.append(_group_sum(self.e_dst[sl], contrib[sl]))
-        return tuple(out)
+    def _per_dest(self, splits: np.ndarray, fn, *cols) -> tuple:
+        """``fn`` over each destination shard's slice of ``cols``."""
+        return tuple(fn(*(c[splits[t]:splits[t + 1]] for c in cols))
+                     for t in range(self.nb))
 
-    def gather(self, *msgs) -> int:
-        total = self.base_vec.copy()
-        for ids, sums in msgs:
+    def _fold(self, vals: np.ndarray, msgs, ufunc) -> np.ndarray:
+        """A copy of ``vals`` with (ids, values) messages folded in by
+        ``ufunc`` (np.add / np.minimum) at the ids' owned positions."""
+        new = vals.copy()
+        for ids, m in msgs:
             if len(ids):
-                total[np.searchsorted(self.owned, ids)] += sums
-        self.mass = total
-        return len(total)
+                ufunc.at(new, np.searchsorted(self.owned, ids), m)
+        return new
+
+    def _update(self, name: str, new: np.ndarray) -> int:
+        """Replace state array ``name``; returns how many entries
+        changed."""
+        changed = int((new != getattr(self, name)).sum())
+        setattr(self, name, new)
+        return changed
 
     def result(self) -> pa.Table:
         return pa.table({"node": pa.array(self.owned),
-                         "mass": pa.array(self.mass)})
+                         **{c: pa.array(getattr(self, c))
+                            for c in self.state}})
 
     def checkpoint(self, cdir: str, rnd: int) -> int:
         """Atomic per-shard state snapshot (tmp + rename, same
         discipline as checkpoint.write_partition)."""
         import os
+
         import pyarrow.parquet as pq
 
         d = os.path.join(cdir, f"round_{rnd:04d}")
@@ -447,6 +364,7 @@ class _PregelShard:
 
     def restore(self, cdir: str, rnd: int) -> int:
         import os
+
         import pyarrow.parquet as pq
 
         t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
@@ -454,10 +372,86 @@ class _PregelShard:
         node = t["node"].to_numpy().astype(np.int64)
         if not np.array_equal(node, self.owned):
             raise ValueError(
-                f"pagerank checkpoint shard {self.b}: node layout "
-                f"mismatch (different edges or shard count?)")
-        self.mass = t["mass"].to_numpy().astype(np.int64)
+                f"checkpoint shard {self.b}: node layout mismatch "
+                f"(different edges or shard count?)")
+        for c in self.state:
+            setattr(self, c, t[c].to_numpy().astype(np.int64))
         return rnd
+
+
+def _shard_count(num_shards) -> int:
+    """Default shard-pool size: half the advertised CPUs, 2..16."""
+    import ray
+
+    nb = num_shards or max(2, min(16, int(
+        ray.cluster_resources().get("CPU", 4)) // 2))
+    return max(2, nb)
+
+
+def _route_edges(edges, shards, nb: int, src: str, dst: str,
+                 mode: str = "directed") -> None:
+    """Stream the edge Dataset INTO the shard pool (the load is the
+    only time O(E) bytes move). mode: 'directed' keys each edge by
+    src; 'doubled' keys by both endpoints (undirected algorithms);
+    'both' ships the forward layout keyed by src AND the reversed
+    layout keyed by dst (kind "r"). Retry-idempotent via the blake2b
+    content token; ray.get on the acks applies backpressure so the
+    stream can't outrun the shards."""
+    import ray as _ray
+
+    def route(batch: pa.Table) -> pa.Table:
+        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        acks = []
+
+        def send(key, other, kind="f"):
+            kb = _bucket_of(key, nb)
+            for t in range(nb):
+                m = kb == t
+                if m.any():
+                    tok = _batch_token(key[m], other[m])
+                    acks.append(shards[t].add_edges.remote(
+                        kind, tok, key[m], other[m]))
+
+        if mode == "directed":
+            send(a, b)
+        elif mode == "doubled":
+            send(np.concatenate([a, b]), np.concatenate([b, a]))
+        elif mode == "both":
+            send(a, b)
+            send(b, a, kind="r")
+        else:
+            raise ValueError(mode)
+        _ray.get(acks)
+        return pa.table({"n": pa.array([len(a)], pa.int64())})
+
+    edges.map_batches(route, batch_format="pyarrow",
+                      batch_size=65536).count()
+
+
+def _each(shards, method: str, *args) -> list:
+    """``method(*args)`` on every shard; returns the results."""
+    import ray
+
+    return ray.get([getattr(sh, method).remote(*args) for sh in shards])
+
+
+def _exchange(shards, send: str, recv: str, *args) -> list:
+    """One all-to-all message round: each shard's ``send`` returns one
+    part per shard (``num_returns=nb``, so only object refs pass
+    through the caller) and shard t's ``recv(*args, *parts)`` folds
+    part t of every sender. Returns the ``recv`` results."""
+    import ray
+
+    nb = len(shards)
+    parts = [getattr(sh, send).options(num_returns=nb).remote()
+             for sh in shards]
+    return ray.get([getattr(shards[t], recv).remote(
+        *args, *[p[t] for p in parts]) for t in range(nb)])
+
+
+def _scatter_gather(shards, rnd: int) -> list:
+    return _exchange(shards, "scatter", "gather")
 
 
 def _complete_rounds(cdir: str, nb: int) -> list[int]:
@@ -480,6 +474,155 @@ def _complete_rounds(cdir: str, nb: int) -> list[int]:
     return sorted(out)
 
 
+def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
+         init_args=(), step=_scatter_gather, num_shards=None,
+         checkpoint_dir=None, meta=None, must_converge=None):
+    """Run one resident-shard algorithm end to end: spawn the pool,
+    route the edges in (``mode`` as in ``_route_edges``), node
+    exchange plus ``init(*init_args, *incoming)`` (undirected
+    'doubled' layouts make every node a key on its owner shard, so
+    they skip the exchange), then up to ``rounds`` calls of
+    ``step(shards, rnd)``. A step returns per-shard counts; a zero
+    total is a fixed point (nothing changed, nothing left to do), so
+    the loop stops there — later rounds would be identical.
+
+    ``must_converge`` (the op name) makes a run that ends without
+    such a round raise. ``checkpoint_dir`` adds round-level resume:
+    ``meta`` (plus the shard count) must match the directory's
+    meta.json, the newest complete round is restored, and every round
+    writes the shards' state, a metrics.parquet and a _DONE marker.
+    State is ONLY the per-node columns — edges are rebuilt from the
+    (deterministic) input on restart, so a round_k snapshot + the
+    same inputs reproduce rounds k+1.. bit-exactly. The result is
+    materialized before the pool is torn down."""
+    import os
+    import time
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    nb = _shard_count(num_shards)
+    if checkpoint_dir:
+        # validate/write run parameters BEFORE spawning or loading —
+        # a mismatched resume must fail fast, not after the edge load
+        import json
+
+        os.makedirs(checkpoint_dir, exist_ok=True)
+        meta_path = os.path.join(checkpoint_dir, "meta.json")
+        meta = {"num_shards": nb, **meta}
+        if os.path.exists(meta_path):
+            if json.load(open(meta_path)) != meta:
+                raise ValueError("checkpoint_dir was written with "
+                                 "different parameters/shard count")
+        else:
+            tmp = meta_path + ".tmp"
+            json.dump(meta, open(tmp, "w"))
+            os.replace(tmp, meta_path)
+    Shard = ray.remote(cls)
+    shards = [Shard.remote(b, nb) for b in range(nb)]
+    try:
+        _route_edges(edges, shards, nb, src, dst, mode)
+        if mode == "doubled":
+            n_nodes = _each(shards, "init", *init_args)
+        else:
+            n_nodes = _exchange(shards, "node_exchange", "init",
+                                *init_args)
+
+        start, converged = 0, False
+        done = (_complete_rounds(checkpoint_dir, nb) if checkpoint_dir
+                else [])
+        done = [r for r in done if r <= rounds]
+        if done:
+            start = max(done)
+            _each(shards, "restore", checkpoint_dir, start)
+            if must_converge:
+                # a restored round with zero changes IS the fixed point
+                # (otherwise a resume at start == rounds would
+                # spuriously raise despite a valid converged snapshot)
+                m = pq.read_table(os.path.join(
+                    checkpoint_dir, f"round_{start:04d}",
+                    "metrics.parquet"))
+                converged = int(pc.sum(m["n_changed"]).as_py() or 0) == 0
+
+        for rnd in range(start + 1, rounds + 1):
+            if converged:
+                break
+            t0 = time.monotonic()
+            counts = step(shards, rnd)
+            if checkpoint_dir:
+                wall = time.monotonic() - t0
+                _each(shards, "checkpoint", checkpoint_dir, rnd)
+                cols = {"round": np.full(nb, rnd, np.int64),
+                        "shard": np.arange(nb, dtype=np.int64),
+                        "n_nodes": np.asarray(n_nodes, np.int64)}
+                if must_converge:
+                    cols["n_changed"] = np.asarray(counts, np.int64)
+                cols["round_wall_s"] = np.full(nb, wall, np.float64)
+                d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
+                pq.write_table(pa.table(cols),
+                               os.path.join(d, "metrics.parquet"))
+                open(os.path.join(d, "_DONE"), "w").close()
+            converged = sum(counts) == 0
+        if must_converge and not converged:
+            raise RuntimeError(f"{must_converge}: no convergence "
+                               f"in {rounds} rounds")
+        # materialize BEFORE the finally below kills the pool
+        return rd.from_arrow_refs(
+            [sh.result.remote() for sh in shards]).materialize()
+    finally:
+        # ALWAYS release the pool — each shard reserves a CPU and a
+        # leaked pool (e.g. a restore() mismatch mid-run) starves
+        # every later pipeline in the session (see CLAUDE.md)
+        for sh in shards:
+            ray.kill(sh)
+
+
+# ------------------------------------------------------------- pagerank
+
+class _PregelShard(_Shard):
+    """Integer PageRank state: per-node mass, with out-edges keyed by
+    src pre-split by destination shard."""
+
+    state = ("mass",)
+
+    def init(self, init_mass: int, d_num: int, d_den: int,
+             base_mass: int, seed_mod: int | None, *incoming) -> int:
+        src, dst = self._edges()["f"]
+        self.d_num, self.d_den = np.int64(d_num), np.int64(d_den)
+        self.owned = np.unique(np.concatenate([src, *incoming]))
+        # personalized (TrustRank) teleport: base/init mass only on the
+        # seed set {node % seed_mod == 0}; None = uniform PageRank
+        if seed_mod:
+            seeds = self.owned % np.int64(seed_mod) == 0
+            self.base_vec = np.where(seeds, np.int64(base_mass),
+                                     np.int64(0))
+            init_vec = np.where(seeds, np.int64(init_mass), np.int64(0))
+        else:
+            self.base_vec = np.full(len(self.owned), base_mass,
+                                    np.int64)
+            init_vec = np.full(len(self.owned), init_mass, np.int64)
+        # per-edge outdeg + owned-index of each edge's source
+        _, inv, cnt = np.unique(src, return_inverse=True,
+                                return_counts=True)
+        self.splits, self.e_dst, self.e_src_idx, self.e_od = \
+            self._by_dest(dst, np.searchsorted(self.owned, src), cnt[inv])
+        self.mass = init_vec
+        return len(self.owned)
+
+    def scatter(self):
+        """Per-edge contributions, locally pre-combined per dst, split
+        per destination shard."""
+        contrib = (self.d_num * self.mass[self.e_src_idx]) \
+            // (self.d_den * self.e_od)
+        return self._per_dest(self.splits, _group_sum, self.e_dst,
+                              contrib)
+
+    def gather(self, *msgs) -> int:
+        self.mass = self._fold(self.base_vec, msgs, np.add)
+        return len(self.mass)
+
+
 def pagerank_actors(edges, src: str = "src", dst: str = "dst",
                     iters: int = 5, init_mass: int = 1_000_000,
                     base_mass: int = 150_000, d_num: int = 85,
@@ -492,474 +635,125 @@ def pagerank_actors(edges, src: str = "src", dst: str = "dst",
     shard actors (the load IS the shuffle — no sort), then each round
     is a pure message exchange: every shard pushes O(distinct dsts)
     pre-combined int64 sums to its peers via ``num_returns`` object
-    refs, so the driver only routes refs and the static O(E) edge
+    refs, so the caller only routes refs and the static O(E) edge
     arrays never move again. This is the Pregel/GraphX layout; the
     Dataset formulation in ``pagerank`` re-shuffles edges every round
-    and is kept as the shuffle-only fallback."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    if checkpoint_dir:
-        # validate/write run parameters BEFORE spawning or loading —
-        # a mismatched resume must fail fast, not after the edge load
-        import json
-        import os
-
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        meta_path = os.path.join(checkpoint_dir, "meta.json")
-        meta = {"num_shards": nb, "d_num": int(d_num), "d_den": int(d_den),
-                "init_mass": init_mass, "base_mass": base_mass,
-                "seed_mod": seed_mod}
-        if os.path.exists(meta_path):
-            if json.load(open(meta_path)) != meta:
-                raise ValueError("pagerank checkpoint_dir was written "
-                                 "with different parameters/shard count")
-        else:
-            tmp = meta_path + ".tmp"
-            json.dump(meta, open(tmp, "w"))
-            os.replace(tmp, meta_path)
-    Shard = ray.remote(_PregelShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _pagerank_rounds(edges, shards, nb, src, dst, iters,
-                                init_mass, base_mass, d_num, d_den,
-                                checkpoint_dir, seed_mod)
-    finally:
-        # ALWAYS release the pool — each shard reserves a CPU and a
-        # leaked pool (e.g. a restore() mismatch mid-run) starves
-        # every later pipeline in the session (see CLAUDE.md)
-        for sh in shards:
-            ray.kill(sh)
+    and is kept as the shuffle-only reference. ``checkpoint_dir``
+    makes a killed run resume at its newest complete round."""
+    meta = {"d_num": int(d_num), "d_den": int(d_den),
+            "init_mass": init_mass, "base_mass": base_mass,
+            "seed_mod": seed_mod}
+    return _run(_PregelShard, edges, src, dst, "directed", iters,
+                init_args=(init_mass, d_num, d_den, base_mass, seed_mod),
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir,
+                meta=meta)
 
 
-def _pagerank_rounds(edges, shards, nb, src, dst, iters, init_mass,
-                     base_mass, d_num, d_den, checkpoint_dir,
-                     seed_mod=None):
-    import ray
-    import ray.data as rd
+# ------------------------------------------------ connected components
 
-    _route_edges(edges, shards, nb, src, dst, mode="directed")
+class _CCShard(_Shard):
+    """Hash-min label propagation state: the (doubled) edges whose KEY
+    endpoint hashes here plus those nodes' current component labels.
+    Every node with an edge appears as a key on its owner shard, so no
+    node exchange is needed. Rounds ship only per-destination
+    pre-combined minima."""
 
-    ex = [sh.node_exchange.options(num_returns=nb).remote()
-          for sh in shards]
-    n_owned = ray.get(
-        [shards[t].init.remote(init_mass, d_num, d_den, base_mass,
-                               seed_mod, *[ex[b][t] for b in range(nb)])
-         for t in range(nb)])
+    state = ("component",)
 
-    # round-level checkpoint/resume (north-rule: a killed run resumes
-    # mid-iteration; per-partition lineage + metrics land in Parquet).
-    # State is ONLY the tiny (node, mass) table — the edge arrays are
-    # rebuilt from the (deterministic) input on restart, so a round_k
-    # snapshot + the same inputs reproduce rounds k+1..N bit-exactly.
-    start = 0
-    if checkpoint_dir:
-        done = [r for r in _complete_rounds(checkpoint_dir, nb)
-                if r <= iters]
-        if done:
-            start = max(done)
-            ray.get([sh.restore.remote(checkpoint_dir, start)
-                     for sh in shards])
-
-    for rnd in range(start + 1, iters + 1):
-        t0 = None
-        if checkpoint_dir:
-            import time as _time
-            t0 = _time.monotonic()
-        sc = [sh.scatter.options(num_returns=nb).remote() for sh in shards]
-        ray.get([shards[t].gather.remote(*[sc[b][t] for b in range(nb)])
-                 for t in range(nb)])
-        if checkpoint_dir:
-            import os
-            import time as _time
-
-            import pyarrow.parquet as _pq
-
-            wall = _time.monotonic() - t0
-            ray.get([sh.checkpoint.remote(checkpoint_dir, rnd)
-                     for sh in shards])
-            d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
-            _pq.write_table(pa.table({
-                "round": pa.array(np.full(nb, rnd, np.int64)),
-                "shard": pa.array(np.arange(nb, dtype=np.int64)),
-                "n_nodes": pa.array(np.asarray(n_owned, np.int64)),
-                "round_wall_s": pa.array(np.full(nb, wall, np.float64)),
-            }), os.path.join(d, "metrics.parquet"))
-            open(os.path.join(d, "_DONE"), "w").close()
-    # materialize BEFORE the caller's finally kills the pool
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
-
-
-def _shard_count(num_shards) -> int:
-    """Default shard-pool size: half the advertised CPUs, 2..16."""
-    import ray
-
-    nb = num_shards or max(2, min(16, int(
-        ray.cluster_resources().get("CPU", 4)) // 2))
-    return max(2, nb)
-
-
-def _route_edges(edges, shards, nb: int, src: str, dst: str,
-                 mode: str = "directed") -> None:
-    """Stream the edge Dataset INTO the shard pool (the load is the
-    only time O(E) bytes move). mode: 'directed' keys each edge by
-    src; 'doubled' keys by both endpoints (undirected algorithms);
-    'both' ships the forward layout keyed by src AND the reversed
-    layout keyed by dst with a kind tag (HITS). Retry-idempotent via
-    the blake2b content token; ray.get on the acks applies
-    backpressure so the stream can't outrun the shards."""
-    import ray as _ray
-
-    def route(batch: pa.Table) -> pa.Table:
-        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        acks = []
-
-        def send(key, other, kind=None):
-            kb = _bucket_of(key, nb)
-            for t in range(nb):
-                m = kb == t
-                if m.any():
-                    tok = _batch_token(key[m], other[m])
-                    if kind is None:
-                        acks.append(shards[t].add_edges.remote(
-                            tok, key[m], other[m]))
-                    else:
-                        acks.append(shards[t].add_edges.remote(
-                            kind, tok, key[m], other[m]))
-
-        if mode == "directed":
-            send(a, b)
-        elif mode == "doubled":
-            send(np.concatenate([a, b]), np.concatenate([b, a]))
-        elif mode == "both":
-            send(a, b, kind="f")
-            send(b, a, kind="r")
-        else:
-            raise ValueError(mode)
-        _ray.get(acks)
-        return pa.table({"n": pa.array([len(a)], pa.int64())})
-
-    edges.map_batches(route, batch_format="pyarrow",
-                      batch_size=65536).count()
-
-
-def _group_min(ids: np.ndarray, vals: np.ndarray):
-    """Per-id minima (sort + minimum.reduceat), exact int64."""
-    if len(ids) == 0:
-        return ids, vals
-    o = np.argsort(ids, kind="stable")
-    ids, vals = ids[o], vals[o]
-    first = np.concatenate(([True], ids[1:] != ids[:-1]))
-    starts = np.nonzero(first)[0]
-    return ids[starts], np.minimum.reduceat(vals, starts)
-
-
-class _CCShard:
-    """Resident partition for hash-min label propagation: holds the
-    (doubled) edges whose KEY endpoint hashes here plus those nodes'
-    current labels. Every node with an edge appears as a key on its
-    owner shard (edges are doubled at load), so no node exchange is
-    needed. Rounds ship only per-destination pre-combined minima."""
-
+    # Own copies, not inherited: perfbench/trace.py wraps these two on
+    # _CCShard, and Ray exports a wrapped method by reference only when
+    # its qualified name resolves to the wrapper itself.
     def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._key, self._other = [], []
-        self._seen_tokens = set()
-
-    def add_edges(self, token: int, key: np.ndarray,
-                  other: np.ndarray) -> int:
-        # hash-min is idempotent, but dedup anyway so retried route
-        # tasks don't inflate shard memory with duplicate edge arrays
-        if token in self._seen_tokens:
-            return len(key)
-        self._seen_tokens.add(token)
-        self._key.append(key)
-        self._other.append(other)
-        return len(key)
-
-    def init(self) -> int:
-        key = (np.concatenate(self._key) if self._key
-               else np.empty(0, np.int64))
-        other = (np.concatenate(self._other) if self._other
-                 else np.empty(0, np.int64))
-        self._key = self._other = None
-        self.owned = np.unique(key)
-        e_key = np.searchsorted(self.owned, key)
-        ob = _bucket_of(other, self.nb)
-        o = np.argsort(ob, kind="stable")
-        self.e_other = other[o]
-        self.e_key_idx = e_key[o]
-        self.splits = np.searchsorted(ob[o], np.arange(self.nb + 1))
-        self.labels = self.owned.copy()
-        return len(self.owned)
-
-    def scatter(self):
-        lab = self.labels[self.e_key_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.splits[t], self.splits[t + 1])
-            out.append(_group_min(self.e_other[sl], lab[sl]))
-        return tuple(out)
-
-    def gather(self, *msgs) -> int:
-        new = self.labels.copy()
-        for ids, ml in msgs:
-            if len(ids):
-                idx = np.searchsorted(self.owned, ids)
-                np.minimum.at(new, idx, ml)
-        changed = int((new != self.labels).sum())
-        self.labels = new
-        return changed
-
-    def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         "component": pa.array(self.labels)})
-
-    def checkpoint(self, cdir: str, rnd: int) -> int:
-        import os
-
-        import pyarrow.parquet as pq
-
-        d = os.path.join(cdir, f"round_{rnd:04d}")
-        os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, f".shard_{self.b}.parquet.tmp")
-        pq.write_table(self.result(), tmp)
-        os.replace(tmp, os.path.join(d, f"shard_{self.b}.parquet"))
-        return len(self.owned)
-
-    def restore(self, cdir: str, rnd: int) -> int:
-        import os
-
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
-                                       f"shard_{self.b}.parquet"))
-        node = t["node"].to_numpy().astype(np.int64)
-        if not np.array_equal(node, self.owned):
-            raise ValueError(
-                f"cc checkpoint shard {self.b}: node layout mismatch "
-                f"(different edges or shard count?)")
-        self.labels = t["component"].to_numpy().astype(np.int64)
-        return rnd
-
-
-def connected_components_actors(edges, src: str = "id_a",
-                                dst: str = "id_b", max_iters: int = 50,
-                                num_shards: int | None = None,
-                                checkpoint_dir: str | None = None):
-    """Hash-min connected components on a resident actor-sharded graph
-    — identical fixed point as ``connected_components`` (the minimum
-    reachable id is unique), but the doubled edge table is loaded into
-    shard actors ONCE and each round exchanges only per-shard
-    pre-combined label minima, instead of re-shuffling O(E) edge rows
-    twice per round. Convergence = a round with zero label changes."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    if checkpoint_dir:
-        import json
-        import os
-
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        meta_path = os.path.join(checkpoint_dir, "meta.json")
-        meta = {"num_shards": nb, "algo": "cc_hashmin"}
-        if os.path.exists(meta_path):
-            if json.load(open(meta_path)) != meta:
-                raise ValueError("cc checkpoint_dir was written with "
-                                 "different parameters/shard count")
-        else:
-            tmp = meta_path + ".tmp"
-            json.dump(meta, open(tmp, "w"))
-            os.replace(tmp, meta_path)
-    Shard = ray.remote(_CCShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _cc_rounds(edges, shards, nb, src, dst, max_iters,
-                          checkpoint_dir)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
-
-
-def _cc_rounds(edges, shards, nb, src, dst, max_iters,
-               checkpoint_dir=None):
-    import ray
-    import ray.data as rd
-
-    _route_edges(edges, shards, nb, src, dst, mode="doubled")
-    n_owned = ray.get([sh.init.remote() for sh in shards])
-
-    start = 0
-    converged = False
-    if checkpoint_dir:
-        done = [r for r in _complete_rounds(checkpoint_dir, nb)
-                if r <= max_iters]
-        if done:
-            start = max(done)
-            ray.get([sh.restore.remote(checkpoint_dir, start)
-                     for sh in shards])
-            # the metrics table records each round's label-change
-            # count: a restored round with zero changes IS the fixed
-            # point (otherwise a resume at start == max_iters would
-            # spuriously raise despite a valid converged snapshot)
-            import os
-
-            import pyarrow.parquet as _pq
-
-            m = _pq.read_table(os.path.join(
-                checkpoint_dir, f"round_{start:04d}",
-                "metrics.parquet"))
-            if int(pc.sum(m["n_changed"]).as_py() or 0) == 0:
-                converged = True
-
-    for rnd in range(start + 1, max_iters + 1):
-        if converged:
-            break
-        t0 = None
-        if checkpoint_dir:
-            import time as _time
-            t0 = _time.monotonic()
-        sc = [sh.scatter.options(num_returns=nb).remote() for sh in shards]
-        changed = ray.get(
-            [shards[t].gather.remote(*[sc[b][t] for b in range(nb)])
-             for t in range(nb)])
-        if checkpoint_dir:
-            import os
-            import time as _time
-
-            import pyarrow.parquet as _pq
-
-            wall = _time.monotonic() - t0
-            ray.get([sh.checkpoint.remote(checkpoint_dir, rnd)
-                     for sh in shards])
-            d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
-            _pq.write_table(pa.table({
-                "round": pa.array(np.full(nb, rnd, np.int64)),
-                "shard": pa.array(np.arange(nb, dtype=np.int64)),
-                "n_nodes": pa.array(np.asarray(n_owned, np.int64)),
-                "n_changed": pa.array(np.asarray(changed, np.int64)),
-                "round_wall_s": pa.array(np.full(nb, wall, np.float64)),
-            }), os.path.join(d, "metrics.parquet"))
-            open(os.path.join(d, "_DONE"), "w").close()
-        if sum(changed) == 0:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(f"connected_components: no convergence "
-                           f"in {max_iters} rounds")
-    # materialize BEFORE the caller's finally kills the pool
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
-
-
-class _HitsShard:
-    """Resident partition for HITS (Kleinberg 1999) hubs & authorities:
-    holds TWO edge layouts — forward edges keyed by src (authority
-    scatter: hub mass flows src→dst) and reversed edges keyed by dst
-    (hub scatter: authority mass flows dst→src) — plus the (hub, auth)
-    state of the nodes hashing here. Each half-round ships only
-    per-destination pre-combined int64 sums; the driver injects the
-    GLOBAL max-based divisor for integer normalization (values stay
-    ≤ ~2·scale, so per-node message sums stay far below 2^63 up to
-    ~10^12 in-links per node at scale=10^6)."""
-
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._fs, self._fd = [], []   # forward (src, dst), keyed by src
-        self._rs, self._rd = [], []   # reverse (dst, src), keyed by dst
-        self._seen = set()
+        super().__init__(b, nb)
 
     def add_edges(self, kind: str, token: int, key: np.ndarray,
                   other: np.ndarray) -> int:
-        if (kind, token) in self._seen:
-            return len(key)
-        self._seen.add((kind, token))
-        (self._fs if kind == "f" else self._rs).append(key)
-        (self._fd if kind == "f" else self._rd).append(other)
-        return len(key)
+        return super().add_edges(kind, token, key, other)
 
-    def node_exchange(self):
-        """Route every referenced other-end id to its owner shard."""
-        self.fs = (np.concatenate(self._fs) if self._fs
-                   else np.empty(0, np.int64))
-        self.fd = (np.concatenate(self._fd) if self._fd
-                   else np.empty(0, np.int64))
-        self.rs = (np.concatenate(self._rs) if self._rs
-                   else np.empty(0, np.int64))
-        self.rd = (np.concatenate(self._rd) if self._rd
-                   else np.empty(0, np.int64))
-        self._fs = self._fd = self._rs = self._rd = None
-        ends = np.unique(np.concatenate([self.fd, self.rd]))
-        eb = _bucket_of(ends, self.nb)
-        return tuple(ends[eb == t] for t in range(self.nb))
+    def init(self) -> int:
+        key, other = self._edges()["f"]
+        self.owned = np.unique(key)
+        self.splits, self.e_other, self.e_key_idx = \
+            self._by_dest(other, np.searchsorted(self.owned, key))
+        self.component = self.owned.copy()
+        return len(self.owned)
+
+    def scatter(self):
+        return self._per_dest(self.splits, _group_min, self.e_other,
+                              self.component[self.e_key_idx])
+
+    def gather(self, *msgs) -> int:
+        return self._update("component", self._fold(
+            self.component, msgs, np.minimum))
+
+
+def connected_components(edges, src: str = "id_a", dst: str = "id_b",
+                         max_iters: int = 50,
+                         num_shards: int | None = None,
+                         checkpoint_dir: str | None = None):
+    """Edge Dataset (src, dst) → Dataset (node, component) where
+    ``component`` is the minimum node id reachable from ``node``
+    (undirected). Only nodes appearing in at least one edge are
+    returned. The doubled edge table is loaded into shard actors ONCE
+    and each round exchanges only per-shard pre-combined label
+    minima. Convergence = a round with zero label changes; raises if
+    ``max_iters`` rounds don't converge. ``checkpoint_dir`` makes a
+    killed run resume at its newest complete round."""
+    return _run(_CCShard, edges, src, dst, "doubled", max_iters,
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir,
+                meta={"algo": "cc_hashmin"},
+                must_converge="connected_components")
+
+
+# ----------------------------------------------------------------- hits
+
+class _HitsShard(_Shard):
+    """HITS (Kleinberg 1999) hubs & authorities: TWO edge layouts —
+    forward edges keyed by src (authority scatter: hub mass flows
+    src→dst) and reversed edges keyed by dst (hub scatter: authority
+    mass flows dst→src) — plus the (hub, auth) state of the nodes
+    hashing here. Each half-round ships only per-destination
+    pre-combined int64 sums; the caller injects the GLOBAL max-based
+    divisor for integer normalization (values stay ≤ ~2·scale, so
+    per-node message sums stay far below 2^63 up to ~10^12 in-links
+    per node at scale=10^6)."""
+
+    state = ("hub", "auth")
 
     def init(self, scale: int, *incoming) -> int:
-        self.scale = np.int64(scale)
-        self.owned = np.unique(np.concatenate(
-            [self.fs, self.rs, *incoming]))
+        e = self._edges()
+        (fs, fd), (rs, rd) = e["f"], e["r"]
+        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
         # forward layout: contribution h[owned_idx(src)] routed to dst
-        self.f_idx = np.searchsorted(self.owned, self.fs)
-        db = _bucket_of(self.fd, self.nb)
-        o = np.argsort(db, kind="stable")
-        self.f_dst = self.fd[o]
-        self.f_idx = self.f_idx[o]
-        self.f_splits = np.searchsorted(db[o], np.arange(self.nb + 1))
+        self.f_splits, self.f_dst, self.f_idx = \
+            self._by_dest(fd, np.searchsorted(self.owned, fs))
         # reverse layout: contribution a[owned_idx(dst)] routed to src
-        self.r_idx = np.searchsorted(self.owned, self.rs)
-        sb = _bucket_of(self.rd, self.nb)
-        o = np.argsort(sb, kind="stable")
-        self.r_dst = self.rd[o]
-        self.r_idx = self.r_idx[o]
-        self.r_splits = np.searchsorted(sb[o], np.arange(self.nb + 1))
-        self.fs = self.fd = self.rs = self.rd = None
+        self.r_splits, self.r_dst, self.r_idx = \
+            self._by_dest(rd, np.searchsorted(self.owned, rs))
         self.hub = np.full(len(self.owned), scale, np.int64)
         self.auth = np.full(len(self.owned), scale, np.int64)
         return len(self.owned)
 
-    def _scatter(self, vals, e_idx, e_dst, splits):
-        contrib = vals[e_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(splits[t], splits[t + 1])
-            out.append(_group_sum(e_dst[sl], contrib[sl]))
-        return tuple(out)
-
     def scatter_fwd(self):
-        return self._scatter(self.hub, self.f_idx, self.f_dst,
-                             self.f_splits)
+        return self._per_dest(self.f_splits, _group_sum, self.f_dst,
+                              self.hub[self.f_idx])
 
     def scatter_rev(self):
-        return self._scatter(self.auth, self.r_idx, self.r_dst,
-                             self.r_splits)
+        return self._per_dest(self.r_splits, _group_sum, self.r_dst,
+                              self.auth[self.r_idx])
 
     def gather_raw(self, *msgs) -> int:
         """Accumulate raw sums; return the local max for the driver's
         global normalization divisor."""
-        total = np.zeros(len(self.owned), np.int64)
-        for ids, sums in msgs:
-            if len(ids):
-                total[np.searchsorted(self.owned, ids)] += sums
-        self.raw = total
-        return int(total.max(initial=0))
+        self.raw = self._fold(np.zeros(len(self.owned), np.int64), msgs,
+                              np.add)
+        return int(self.raw.max(initial=0))
 
-    def finish_auth(self, divisor: int) -> int:
-        self.auth = self.raw // np.int64(divisor)
+    def finish(self, name: str, divisor: int) -> int:
+        """Normalize the raw sums into state ``name`` (hub or auth)."""
+        setattr(self, name, self.raw // np.int64(divisor))
         self.raw = None
         return len(self.owned)
-
-    def finish_hub(self, divisor: int) -> int:
-        self.hub = self.raw // np.int64(divisor)
-        self.raw = None
-        return len(self.owned)
-
-    def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         "hub": pa.array(self.hub),
-                         "auth": pa.array(self.auth)})
 
 
 def hits_actors(edges, src: str = "src", dst: str = "dst",
@@ -972,145 +766,77 @@ def hits_actors(edges, src: str = "src", dst: str = "dst",
     arithmetic, bit-reproducible for any partitioning and replayable
     in DuckDB as chained CTEs (the pagerank-oracle pattern plus a MAX
     subquery per half-round). Returns (node, hub, auth)."""
-    import ray
-    import ray.data as rd
+    def step(shards, rnd):
+        for send, name in (("scatter_fwd", "auth"), ("scatter_rev", "hub")):
+            mx = _exchange(shards, send, "gather_raw")
+            n = _each(shards, "finish", name, max(1, max(mx) // scale))
+        return n
 
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_HitsShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _hits_rounds(edges, shards, nb, src, dst, iters, scale)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
+    return _run(_HitsShard, edges, src, dst, "both", iters,
+                init_args=(scale,), step=step, num_shards=num_shards)
 
 
-def _hits_rounds(edges, shards, nb, src, dst, iters, scale):
-    import ray
-    import ray.data as rd
-
-    _route_edges(edges, shards, nb, src, dst, mode="both")
-    ex = [sh.node_exchange.options(num_returns=nb).remote()
-          for sh in shards]
-    ray.get([shards[t].init.remote(scale, *[ex[b][t] for b in range(nb)])
-             for t in range(nb)])
-
-    for _ in range(iters):
-        sc = [sh.scatter_fwd.options(num_returns=nb).remote()
-              for sh in shards]
-        mx = ray.get(
-            [shards[t].gather_raw.remote(*[sc[b][t] for b in range(nb)])
-             for t in range(nb)])
-        d_a = max(1, max(mx) // scale)
-        ray.get([sh.finish_auth.remote(d_a) for sh in shards])
-        sc = [sh.scatter_rev.options(num_returns=nb).remote()
-              for sh in shards]
-        mx = ray.get(
-            [shards[t].gather_raw.remote(*[sc[b][t] for b in range(nb)])
-             for t in range(nb)])
-        d_h = max(1, max(mx) // scale)
-        ray.get([sh.finish_hub.remote(d_h) for sh in shards])
-    # materialize BEFORE the caller's finally kills the pool
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
-
+# ------------------------------------------------------------------ bfs
 
 BFS_INF = np.int64(1) << np.int64(40)   # unreachable sentinel (2^40)
 
 
-class _BfsShard:
-    """Resident partition for directed BFS / hop distance from a seed
-    set: holds the out-edges whose SRC hashes here (contribution
-    dist[src]+1 routed to dst) plus the distances of every node that
-    hashes here (dst-only nodes are claimed via node_exchange, as in
-    _HitsShard). Messages are per-destination pre-combined minima;
-    sources still at BFS_INF are masked out of the scatter — a
-    bit-exact optimization, since INF+1 can never lower any
-    distance ≤ INF."""
+class _BfsShard(_Shard):
+    """Directed BFS / hop distance from a seed set: the out-edges whose
+    SRC hashes here (contribution dist[src]+1 routed to dst) plus the
+    distances of every node that hashes here (dst-only nodes are
+    claimed via node_exchange). Messages are per-destination
+    pre-combined minima; sources still at BFS_INF are masked out of
+    the scatter — a bit-exact optimization, since INF+1 can never
+    lower any distance ≤ INF."""
 
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._src, self._dst = [], []
-        self._seen = set()
+    state = ("dist",)
 
-    def add_edges(self, token: int, src: np.ndarray,
-                  dst: np.ndarray) -> int:
-        if token in self._seen:
-            return len(src)
-        self._seen.add(token)
-        self._src.append(src)
-        self._dst.append(dst)
-        return len(src)
-
-    def node_exchange(self):
-        self.src = (np.concatenate(self._src) if self._src
-                    else np.empty(0, np.int64))
-        self.dst = (np.concatenate(self._dst) if self._dst
-                    else np.empty(0, np.int64))
-        self._src = self._dst = None
-        ends = np.unique(self.dst)
-        eb = _bucket_of(ends, self.nb)
-        return tuple(ends[eb == t] for t in range(self.nb))
-
-    def init(self, seed_mod: int, *incoming, weight_mod=None,
-             temporal_mod=None) -> int:
-        self.owned = np.unique(np.concatenate([self.src, *incoming]))
-        self.e_src_idx = np.searchsorted(self.owned, self.src)
-        db = _bucket_of(self.dst, self.nb)
-        o = np.argsort(db, kind="stable")
-        self.e_dst = self.dst[o]
-        self.e_src_idx = self.e_src_idx[o]
+    def init(self, seed_mod: int, weight_mod, temporal_mod,
+             *incoming) -> int:
+        src, dst = self._edges()["f"]
+        self.owned = np.unique(np.concatenate([src, *incoming]))
+        self.splits, self.e_dst, self.e_src_idx, e_src = \
+            self._by_dest(dst, np.searchsorted(self.owned, src), src)
         # deterministic per-edge weight w = (src+dst) % weight_mod + 1
         # (a pure function of the edge, so duplicate edges agree and
         # the DuckDB replay computes the identical expression inline);
         # None keeps the unit-weight BFS path bit-for-bit unchanged.
         self.e_w = (None if weight_mod is None else
-                    ((self.src + self.dst) % np.int64(weight_mod)
-                     + np.int64(1))[o])
+                    (e_src + self.e_dst) % np.int64(weight_mod)
+                    + np.int64(1))
         # temporal mode: edges carry the deterministic TIME
         # t = (src+dst) % temporal_mod and the fold is time-respecting
         # earliest arrival — an edge relaxes only when its time is at
         # or after the source's current arrival, and the contribution
         # IS the edge time (not dist+w)
         self.e_t = (None if temporal_mod is None else
-                    ((self.src + self.dst)
-                     % np.int64(temporal_mod))[o])
-        self.splits = np.searchsorted(db[o], np.arange(self.nb + 1))
-        self.src = self.dst = None
+                    (e_src + self.e_dst) % np.int64(temporal_mod))
         self.dist = np.where(self.owned % seed_mod == 0,
                              np.int64(0), BFS_INF)
         return int((self.dist == 0).sum())
 
     def scatter(self):
         d = self.dist[self.e_src_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.splits[t], self.splits[t + 1])
-            if self.e_t is not None:
-                ts = self.e_t[sl]
-                live = (d[sl] < BFS_INF) & (ts >= d[sl])
-                out.append(_group_min(self.e_dst[sl][live], ts[live]))
-                continue
-            live = d[sl] < BFS_INF
-            w = (np.int64(1) if self.e_w is None
-                 else self.e_w[sl][live])
-            out.append(_group_min(self.e_dst[sl][live],
-                                  d[sl][live] + w))
-        return tuple(out)
+        if self.e_t is not None:
+            def arrive(dst, d, ts):
+                live = (d < BFS_INF) & (ts >= d)
+                return _group_min(dst[live], ts[live])
+
+            return self._per_dest(self.splits, arrive, self.e_dst, d,
+                                  self.e_t)
+
+        def relax(dst, d, *w):
+            live = d < BFS_INF
+            return _group_min(dst[live],
+                              d[live] + (w[0][live] if w else np.int64(1)))
+
+        w = () if self.e_w is None else (self.e_w,)
+        return self._per_dest(self.splits, relax, self.e_dst, d, *w)
 
     def gather(self, *msgs) -> int:
-        new = self.dist.copy()
-        for ids, md in msgs:
-            if len(ids):
-                idx = np.searchsorted(self.owned, ids)
-                np.minimum.at(new, idx, md)
-        changed = int((new != self.dist).sum())
-        self.dist = new
-        return changed
-
-    def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         "dist": pa.array(self.dist)})
+        return self._update("dist", self._fold(self.dist, msgs,
+                                               np.minimum))
 
 
 def bfs_actors(edges, src: str = "src", dst: str = "dst",
@@ -1136,47 +862,68 @@ def bfs_actors(edges, src: str = "src", dst: str = "dst",
     (no direct reference op; the graph layer generalizes
     /root/reference/pythongis/vector/sql.py's per-group folds to
     iterative whole-graph folds)."""
-    import ray
-    import ray.data as rd
-
     if weight_mod is not None and temporal_mod is not None:
         raise ValueError("weight_mod and temporal_mod are exclusive")
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_BfsShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _bfs_rounds(edges, shards, nb, src, dst, seed_mod, iters,
-                           weight_mod, temporal_mod)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
+    return _run(_BfsShard, edges, src, dst, "directed", iters,
+                init_args=(seed_mod, weight_mod, temporal_mod),
+                num_shards=num_shards)
 
 
-def _bfs_rounds(edges, shards, nb, src, dst, seed_mod, iters,
-                weight_mod=None, temporal_mod=None):
-    import ray
-    import ray.data as rd
+class _MultiBfsShard(_BfsShard):
+    """_BfsShard with VECTOR state: one distance column per landmark
+    set {node % seed_mod == l}, l < n_land — S BFS frontiers advance
+    in the same rounds over the same resident edges (the landmark /
+    sketch-based distance-feature pattern: one edge ingest, not S).
+    Messages stay 1-D per landmark (pre-combined minima)."""
 
-    _route_edges(edges, shards, nb, src, dst, mode="directed")
-    ex = [sh.node_exchange.options(num_returns=nb).remote()
-          for sh in shards]
-    ray.get([shards[t].init.remote(seed_mod,
-                                   *[ex[b][t] for b in range(nb)],
-                                   weight_mod=weight_mod,
-                                   temporal_mod=temporal_mod)
-             for t in range(nb)])
+    def init(self, seed_mod: int, n_land: int, *incoming) -> int:
+        super().init(seed_mod, None, None, *incoming)
+        self.S = n_land
+        rem = self.owned % np.int64(seed_mod)
+        self.dist = np.where(
+            rem[:, None] == np.arange(n_land, dtype=np.int64)[None, :],
+            np.int64(0), BFS_INF)
+        return int((self.dist == 0).sum())
 
-    for _ in range(iters):
-        sc = [sh.scatter.options(num_returns=nb).remote()
-              for sh in shards]
-        changed = ray.get(
-            [shards[t].gather.remote(*[sc[b][t] for b in range(nb)])
-             for t in range(nb)])
-        if sum(changed) == 0:
-            break   # fixed point ≤ iters rounds: identical to running all
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
+    def scatter(self):
+        def relax(dst, d):                       # d: (E_t, S)
+            out = []
+            for l in range(self.S):
+                live = d[:, l] < BFS_INF
+                out.append(_group_min(dst[live],
+                                      d[live, l] + np.int64(1)))
+            return tuple(out)
 
+        return self._per_dest(self.splits, relax, self.e_dst,
+                              self.dist[self.e_src_idx])
+
+    def gather(self, *msgs) -> int:
+        return self._update("dist", np.stack(
+            [self._fold(self.dist[:, l], [m[l] for m in msgs], np.minimum)
+             for l in range(self.S)], axis=1))
+
+    def result(self) -> pa.Table:
+        cols = {"node": pa.array(self.owned)}
+        for l in range(self.S):
+            cols[f"d{l}"] = pa.array(self.dist[:, l])
+        return pa.table(cols)
+
+
+def multi_bfs_actors(edges, src: str = "src", dst: str = "dst",
+                     seed_mod: int = 97, n_landmarks: int = 3,
+                     iters: int = 8, num_shards: int | None = None):
+    """Simultaneous hop distances from ``n_landmarks`` seed sets
+    ({node % seed_mod == l}) in ONE resident-shard run — the landmark
+    distance-feature / harmonic-centrality prep. Edges route once;
+    every round advances all landmark frontiers together, so the cost
+    over single-landmark BFS is only the extra message columns. Fixed
+    round cap => exact replay of n_landmarks chained min-plus
+    LEFT-JOIN CTE sets in DuckDB."""
+    return _run(_MultiBfsShard, edges, src, dst, "directed", iters,
+                init_args=(seed_mod, n_landmarks), num_shards=num_shards)
+
+
+# -------------------------------------------------------- random walks
 
 WALK_MUL = np.int64(2654435761)          # Knuth multiplicative hash
 WALK_ADD = np.int64(40503)
@@ -1193,51 +940,26 @@ def _walk_choice(cur: np.ndarray, step: int) -> np.ndarray:
             + np.int64(step) * WALK_ADD) % WALK_MOD
 
 
-class _WalkShard:
-    """Resident partition for deterministic random walks: holds the
-    DISTINCT sorted out-adjacency (CSR keyed by src) of the nodes
-    hashing here plus the walkers currently AT those nodes. Each
-    round every walker steps to out-neighbor[h(cur, k) mod deg]
-    (dead ends stay put) and is routed to the next node's owner;
-    each shard appends the (start, step, node) rows it hosts."""
+class _WalkShard(_Shard):
+    """Deterministic random walks: the DISTINCT sorted out-adjacency
+    (CSR keyed by src) of the nodes hashing here plus the walkers
+    currently AT those nodes. Each round every walker steps to
+    out-neighbor[h(cur, k) mod deg] (dead ends stay put) and is routed
+    to the next node's owner; each shard appends a table of the
+    (start, step, node) rows it hosts, so the current step number is
+    the count of tables recorded so far (step 0 included)."""
 
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._src, self._dst = [], []
-        self._seen = set()
-
-    def add_edges(self, token: int, src: np.ndarray,
-                  dst: np.ndarray) -> int:
-        if token in self._seen:
-            return len(src)
-        self._seen.add(token)
-        self._src.append(src)
-        self._dst.append(dst)
-        return len(src)
-
-    def node_exchange(self):
-        self.src = (np.concatenate(self._src) if self._src
-                    else np.empty(0, np.int64))
-        self.dst = (np.concatenate(self._dst) if self._dst
-                    else np.empty(0, np.int64))
-        self._src = self._dst = None
-        ends = np.unique(self.dst)
-        eb = _bucket_of(ends, self.nb)
-        return tuple(ends[eb == t] for t in range(self.nb))
-
-    def init(self, *incoming):
+    def init(self, *incoming) -> int:
+        src, dst = self._edges()["f"]
         # distinct (src, dst), sorted by (src, dst) → CSR
-        pair = np.unique(np.stack([self.src, self.dst], axis=1), axis=0)
-        s, d = ((pair[:, 0], pair[:, 1]) if len(pair)
-                else (np.empty(0, np.int64), np.empty(0, np.int64)))
-        self.owned = np.unique(np.concatenate([self.src, *incoming]))
-        self.src = self.dst = None
-        self.nbrs = d
+        pair = np.unique(np.stack([src, dst], axis=1), axis=0)
+        s, self.nbrs = ((pair[:, 0], pair[:, 1]) if len(pair)
+                        else (_EMPTY, _EMPTY))
+        self.owned = np.unique(np.concatenate([src, *incoming]))
         # CSR bounds: run of owned[i] in s is [indptr[i], indptr[i+1])
         # (every s value is owned, so the next node's start closes it)
-        self.indptr = np.searchsorted(s, self.owned)
         self.indptr = np.concatenate(
-            [self.indptr, [len(s)]]).astype(np.int64)
+            [np.searchsorted(s, self.owned), [len(s)]]).astype(np.int64)
         # walkers start at every owned node
         self.w_start = self.owned.copy()
         self.w_cur = self.owned.copy()
@@ -1247,38 +969,27 @@ class _WalkShard:
             "node": pa.array(self.owned)})]
         return len(self.owned)
 
-    def step(self, k: int):
+    def step(self):
         """Advance resident walkers one round; return per-target-shard
         (start, next) arrays."""
-        if len(self.w_cur) == 0:
-            empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-            return tuple(empty for _ in range(self.nb))
         idx = np.searchsorted(self.owned, self.w_cur)
         lo = self.indptr[idx]
         deg = self.indptr[idx + 1] - lo
-        h = _walk_choice(self.w_cur, k)
+        h = _walk_choice(self.w_cur, len(self.out))
         nxt = self.w_cur.copy()
         m = deg > 0
         nxt[m] = self.nbrs[lo[m] + h[m] % deg[m]]
         tb = _bucket_of(nxt, self.nb)
-        self.w_start_pending = self.w_start
-        self.w_start = self.w_cur = None
-        out = []
-        for t in range(self.nb):
-            sl = tb == t
-            out.append((self.w_start_pending[sl], nxt[sl]))
-        return tuple(out)
+        return tuple((self.w_start[tb == t], nxt[tb == t])
+                     for t in range(self.nb))
 
-    def land(self, k: int, *msgs) -> int:
-        starts = [s for s, _ in msgs]
-        curs = [c for _, c in msgs]
-        self.w_start = (np.concatenate(starts) if starts
-                        else np.empty(0, np.int64))
-        self.w_cur = (np.concatenate(curs) if curs
-                      else np.empty(0, np.int64))
+    def land(self, *msgs) -> int:
+        self.w_start = _cat([s for s, _ in msgs])
+        self.w_cur = _cat([c for _, c in msgs])
         self.out.append(pa.table({
             "start": pa.array(self.w_start),
-            "step": pa.array(np.full(len(self.w_start), k, np.int64)),
+            "step": pa.array(np.full(len(self.w_start), len(self.out),
+                                     np.int64)),
             "node": pa.array(self.w_cur)}))
         return len(self.w_cur)
 
@@ -1296,67 +1007,24 @@ def random_walks(edges, src: str = "src", dst: str = "dst",
     (ROW_NUMBER adjacency + chained LEFT-JOIN CTEs). This is the
     sampling stage a graph-embedding (DeepWalk/node2vec) training
     pipeline runs at corpus scale."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_WalkShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _walk_rounds(edges, shards, nb, src, dst, length)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
+    return _run(_WalkShard, edges, src, dst, "directed", length,
+                step=lambda shards, rnd: _exchange(shards, "step", "land"),
+                num_shards=num_shards)
 
 
-def _walk_rounds(edges, shards, nb, src, dst, length):
-    import ray
-    import ray.data as rd
+# ---------------------------------------------------------------- kcore
 
-    _route_edges(edges, shards, nb, src, dst, mode="directed")
-    ex = [sh.node_exchange.options(num_returns=nb).remote()
-          for sh in shards]
-    ray.get([shards[t].init.remote(*[ex[b][t] for b in range(nb)])
-             for t in range(nb)])
+class _KCoreShard(_Shard):
+    """k-core peeling: the DOUBLED distinct edges whose KEY endpoint
+    hashes here (CSR), an alive mask per owned node and an alive mask
+    per edge-other. Each round kills owned nodes whose alive-degree
+    < k and ships ONLY the dead ids to the shards owning the reverse
+    edges (message volume = edges of dying nodes — O(E) summed over
+    the whole peel, not per round)."""
 
-    for k in range(1, length + 1):
-        sc = [sh.step.options(num_returns=nb).remote(k)
-              for sh in shards]
-        ray.get([shards[t].land.remote(k, *[sc[b][t] for b in range(nb)])
-                 for t in range(nb)])
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
-
-
-class _KCoreShard:
-    """Resident partition for k-core peeling: holds the DOUBLED
-    distinct edges whose KEY endpoint hashes here (CSR), an alive
-    mask per owned node and an alive mask per edge-other. Each round
-    kills owned nodes whose alive-degree < k and ships ONLY the dead
-    ids to the shards owning the reverse edges (message volume =
-    edges of dying nodes — O(E) summed over the whole peel, not per
-    round)."""
-
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._key, self._other = [], []
-        self._seen = set()
-
-    def add_edges(self, token: int, key: np.ndarray,
-                  other: np.ndarray) -> int:
-        if token in self._seen:
-            return len(key)
-        self._seen.add(token)
-        self._key.append(key)
-        self._other.append(other)
-        return len(key)
-
-    def init(self) -> int:
-        key = (np.concatenate(self._key) if self._key
-               else np.empty(0, np.int64))
-        other = (np.concatenate(self._other) if self._other
-                 else np.empty(0, np.int64))
-        self._key = self._other = None
+    def init(self, k: int) -> int:
+        key, other = self._edges()["f"]
+        self.k = k
         # distinct (key, other) — global dedup holds because every
         # copy of an edge keyed by this node hashes to this shard
         pair = (np.unique(np.stack([key, other], axis=1), axis=0)
@@ -1372,11 +1040,11 @@ class _KCoreShard:
         self.e_other_alive = np.ones(len(self.e_other), bool)
         return len(self.owned)
 
-    def peel(self, k: int):
+    def peel(self):
         """Kill owned alive nodes with alive-degree < k; return the
         dead ids routed per owner shard of the reverse edges."""
         deg = self._alive_deg()
-        dead = self.alive & (deg < k)
+        dead = self.alive & (deg < self.k)
         self.alive[dead] = False
         # notify the owners of the REVERSE edges: for each dying
         # node's edge (dead → other), other's owner shard holds
@@ -1387,8 +1055,7 @@ class _KCoreShard:
         counts = self.indptr[idx + 1] - starts
         total = int(counts.sum())
         if total == 0:
-            empty = np.empty(0, np.int64)
-            return tuple(empty for _ in range(self.nb))
+            return tuple(_EMPTY for _ in range(self.nb))
         base = np.concatenate([[0], np.cumsum(counts)[:-1]])
         pos = np.repeat(starts - base, counts) + np.arange(total)
         others = self.e_other[pos]
@@ -1412,7 +1079,7 @@ class _KCoreShard:
             [[0], np.cumsum(self.e_other_alive.astype(np.int64))])
         return c[self.indptr[1:]] - c[self.indptr[:-1]]
 
-    def result(self, k: int) -> pa.Table:
+    def result(self) -> pa.Table:
         deg = self._alive_deg()
         m = self.alive
         return pa.table({"node": pa.array(self.owned[m]),
@@ -1429,37 +1096,14 @@ def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
     DuckDB regardless of sharding; the early exit on a no-death
     round is bit-exact (monotone fixed point). Self-loops count once
     toward degree (distinct doubled pairs)."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_KCoreShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _kcore_rounds(edges, shards, nb, src, dst, k, max_rounds)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
+    return _run(_KCoreShard, edges, src, dst, "doubled", max_rounds,
+                init_args=(k,),
+                step=lambda shards, rnd: _exchange(shards, "peel",
+                                                   "mark_dead"),
+                num_shards=num_shards)
 
 
-def _kcore_rounds(edges, shards, nb, src, dst, k, max_rounds):
-    import ray
-    import ray.data as rd
-
-    _route_edges(edges, shards, nb, src, dst, mode="doubled")
-    ray.get([sh.init.remote() for sh in shards])
-
-    for _ in range(max_rounds):
-        sc = [sh.peel.options(num_returns=nb).remote(k)
-              for sh in shards]
-        n_dead = ray.get(
-            [shards[t].mark_dead.remote(*[sc[b][t] for b in range(nb)])
-             for t in range(nb)])
-        if sum(n_dead) == 0:
-            break
-    return rd.from_arrow_refs(
-        [sh.result.remote(k) for sh in shards]).materialize()
-
+# ---------------------------------------------------- label propagation
 
 def _group_mode_min(node: np.ndarray, lbl: np.ndarray,
                     cnt: np.ndarray):
@@ -1484,56 +1128,32 @@ def _group_sum2(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     return a[starts], b[starts], np.add.reduceat(v, starts)
 
 
-class _LpaShard:
-    """Resident partition for synchronous label propagation
-    (community detection): doubled distinct edges keyed by node, the
-    node's current label resident. Each round ships per-destination
-    (label, count) pairs PRE-COMBINED per shard — volume is
-    O(distinct (dst, label)), not O(E) — and each node adopts its
-    neighbors' majority label, ties to the smallest label id."""
+class _LpaShard(_Shard):
+    """Synchronous label propagation (community detection): doubled
+    distinct edges keyed by node, the node's current label resident.
+    Each round ships per-destination (label, count) pairs PRE-COMBINED
+    per shard — volume is O(distinct (dst, label)), not O(E) — and
+    each node adopts its neighbors' majority label, ties to the
+    smallest label id."""
 
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._key, self._other = [], []
-        self._seen = set()
-
-    def add_edges(self, token: int, key: np.ndarray,
-                  other: np.ndarray) -> int:
-        if token in self._seen:
-            return len(key)
-        self._seen.add(token)
-        self._key.append(key)
-        self._other.append(other)
-        return len(key)
+    state = ("community",)
 
     def init(self) -> int:
-        key = (np.concatenate(self._key) if self._key
-               else np.empty(0, np.int64))
-        other = (np.concatenate(self._other) if self._other
-                 else np.empty(0, np.int64))
-        self._key = self._other = None
+        key, other = self._edges()["f"]
         pair = (np.unique(np.stack([key, other], axis=1), axis=0)
                 if len(key) else np.empty((0, 2), np.int64))
         key, other = pair[:, 0], pair[:, 1]
         self.owned = np.unique(key)
-        self.e_key_idx = np.searchsorted(self.owned, key)
-        ob = _bucket_of(other, self.nb)
-        o = np.argsort(ob, kind="stable")
-        self.e_other = other[o]
-        self.e_key_idx = self.e_key_idx[o]
-        self.splits = np.searchsorted(ob[o], np.arange(self.nb + 1))
-        self.labels = self.owned.copy()
+        self.splits, self.e_other, self.e_key_idx = \
+            self._by_dest(other, np.searchsorted(self.owned, key))
+        self.community = self.owned.copy()
         return len(self.owned)
 
     def scatter(self):
-        lab = self.labels[self.e_key_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.splits[t], self.splits[t + 1])
-            out.append(_group_sum2(self.e_other[sl], lab[sl],
-                                   np.ones(self.splits[t + 1]
-                                           - self.splits[t], np.int64)))
-        return tuple(out)
+        return self._per_dest(
+            self.splits, lambda dst, lab: _group_sum2(
+                dst, lab, np.ones(len(dst), np.int64)),
+            self.e_other, self.community[self.e_key_idx])
 
     def gather(self, *msgs) -> int:
         nodes = np.concatenate([m[0] for m in msgs])
@@ -1543,15 +1163,9 @@ class _LpaShard:
             return 0
         a, b, v = _group_sum2(nodes, lbls, cnts)
         n, l = _group_mode_min(a, b, v)
-        new = self.labels.copy()
+        new = self.community.copy()
         new[np.searchsorted(self.owned, n)] = l
-        changed = int((new != self.labels).sum())
-        self.labels = new
-        return changed
-
-    def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         "community": pa.array(self.labels)})
+        return self._update("community", new)
 
 
 def label_propagation(edges, src: str = "src", dst: str = "dst",
@@ -1562,100 +1176,40 @@ def label_propagation(edges, src: str = "src", dst: str = "dst",
     majority label among neighbors, ties broken toward the smallest
     label id. Fixed rounds + deterministic ties = bit-reproducible
     for any sharding and an exact DuckDB replay (grouped counts +
-    ROW_NUMBER per round)."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_LpaShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _lpa_rounds(edges, shards, nb, src, dst, rounds)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
-
-
-def _lpa_rounds(edges, shards, nb, src, dst, rounds):
-    import ray
-    import ray.data as rd
-
-    _route_edges(edges, shards, nb, src, dst, mode="doubled")
-    ray.get([sh.init.remote() for sh in shards])
-
-    for _ in range(rounds):
-        sc = [sh.scatter.options(num_returns=nb).remote()
-              for sh in shards]
-        ray.get([shards[t].gather.remote(*[sc[b][t] for b in range(nb)])
-                 for t in range(nb)])
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
+    ROW_NUMBER per round); a round that changes no label is a fixed
+    point, so stopping there is bit-exact."""
+    return _run(_LpaShard, edges, src, dst, "doubled", rounds,
+                num_shards=num_shards)
 
 
 # ------------------------------------------- strongly connected comps
 
-class _SccShard:
-    """Resident partition for strongly connected components via
-    forward min-coloring + backward same-color anchoring (the
-    distributed coloring algorithm of Orzan 2004 / Slota et al.,
-    with FIXED round caps so the whole run replays as chained CTEs):
-    per outer round, (1) undecided nodes propagate the minimum color
-    along forward edges for ≤ inner rounds; (2) roots (col == id)
-    anchor; (3) anchoring spreads ≤ inner rounds along REVERSE edges
-    but only onto nodes of the SAME color — an anchored node is
-    therefore mutually reachable with its root, so every emitted
-    group is strongly connected BY CONSTRUCTION (caps can only split
-    a large-diameter SCC across outer rounds, never merge two);
-    (4) anchored nodes are decided with scc = color, colors reset.
-    Holds both edge layouts (the _HitsShard pattern); color messages
-    are per-destination pre-combined minima, anchor messages are
-    deduped (target, color) pairs."""
+class _SccShard(_Shard):
+    """Strongly connected components via forward min-coloring +
+    backward same-color anchoring (the distributed coloring algorithm
+    of Orzan 2004 / Slota et al., with FIXED round caps so the whole
+    run replays as chained CTEs): per outer round, (1) undecided nodes
+    propagate the minimum color along forward edges for ≤ inner
+    rounds; (2) roots (col == id) anchor; (3) anchoring spreads
+    ≤ inner rounds along REVERSE edges but only onto nodes of the SAME
+    color — an anchored node is therefore mutually reachable with its
+    root, so every emitted group is strongly connected BY CONSTRUCTION
+    (caps can only split a large-diameter SCC across outer rounds,
+    never merge two); (4) anchored nodes are decided with scc = color,
+    colors reset. Holds both edge layouts (as _HitsShard); color
+    messages are per-destination pre-combined minima, anchor messages
+    are deduped (target, color) pairs."""
 
-    def __init__(self, b: int, nb: int):
-        self.b, self.nb = b, nb
-        self._fs, self._fd = [], []   # forward (src, dst), keyed by src
-        self._rs, self._rd = [], []   # reverse (dst, src), keyed by dst
-        self._seen = set()
-
-    def add_edges(self, kind: str, token: int, key: np.ndarray,
-                  other: np.ndarray) -> int:
-        if (kind, token) in self._seen:
-            return len(key)
-        self._seen.add((kind, token))
-        (self._fs if kind == "f" else self._rs).append(key)
-        (self._fd if kind == "f" else self._rd).append(other)
-        return len(key)
-
-    def node_exchange(self):
-        self.fs = (np.concatenate(self._fs) if self._fs
-                   else np.empty(0, np.int64))
-        self.fd = (np.concatenate(self._fd) if self._fd
-                   else np.empty(0, np.int64))
-        self.rs = (np.concatenate(self._rs) if self._rs
-                   else np.empty(0, np.int64))
-        self.rd = (np.concatenate(self._rd) if self._rd
-                   else np.empty(0, np.int64))
-        self._fs = self._fd = self._rs = self._rd = None
-        ends = np.unique(np.concatenate([self.fd, self.rd]))
-        eb = _bucket_of(ends, self.nb)
-        return tuple(ends[eb == t] for t in range(self.nb))
+    state = ("scc",)
 
     def init(self, *incoming) -> int:
-        self.owned = np.unique(np.concatenate(
-            [self.fs, self.rs, *incoming]))
-        self.f_idx = np.searchsorted(self.owned, self.fs)
-        db = _bucket_of(self.fd, self.nb)
-        o = np.argsort(db, kind="stable")
-        self.f_dst = self.fd[o]
-        self.f_idx = self.f_idx[o]
-        self.f_splits = np.searchsorted(db[o], np.arange(self.nb + 1))
-        self.r_idx = np.searchsorted(self.owned, self.rs)
-        sb = _bucket_of(self.rd, self.nb)
-        o = np.argsort(sb, kind="stable")
-        self.r_dst = self.rd[o]
-        self.r_idx = self.r_idx[o]
-        self.r_splits = np.searchsorted(sb[o], np.arange(self.nb + 1))
-        self.fs = self.fd = self.rs = self.rd = None
+        e = self._edges()
+        (fs, fd), (rs, rd) = e["f"], e["r"]
+        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
+        self.f_splits, self.f_dst, self.f_idx = \
+            self._by_dest(fd, np.searchsorted(self.owned, fs))
+        self.r_splits, self.r_dst, self.r_idx = \
+            self._by_dest(rd, np.searchsorted(self.owned, rs))
         self.col = self.owned.copy()
         self.dec = np.zeros(len(self.owned), bool)
         self.anch = np.zeros(len(self.owned), bool)
@@ -1663,46 +1217,32 @@ class _SccShard:
         return len(self.owned)
 
     def scatter_col(self):
-        c = self.col[self.f_idx]
-        live = ~self.dec[self.f_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.f_splits[t], self.f_splits[t + 1])
-            m = live[sl]
-            out.append(_group_min(self.f_dst[sl][m], c[sl][m]))
-        return tuple(out)
+        return self._per_dest(
+            self.f_splits, lambda dst, c, live: _group_min(dst[live],
+                                                           c[live]),
+            self.f_dst, self.col[self.f_idx], ~self.dec[self.f_idx])
 
     def gather_col(self, *msgs) -> int:
-        new = self.col.copy()
-        for ids, mc in msgs:
-            if len(ids):
-                idx = np.searchsorted(self.owned, ids)
-                np.minimum.at(new, idx, mc)
-        new = np.where(self.dec, self.col, new)
-        changed = int((new != self.col).sum())
-        self.col = new
-        return changed
+        new = self._fold(self.col, msgs, np.minimum)
+        return self._update("col", np.where(self.dec, self.col, new))
 
     def mark_roots(self) -> int:
         self.anch = (~self.dec) & (self.col == self.owned)
         return int(self.anch.sum())
 
     def scatter_anch(self):
-        live = self.anch[self.r_idx]
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.r_splits[t], self.r_splits[t + 1])
-            m = live[sl]
-            u = self.r_dst[sl][m]
-            c = self.col[self.r_idx[sl][m]]
+        def part(u, idx, live):
+            u, c = u[live], self.col[idx[live]]
             if len(u):
                 o = np.lexsort((c, u))
                 u, c = u[o], c[o]
                 keep = np.concatenate(
                     ([True], (u[1:] != u[:-1]) | (c[1:] != c[:-1])))
                 u, c = u[keep], c[keep]
-            out.append((u, c))
-        return tuple(out)
+            return u, c
+
+        return self._per_dest(self.r_splits, part, self.r_dst,
+                              self.r_idx, self.anch[self.r_idx])
 
     def gather_anch(self, *msgs) -> int:
         changed = 0
@@ -1724,10 +1264,6 @@ class _SccShard:
         self.anch = np.zeros(len(self.owned), bool)
         return int((~self.dec).sum())
 
-    def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         "scc": pa.array(self.scc)})
-
 
 def scc_actors(edges, src: str = "src", dst: str = "dst",
                outer: int = 4, inner: int = 8,
@@ -1740,50 +1276,18 @@ def scc_actors(edges, src: str = "src", dst: str = "dst",
     group is strongly connected; exact when inner covers each class
     diameter and outer covers the root chain — the link_distance
     round-cap contract). Early exits at fixpoints are bit-exact."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_SccShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        return _scc_rounds(edges, shards, nb, src, dst, outer, inner)
-    finally:
-        for sh in shards:
-            ray.kill(sh)
-
-
-def _scc_rounds(edges, shards, nb, src, dst, outer, inner):
-    import ray
-    import ray.data as rd
-
-    _route_edges(edges, shards, nb, src, dst, mode="both")
-    ex = [sh.node_exchange.options(num_returns=nb).remote()
-          for sh in shards]
-    ray.get([shards[t].init.remote(*[ex[b][t] for b in range(nb)])
-             for t in range(nb)])
-
-    for _ in range(outer):
+    def step(shards, rnd):
         for _ in range(inner):
-            sc = [sh.scatter_col.options(num_returns=nb).remote()
-                  for sh in shards]
-            ch = ray.get([shards[t].gather_col.remote(
-                *[sc[b][t] for b in range(nb)]) for t in range(nb)])
-            if sum(ch) == 0:
+            if sum(_exchange(shards, "scatter_col", "gather_col")) == 0:
                 break
-        ray.get([sh.mark_roots.remote() for sh in shards])
+        _each(shards, "mark_roots")
         for _ in range(inner):
-            sc = [sh.scatter_anch.options(num_returns=nb).remote()
-                  for sh in shards]
-            ch = ray.get([shards[t].gather_anch.remote(
-                *[sc[b][t] for b in range(nb)]) for t in range(nb)])
-            if sum(ch) == 0:
+            if sum(_exchange(shards, "scatter_anch", "gather_anch")) == 0:
                 break
-        und = ray.get([sh.finish_outer.remote() for sh in shards])
-        if sum(und) == 0:
-            break
-    return rd.from_arrow_refs(
-        [sh.result.remote() for sh in shards]).materialize()
+        return _each(shards, "finish_outer")   # undecided nodes left
+
+    return _run(_SccShard, edges, src, dst, "both", outer, step=step,
+                num_shards=num_shards)
 
 
 def _truss_support(e):
@@ -1943,96 +1447,3 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
     return rel.with_empty_schema(out, pa.schema(
         [("node", pa.int64()), ("tri", pa.int64()),
          ("deg", pa.int64()), ("cc_ppm", pa.int64())]))
-
-
-class _MultiBfsShard(_BfsShard):
-    """_BfsShard with VECTOR state: one distance column per landmark
-    set {node % seed_mod == l}, l < n_land — S BFS frontiers advance
-    in the same rounds over the same resident edges (the landmark /
-    sketch-based distance-feature pattern: one edge ingest, not S).
-    Messages stay 1-D per landmark (pre-combined minima)."""
-
-    def init(self, seed_mod: int, n_land: int, *incoming) -> int:
-        self.owned = np.unique(np.concatenate([self.src, *incoming]))
-        self.e_src_idx = np.searchsorted(self.owned, self.src)
-        db = _bucket_of(self.dst, self.nb)
-        o = np.argsort(db, kind="stable")
-        self.e_dst = self.dst[o]
-        self.e_src_idx = self.e_src_idx[o]
-        self.splits = np.searchsorted(db[o], np.arange(self.nb + 1))
-        self.src = self.dst = None
-        self.S = n_land
-        rem = self.owned % np.int64(seed_mod)
-        self.dist = np.where(
-            rem[:, None] == np.arange(n_land, dtype=np.int64)[None, :],
-            np.int64(0), BFS_INF)
-        return int((self.dist == 0).sum())
-
-    def scatter(self):
-        d = self.dist[self.e_src_idx]            # (E, S)
-        out = []
-        for t in range(self.nb):
-            sl = slice(self.splits[t], self.splits[t + 1])
-            msgs = []
-            for l in range(self.S):
-                dl = d[sl, l]
-                live = dl < BFS_INF
-                msgs.append(_group_min(self.e_dst[sl][live],
-                                       dl[live] + np.int64(1)))
-            out.append(tuple(msgs))
-        return tuple(out)
-
-    def gather(self, *msgs) -> int:
-        new = self.dist.copy()
-        for per_l in msgs:
-            for l, (ids, md) in enumerate(per_l):
-                if len(ids):
-                    idx = np.searchsorted(self.owned, ids)
-                    np.minimum.at(new[:, l], idx, md)
-        changed = int((new != self.dist).sum())
-        self.dist = new
-        return changed
-
-    def result(self) -> pa.Table:
-        cols = {"node": pa.array(self.owned)}
-        for l in range(self.S):
-            cols[f"d{l}"] = pa.array(self.dist[:, l])
-        return pa.table(cols)
-
-
-def multi_bfs_actors(edges, src: str = "src", dst: str = "dst",
-                     seed_mod: int = 97, n_landmarks: int = 3,
-                     iters: int = 8, num_shards: int | None = None):
-    """Simultaneous hop distances from ``n_landmarks`` seed sets
-    ({node % seed_mod == l}) in ONE resident-shard run — the landmark
-    distance-feature / harmonic-centrality prep. Edges route once;
-    every round advances all landmark frontiers together, so the cost
-    over single-landmark BFS is only the extra message columns. Fixed
-    round cap => exact replay of n_landmarks chained min-plus
-    LEFT-JOIN CTE sets in DuckDB."""
-    import ray
-    import ray.data as rd
-
-    nb = _shard_count(num_shards)
-    Shard = ray.remote(_MultiBfsShard)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        _route_edges(edges, shards, nb, src, dst, mode="directed")
-        ex = [sh.node_exchange.options(num_returns=nb).remote()
-              for sh in shards]
-        ray.get([shards[t].init.remote(seed_mod, n_landmarks,
-                                       *[ex[b][t] for b in range(nb)])
-                 for t in range(nb)])
-        for _ in range(iters):
-            sc = [sh.scatter.options(num_returns=nb).remote()
-                  for sh in shards]
-            changed = ray.get(
-                [shards[t].gather.remote(*[sc[b][t] for b in range(nb)])
-                 for t in range(nb)])
-            if sum(changed) == 0:
-                break
-        return rd.from_arrow_refs(
-            [sh.result.remote() for sh in shards]).materialize()
-    finally:
-        for sh in shards:
-            ray.kill(sh)

@@ -696,7 +696,7 @@ def format_value(v: float) -> str:
         return str(int(round(v)))
     if av >= 1:
         return f"{v:.1f}"
-    return f"{v:.2f}".rstrip("0") or "0"
+    return f"{v:.2f}".rstrip("0").rstrip(".") or "0"
 
 
 def _draw_box(img, x0, y0, x1, y1, fill=(255, 255, 255),

@@ -25,10 +25,9 @@ def _uf_components(edges):
     return {n: find(n) for n in parent}
 
 
-@pytest.mark.parametrize("engine", ["actors", "dataset"])
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [(0, 30, 20), (7, 200, 150)])
 def test_connected_components_matches_union_find(ray_session, seed,
-                                                 n_nodes, n_edges, engine):
+                                                 n_nodes, n_edges):
     import ray.data as rd
 
     from pythongis_ray import graph
@@ -37,8 +36,7 @@ def test_connected_components_matches_union_find(ray_session, seed,
     a = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     b = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     edges = pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
-    out = graph.connected_components(rd.from_arrow(edges),
-                                     engine=engine).to_pandas()
+    out = graph.connected_components(rd.from_arrow(edges)).to_pandas()
     got = dict(zip(out["node"], out["component"]))
     assert got == _uf_components(list(zip(a.tolist(), b.tolist())))
 
@@ -402,6 +400,12 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
             e, k=2, max_rounds=30, num_shards=nb),
         "lpa": lambda e, nb: graph.label_propagation(
             e, rounds=3, num_shards=nb),
+        "cc": lambda e, nb: graph.connected_components(
+            e, src="src", dst="dst", num_shards=nb),
+        "scc": lambda e, nb: graph.scc_actors(
+            e, outer=3, inner=4, num_shards=nb),
+        "multi_bfs": lambda e, nb: graph.multi_bfs_actors(
+            e, seed_mod=11, n_landmarks=3, iters=5, num_shards=nb),
     }
     for name, fn in ops.items():
         frames = []
@@ -411,6 +415,50 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
                                 kind="stable").reset_index(drop=True)
             frames.append(df)
         assert frames[0].equals(frames[1]), name
+
+
+_SHARD_OPS = {
+    "pagerank_actors": lambda g, e: g.pagerank_actors(e, iters=2),
+    "connected_components": lambda g, e: g.connected_components(
+        e, src="src", dst="dst"),
+    "hits_actors": lambda g, e: g.hits_actors(e, iters=2),
+    "bfs_actors": lambda g, e: g.bfs_actors(e, iters=2),
+    "multi_bfs_actors": lambda g, e: g.multi_bfs_actors(e, iters=2),
+    "random_walks": lambda g, e: g.random_walks(e, length=2),
+    "kcore": lambda g, e: g.kcore(e, max_rounds=2),
+    "label_propagation": lambda g, e: g.label_propagation(e, rounds=2),
+    "scc_actors": lambda g, e: g.scc_actors(e, outer=2, inner=2),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SHARD_OPS))
+def test_shard_pool_torn_down_on_error(ray_session, op):
+    """An edge load that fails after the shard pool is spawned (no
+    ``src`` column) raises, and leaves no shard actor alive — a leaked
+    pool would hold its CPUs for the rest of the session."""
+    import time
+
+    import ray.data as rd
+    from ray._private import state
+
+    from pythongis_ray import graph
+
+    edges = rd.from_arrow(pa.table({"dst": pa.array([1, 2, 3],
+                                                    pa.int64())}))
+    with pytest.raises(Exception) as err:
+        _SHARD_OPS[op](graph, edges)
+
+    def live():
+        return [a["ActorClassName"] for a in state.actors().values()
+                if a["ActorClassName"].endswith("Shard")
+                and a["State"] != "DEAD"]
+
+    # ``err`` keeps the failed call's frames, and so its actor handles,
+    # alive: a pool nobody killed can't vanish through handle GC here
+    deadline = time.monotonic() + 10
+    while live() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert live() == [], err.value
 
 
 def test_cc_checkpoint_resume(ray_session, tmp_path):
@@ -437,12 +485,12 @@ def test_cc_checkpoint_resume(ray_session, tmp_path):
     # "crashed" run: capped at 2 rounds (far from convergence) —
     # the cap raises, but rounds 1-2 are durably checkpointed
     with pytest.raises(RuntimeError, match="no convergence"):
-        graph.connected_components_actors(edges(), max_iters=2,
-                                          checkpoint_dir=cdir)
+        graph.connected_components(edges(), max_iters=2,
+                                   checkpoint_dir=cdir)
     assert os.path.exists(f"{cdir}/round_0002/_DONE")
     assert os.path.exists(f"{cdir}/round_0002/metrics.parquet")
 
-    resumed = graph.connected_components_actors(
+    resumed = graph.connected_components(
         edges(), max_iters=50, checkpoint_dir=cdir).to_pandas()
     got = dict(zip(resumed["node"], resumed["component"]))
     assert got == _uf_components(edge_list)
@@ -469,14 +517,14 @@ def test_cc_checkpoint_resume_after_convergence(ray_session, tmp_path):
                                        "id_b": pa.array(dst)}))
 
     cdir = str(tmp_path / "cc_ckpt_conv")
-    first = graph.connected_components_actors(
+    first = graph.connected_components(
         edges(), max_iters=50, checkpoint_dir=cdir).to_pandas()
     import os
     import re
     last = max(int(re.search(r"(\d+)", d).group(1))
                for d in os.listdir(cdir) if d.startswith("round_"))
     # resume with max_iters == the converged round: must NOT raise
-    again = graph.connected_components_actors(
+    again = graph.connected_components(
         edges(), max_iters=last, checkpoint_dir=cdir).to_pandas()
     a = dict(zip(first["node"], first["component"]))
     b = dict(zip(again["node"], again["component"]))

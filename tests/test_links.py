@@ -182,11 +182,3 @@ def test_extract_links_null_html(ray_session):
     out = pages.extract_links(batch)
     assert out["src_page"].to_pylist() == [1]
     assert out["dst_page"].to_pylist() == [7]
-
-
-def test_cc_engine_typo_raises(ray_session):
-    import ray.data as rd
-
-    edges = rd.from_pandas(pd.DataFrame([(1, 2)], columns=["id_a", "id_b"]))
-    with pytest.raises(ValueError, match="unknown engine"):
-        graph.connected_components(edges, engine="actor")

@@ -288,3 +288,5 @@ def test_format_value_magnitudes():
     assert format_value(1.25) == "1.2"
     assert format_value(0.25) == "0.25"
     assert format_value(0.5) == "0.5"
+    assert format_value(0.999) == "1"
+    assert format_value(0.001) == "0"
