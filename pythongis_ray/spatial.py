@@ -8,18 +8,23 @@ plans:
 * **broadcast path** (small polygon side, the common web-scale shape:
   10^12 geocoded pages × 10^4..10^5 zones): the zone layer is parsed
   once into a :class:`ZoneIndex`, put in the object store once
-  (``ray.put``), and every refine actor pulls it once in ``__init__``.
+  (``ray.put``), and every refine worker pulls it once through the
+  worker-side state cache (``state.get_broadcast``).
   No shuffle at all — the pipeline stays a streaming ``map_batches``.
 
-* **shuffle path** (both sides large): phase 0 samples per-cell counts
-  to find hot cells; phase 1 explodes right-side polygon cell covers
-  (flat_map shape) and assigns left points their single cell, salting
-  hot cells by ``pk % salt`` with right-side replication; phase 2
+* **shuffle path** (both sides large; one salted two-phase driver,
+  :func:`_salted_shuffle_join`, for point, line and polygon left
+  sides): phase 0 counts left rows per cell to find hot cells; phase 1
+  explodes right-side polygon cell covers (flat_map shape) and keys
+  each left row by its cell (a point's single cell, a geometry's bbox
+  cover), spreading a hot cell's left rows over its salts by row
+  position and replicating the right side across them; phase 2
   ``groupby(bucket).map_groups`` runs the same vectorized refine per
-  co-located bucket. Because a left point has exactly one cell, each
-  (left, right) pair meets in exactly one bucket — no pair dedup pass
-  is needed for point-left joins (polygon-left joins dedup on
-  (left_id, right_id), see ``polygons`` notes).
+  co-located bucket. A left point has exactly one cell, so each
+  (left, right) pair meets in exactly one bucket. A line or polygon
+  pair can share many cover cells; it is emitted only from its
+  canonical cell (the smallest cell of the two covers' overlap), so no
+  pair dedup pass is needed either way.
 
 Predicate semantics (point left × polygon right), matching shapely's
 DE-9IM results as used by the reference dispatch at manager.py:381-431:
@@ -53,17 +58,6 @@ def _full_cover(bb, res: int):
     return grid.bbox_to_cells(*bb, res=res, max_cells=nx * ny + 1)
 
 
-def _pool_size(concurrency=None) -> int:
-    """Default actor-pool size: most of the node's CPUs, leaving head-room
-    for the read/write stages so the pipeline doesn't serialize."""
-    if concurrency is not None:
-        return concurrency
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        ncpu = 4
-    return max(2, ncpu - 2)
-
 DEFAULT_INDEX_RES = 7  # zone index resolution (~1.4 deg cells)
 POINT_PREDICATES = ("intersects", "within", "contains", "covers", "touches",
                     "disjoint", "dwithin")
@@ -78,7 +72,7 @@ class ZoneIndex:
     Replaces the reference's per-dataset rtree/quadtree
     (/root/reference/pythongis/vector/data.py:1189-1229) with an
     immutable cell→zones map built ONCE on the driver, shipped through
-    the object store, and reused by every refine actor.
+    the object store, and reused by every refine worker.
     """
 
     polys: list  # list[PreparedPolygon]
@@ -226,9 +220,9 @@ def _emit_joined(batch: pa.Table, pidx: np.ndarray, zidx: np.ndarray,
 
 
 class BroadcastSpatialJoiner:
-    """Actor-pool stage: spatial join a point batch against a broadcast
-    :class:`ZoneIndex`. Index deserialized ONCE per actor in __init__
-    (setup-per-actor rule), batches refined in __call__."""
+    """Refine stage: spatial join a point batch against a broadcast
+    :class:`ZoneIndex`. Built once per worker process (through
+    ``state.get_broadcast``), batches refined in __call__."""
 
     def __init__(self, index_ref, predicate: str = "intersects", how: str = "inner",
                  lon_col: str = "lon", lat_col: str = "lat",
@@ -266,15 +260,13 @@ class BroadcastSpatialJoiner:
 def spatial_join(points_ds, zones: pd.DataFrame | ZoneIndex, predicate: str = "intersects",
                  how: str = "inner", lon_col: str = "lon", lat_col: str = "lat",
                  geometry_col: str | None = None, radius: float = 0.0,
-                 rsuffix: str = "", batch_size: int = 65536, concurrency=None,
-                 compute: str = "tasks", subkey=None):
+                 rsuffix: str = "", batch_size: int = 65536, subkey=None):
     """Broadcast spatial join: Dataset of points × small polygon layer.
 
     The 100 TB shape: zones go through ``ray.put`` once; the Dataset
-    streams through refine workers that hold the parsed index — either
-    a dedicated actor pool (``compute="actors"``) or warm stateless
-    tasks with a worker-side state cache (default; see state.py) —
-    no all-to-all shuffle, no driver materialization.
+    streams through warm stateless tasks that hold the parsed index in
+    a worker-side state cache (see state.py) — no all-to-all shuffle,
+    no driver materialization.
 
     ``subkey``: optional extra pair predicate applied to the joined
     batch (the reference's ``subkey`` option, manager.py:175-183):
@@ -287,13 +279,6 @@ def spatial_join(points_ds, zones: pd.DataFrame | ZoneIndex, predicate: str = "i
               geometry_col=geometry_col, radius=radius, rsuffix=rsuffix)
     if subkey is not None and how != "inner":
         raise ValueError("subkey requires how='inner'")
-    if compute == "actors" and subkey is None:
-        return points_ds.map_batches(
-            BroadcastSpatialJoiner,
-            fn_constructor_kwargs=dict(index_ref=ref, **kw),
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=_pool_size(concurrency), num_cpus=1)
-
     key = ("spjoin", predicate, how, lon_col, lat_col, geometry_col or "",
            radius, rsuffix)
 
@@ -413,7 +398,8 @@ def spatial_agg(points_ds, zones: pd.DataFrame, value_col: str,
 # ------------------------------------------------------------- kNN join
 
 class KnnJoiner:
-    """Actor-pool k-nearest-neighbour join: each left point gets its k
+    """Brute-force k-nearest-neighbour join, the reference that
+    :class:`GridKnnJoiner` is tested against: each left point gets its k
     nearest right points (planar squared-euclidean in degrees, exact on
     the dyadic lattice; ties broken by right id ascending — the
     deterministic analog of the reference's distance sort at
@@ -504,7 +490,7 @@ class KnnJoiner:
 
 class GridKnnJoiner:
     """Grid-accelerated kNN join: right points bucketed by cell ONCE per
-    actor; each left point searches expanding Chebyshev rings of cells
+    worker; each left point searches expanding Chebyshev rings of cells
     until its k-th candidate distance is provably final (kth_d <
     r * cell_size ⇒ no unexplored cell can hold a closer point).
 
@@ -633,8 +619,7 @@ class GridKnnJoiner:
 
 def knn_join(points_ds, right: pd.DataFrame, k: int = 1, id_col: str = "id",
              lon_col: str = "lon", lat_col: str = "lat", out_prefix: str = "nn_",
-             batch_size: int = 4096, concurrency=None, grid_accel: bool = True,
-             compute: str = "tasks"):
+             batch_size: int = 4096):
     """kNN join of a point Dataset against a broadcast right point set.
     (reference nearest/`closest_point`: /root/reference/pythongis/
     vector/analyzer.py:289-310 and data.py:1261-1314)."""
@@ -643,20 +628,13 @@ def knn_join(points_ds, right: pd.DataFrame, k: int = 1, id_col: str = "id",
     if id_col != "id":
         payload.pop(id_col, None)
     ref = ray.put(payload)
-    cls = GridKnnJoiner if grid_accel else KnnJoiner
-    if compute == "actors":
-        return points_ds.map_batches(
-            cls,
-            fn_constructor_kwargs=dict(right_ref=ref, k=k, lon_col=lon_col,
-                                       lat_col=lat_col, out_prefix=out_prefix),
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=_pool_size(concurrency), num_cpus=1)
 
     def fn(batch: pa.Table) -> pa.Table:
         joiner = state.get_broadcast(
-            ref, builder=lambda r: cls(r, k=k, lon_col=lon_col, lat_col=lat_col,
-                                       out_prefix=out_prefix),
-            key_extra=("knn", cls.__name__, k, lon_col, lat_col, out_prefix))
+            ref, builder=lambda r: GridKnnJoiner(r, k=k, lon_col=lon_col,
+                                                 lat_col=lat_col,
+                                                 out_prefix=out_prefix),
+            key_extra=("knn", k, lon_col, lat_col, out_prefix))
         return joiner(batch)
 
     return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
@@ -1325,7 +1303,7 @@ class GridKnnGeomJoiner:
     (reference `closest_point` works on any geometry via shapely,
     /root/reference/pythongis/vector/analyzer.py:289-310).
 
-    Right geometries decode once per actor into flat segments; each
+    Right geometries decode once per worker into flat segments; each
     segment registers in every cell its bbox covers (CSR). A left
     point searches expanding Chebyshev rings; candidate segment
     distances (exact single-division kernel) reduce to per-FEATURE
@@ -1609,27 +1587,6 @@ SALT_BITS = 6
 MAX_SALT = 1 << SALT_BITS  # up to 64-way split of one hot cell
 
 
-def _cell_counts(points_ds, lon_col: str, lat_col: str, res: int) -> pd.DataFrame:
-    """Phase 0: per-cell partial counts (combined per batch before the
-    tiny groupby) — the skew probe that drives salting."""
-
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        lon = batch[lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False)
-        cells = grid.point_to_cell(lon, lat, res)
-        u, c = np.unique(cells, return_counts=True)
-        return pd.DataFrame({"cell": u.view(np.int64), "n": c.astype(np.int64)})
-
-    from pythongis_ray.relational import bucketed_group_apply
-
-    parts = points_ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    out = bucketed_group_apply(
-        parts, ["cell"],
-        lambda b: b.groupby("cell", sort=False)["n"].sum().reset_index()).to_pandas()
-    out["cell"] = out["cell"].to_numpy().view(np.uint64)
-    return out
-
-
 def plan_salts(cell_counts: pd.DataFrame, rows_per_task: int = 50_000) -> dict[int, int]:
     """cell → salt factor for cells whose row count exceeds the target
     rows-per-refine-task (explicit skew handling; BASELINE.json
@@ -1639,401 +1596,96 @@ def plan_salts(cell_counts: pd.DataFrame, rows_per_task: int = 50_000) -> dict[i
             for c, n in zip(hot["cell"], hot["n"])}
 
 
-def spatial_join_lines_shuffle(lines_ds, zones_ds,
-                               predicate: str = "intersects", **kw):
-    """Shuffle spatial join for large×large LINE-left inputs — see
-    :func:`_spatial_join_geoms_shuffle`."""
-    if predicate not in ("intersects", "within", "crosses", "touches"):
-        raise ValueError(f"unsupported predicate {predicate!r}")
-    return _spatial_join_geoms_shuffle(lines_ds, zones_ds, "lines",
-                                       predicate, **kw)
+def _salt_factors(cells: np.ndarray, salt_map: dict) -> np.ndarray:
+    """Per-row salt factor of uint64 ``cells``: the planned split of a
+    hot cell, 1 everywhere else."""
+    cells_i64 = cells.view(np.int64)
+    fac = np.ones(len(cells), dtype=np.int64)
+    if salt_map:
+        hot = np.fromiter(salt_map.keys(), dtype=np.int64)
+        hfac = np.fromiter(salt_map.values(), dtype=np.int64)
+        order = np.argsort(hot)
+        hot, hfac = hot[order], hfac[order]
+        pos = np.clip(np.searchsorted(hot, cells_i64), 0, len(hot) - 1)
+        m = hot[pos] == cells_i64
+        fac[m] = hfac[pos[m]]
+    return fac
 
 
-def spatial_join_polygons_shuffle(left_ds, zones_ds,
-                                  predicate: str = "intersects", **kw):
-    """Shuffle spatial join for large×large POLYGON-left inputs — see
-    :func:`_spatial_join_geoms_shuffle`. Predicates: intersects |
-    overlaps (interiors-only, the reference touch exclusion)."""
-    if predicate not in ("intersects", "overlaps"):
-        raise ValueError(f"unsupported predicate {predicate!r}")
-    return _spatial_join_geoms_shuffle(left_ds, zones_ds, "polygons",
-                                       predicate, **kw)
+def _append_keys(batch: pa.Table, cells: np.ndarray, salt: np.ndarray,
+                 side: int, num_buckets: int) -> pa.Table:
+    """Append ``_cell``, ``_bucket`` = hash(cell, salt) and ``_side``
+    (0 = left, 1 = zone) to a batch with one row per uint64 cell."""
+    bucket = ((cells * np.uint64(0x9E3779B97F4A7C15) + salt.astype(np.uint64))
+              % np.uint64(num_buckets)).astype(np.int64)
+    t = batch.append_column("_cell", pa.array(cells.view(np.int64)))
+    t = t.append_column("_bucket", pa.array(bucket))
+    return t.append_column("_side", pa.array(np.full(len(cells), side, np.int8)))
 
 
-def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
-                                predicate: str,
-                                res: int = DEFAULT_INDEX_RES,
-                                num_buckets: int = 64,
-                                rows_per_task: int = 50_000,
-                                geometry_col: str = "geometry",
-                                zone_geom_col: str = "geometry",
-                                checkpoint_dir: str | None = None):
-    """Shuffle spatial join for large×large GEOMETRY-left inputs — the
-    geometry-left extension of :func:`spatial_join_shuffle` (broadcast
-    geometry joins need the zone side in the object store; this path
-    shuffles both).
+def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
+                         left_batch_size: int, res: int, num_buckets: int,
+                         rows_per_task: int, zone_geom_col: str,
+                         checkpoint_dir: str | None):
+    """The two-phase salted shuffle join behind every ``*_shuffle`` join.
 
-    Phase 0 probes left COVER-cell counts → salt plan. Phase 1
-    explodes left bbox covers (one row per (feature, cover cell),
-    salted on hot cells) and zone covers (replicated across salts).
-    Phase 2 co-locates with one ``groupby(bucket)``; inside a bucket
-    each unique zone relates against its candidate cohort via the
-    batched flat kernels (polyline relate for lines; the
-    vertex/edge/probe polygon tests for polygons).
+    The left kind supplies two functions:
 
-    A (left, zone) pair shares possibly MANY cover cells and would be
-    emitted once per shared cell; instead of a dedup shuffle, each
-    pair is claimed only by its canonical cell — the smallest cell id
-    of the intersection of the two bbox covers, computed O(1) from
-    the two index ranges. Exactly-once emission with zero extra data
-    movement. (Covers assume no antimeridian-crossing bboxes, as
-    everywhere in the engine.)
+    * ``cells_of(batch) -> (rows, cells)``: the uint64 cell of each
+      left row, ``rows`` the batch row each cell belongs to (``None``
+      when it is one cell per row, as for points);
+    * ``matcher(left) -> match``: binds one bucket's left rows (a
+      pandas frame) and returns ``match(cand, poly)``, the subset of
+      candidate row positions ``cand`` that pair with the zone ``poly``.
+
+    Phase 0 counts left rows per cell → :func:`plan_salts`. Phase 1
+    spreads a hot cell's left rows over its salts by row position and
+    replicates the zone covers across every salt of the cell; both are
+    keyed by hash(cell, salt) bucket. Phase 2 co-locates with one
+    ``groupby(bucket)`` and relates each unique zone against the left
+    rows of its cover cells.
     """
-    nx, ny = grid.cell_dims(res)
-    step = grid.cell_size_deg(res)
-
-    def cover_counts(batch: pa.Table) -> pd.DataFrame:
-        fb = _FlatBatch(batch[geometry_col], batch.num_rows)
-        if not len(fb.feat_ids):
-            return pd.DataFrame({"cell": np.empty(0, np.int64),
-                                 "n": np.empty(0, np.int64)})
-        _, cells = grid.bboxes_to_cells(fb.xmin, fb.ymin, fb.xmax,
-                                        fb.ymax, res=res)
-        u, c = np.unique(cells, return_counts=True)
-        return pd.DataFrame({"cell": u.view(np.int64),
-                             "n": c.astype(np.int64)})
-
     from pythongis_ray.relational import bucketed_group_apply
 
-    parts = lines_ds.map_batches(cover_counts, batch_format="pyarrow",
-                                 batch_size=8192)
+    def count(batch: pa.Table) -> pd.DataFrame:
+        u, c = np.unique(cells_of(batch)[1], return_counts=True)
+        return pd.DataFrame({"cell": u.view(np.int64), "n": c.astype(np.int64)})
+
+    parts = left_ds.map_batches(count, batch_format="pyarrow",
+                                batch_size=left_batch_size)
     counts = bucketed_group_apply(
         parts, ["cell"],
-        lambda b: b.groupby("cell", sort=False)["n"].sum()
-        .reset_index()).to_pandas()
+        lambda b: b.groupby("cell", sort=False)["n"].sum().reset_index()).to_pandas()
     counts["cell"] = counts["cell"].to_numpy().view(np.uint64)
-    salts = plan_salts(counts, rows_per_task)
-    salts_ref = ray.put(salts)
+    salts_ref = ray.put(plan_salts(counts, rows_per_task))
 
-    def _salt_factors(cells_i64: np.ndarray, salt_map) -> np.ndarray:
-        fac = np.ones(len(cells_i64), dtype=np.int64)
-        if salt_map:
-            hot = np.fromiter(salt_map.keys(), dtype=np.int64)
-            hfac = np.fromiter(salt_map.values(), dtype=np.int64)
-            order = np.argsort(hot)
-            hot, hfac = hot[order], hfac[order]
-            pos = np.clip(np.searchsorted(hot, cells_i64), 0, len(hot) - 1)
-            m = hot[pos] == cells_i64
-            fac[m] = hfac[pos[m]]
-        return fac
-
-    def key_lines(batch: pa.Table) -> pa.Table:
-        fb = _FlatBatch(batch[geometry_col], batch.num_rows)
-        if not len(fb.feat_ids):
-            empty = batch.slice(0, 0)
-            empty = empty.append_column("_cell", pa.array([], pa.int64()))
-            empty = empty.append_column("_bucket", pa.array([], pa.int64()))
-            return empty.append_column("_side", pa.array([], pa.int8()))
-        row_idx, cells = grid.bboxes_to_cells(fb.xmin, fb.ymin, fb.xmax,
-                                              fb.ymax, res=res)
-        salt_map = state.get_broadcast(salts_ref, key_extra=("lsalts",))
-        fac = _salt_factors(cells.view(np.int64), salt_map)
-        salt = (np.arange(len(cells), dtype=np.int64) % fac).astype(np.uint64)
-        out = batch.take(pa.array(fb.feat_ids[row_idx]))
-        bucket = ((cells * np.uint64(0x9E3779B97F4A7C15) + salt)
-                  % np.uint64(num_buckets)).astype(np.int64)
-        out = out.append_column("_cell", pa.array(cells.view(np.int64)))
-        out = out.append_column("_bucket", pa.array(bucket))
-        return out.append_column("_side",
-                                 pa.array(np.zeros(out.num_rows, np.int8)))
-
-    def explode_zones(batch: pa.Table) -> pa.Table:
-        geoms = batch[zone_geom_col].to_pylist()
-        salt_map = state.get_broadcast(salts_ref, key_extra=("lsalts",))
-        bb = np.array([wkb.bbox(bytes(g)) for g in geoms], np.float64) \
-            if geoms else np.empty((0, 4))
-        if len(bb) == 0:
-            empty = batch.slice(0, 0)
-            empty = empty.append_column("_cell", pa.array([], pa.int64()))
-            empty = empty.append_column("_bucket", pa.array([], pa.int64()))
-            return empty.append_column("_side", pa.array([], pa.int8()))
-        rws, cls = grid.bboxes_to_cells(bb[:, 0], bb[:, 1], bb[:, 2],
-                                        bb[:, 3], res=res)
-        fac = _salt_factors(cls.view(np.int64), salt_map)
-        rows_rep = np.repeat(rws, fac)
-        cells_np = np.repeat(cls, fac)
-        cum = np.concatenate(([0], np.cumsum(fac)[:-1]))
-        salts_np = (np.arange(int(fac.sum()), dtype=np.int64)
-                    - np.repeat(cum, fac)).astype(np.uint64)
-        out = batch.take(pa.array(rows_rep))
-        bucket = ((cells_np * np.uint64(0x9E3779B97F4A7C15) + salts_np)
-                  % np.uint64(num_buckets)).astype(np.int64)
-        out = out.append_column("_cell", pa.array(cells_np.view(np.int64)))
-        out = out.append_column("_bucket", pa.array(bucket))
-        return out.append_column("_side",
-                                 pa.array(np.ones(out.num_rows, np.int8)))
-
-    left_keyed = lines_ds.map_batches(key_lines, batch_format="pyarrow",
-                                      batch_size=8192)
-    right_keyed = zones_ds.map_batches(explode_zones, batch_format="pyarrow",
-                                       batch_size=4096)
-    lschema = getattr(left_keyed.schema(), "base_schema", left_keyed.schema())
-    rschema = getattr(right_keyed.schema(), "base_schema",
-                      right_keyed.schema())
-    lcols = set(lschema.names)
-    rcols = set(rschema.names)
-
-    def pad(missing, other_schema):
-        types = {m: other_schema.field(m).type for m in missing}
-
-        def fn(batch: pa.Table) -> pa.Table:
-            for m in sorted(missing):
-                batch = batch.append_column(
-                    m, pa.nulls(batch.num_rows, types[m]))
-            return batch
-        return fn
-
-    if rcols - lcols:
-        left_keyed = left_keyed.map_batches(pad(rcols - lcols, rschema),
-                                            batch_format="pyarrow")
-    if lcols - rcols:
-        right_keyed = right_keyed.map_batches(pad(lcols - rcols, lschema),
-                                              batch_format="pyarrow")
-    both = left_keyed.union(right_keyed)
-
-    if checkpoint_dir is not None:
-        # materialized, resumable stage boundary between phase 1 and
-        # the refine shuffle (same contract as spatial_join_shuffle)
-        from pythongis_ray import checkpoint as ckpt
-
-        def add_key(batch: pa.Table) -> pa.Table:
-            return batch.append_column("_ckpt_key", batch["_bucket"])
-
-        ckpt.write_partitioned(
-            both.map_batches(add_key, batch_format="pyarrow"),
-            checkpoint_dir, key_col="_ckpt_key",
-            num_partitions=num_buckets, resume=True)
-        import ray.data as rd
-
-        def strip_ckpt_cols(b: pa.Table) -> pa.Table:
-            drop = [c for c in ("_ckpt_key", "_part", "part")
-                    if c in b.column_names]
-            return b.drop_columns(drop)
-
-        both = rd.read_parquet(checkpoint_dir) \
-            .map_batches(strip_ckpt_cols, batch_format="pyarrow")
-
-    zone_attr_cols = [c for c in zones_ds.schema().names
-                      if c != zone_geom_col]
-    left_cols = [c for c in lines_ds.schema().names]
-
-    def _ixy_ranges(xmin, ymin, xmax, ymax):
-        ix0 = np.floor((np.asarray(xmin) + 180.0) / step).astype(np.int64)
-        ix1 = np.floor((np.asarray(xmax) + 180.0) / step).astype(np.int64)
-        iy0 = np.clip(np.floor((np.asarray(ymin) + 90.0) / step)
-                      .astype(np.int64), 0, ny - 1)
-        iy1 = np.clip(np.floor((np.asarray(ymax) + 90.0) / step)
-                      .astype(np.int64), 0, ny - 1)
-        return ix0, ix1, iy0, iy1
-
-    def refine(group: pd.DataFrame) -> pd.DataFrame:
-        lns = group[group["_side"] == 0].reset_index(drop=True)
-        zns = group[group["_side"] == 1].reset_index(drop=True)
-        if len(lns) == 0 or len(zns) == 0:
-            return pd.DataFrame({c: [] for c in left_cols + zone_attr_cols})
-        fb = _FlatBatch(lns[geometry_col].to_numpy(), len(lns))
-        lx0, lx1, ly0, ly1 = _ixy_ranges(fb.xmin, fb.ymin, fb.xmax, fb.ymax)
-        lcell = lns["_cell"].to_numpy(np.int64)   # one row per cover cell
-        lorder = np.argsort(lcell, kind="stable")
-        lcell_s = lcell[lorder]
-        geo_first: dict[bytes, list[int]] = {}
-        for i, gb in enumerate(zns[zone_geom_col]):
-            geo_first.setdefault(bytes(gb), []).append(i)
-        outs = []
-        for gb, rows_idx in geo_first.items():
-            zcells = np.unique(zns["_cell"].to_numpy(np.int64)[rows_idx])
-            s0 = np.searchsorted(lcell_s, zcells, "left")
-            s1 = np.searchsorted(lcell_s, zcells, "right")
-            if (s1 - s0).sum() == 0:
-                continue
-            cand = np.concatenate([lorder[a:b]
-                                   for a, b in zip(s0, s1) if b > a])
-            g = wkb.decode(gb)
-            poly = algo.PreparedPolygon(g["rings"], g.get("ring_part"))
-            zbx0, zby0, zbx1, zby1 = poly.bbox
-            zx0, zx1, zy0, zy1 = _ixy_ranges(zbx0, zby0, zbx1, zby1)
-            # canonical cell: smallest shared cover cell of the pair
-            # (pack order is iy-major, ix-minor)
-            loc = cand  # local feature pos == row index in lns (1 row
-            #             per cover cell; feat_ids may skip null rows)
-            # map cover rows to present-feature positions
-            pos = np.searchsorted(fb.feat_ids, loc)
-            sx0 = np.maximum(lx0[pos], zx0)
-            sy0 = np.maximum(ly0[pos], zy0)
-            can = grid.pack(res, sx0, sy0).view(np.int64)
-            keep = lcell[loc] == can
-            cand = cand[keep]
-            if not len(cand):
-                continue
-            pos = pos[keep]
-            gp, pgrp = fb.gather_points(pos)
-            gsa, gsb, sgrp = fb.gather_segments(pos)
-            if geom_kind == "lines":
-                contact, s_in, s_out, proper = \
-                    algo.polylines_polygon_relate_flat(
-                        gp, pgrp, gsa, gsb, sgrp, len(pos), poly)
-                if predicate == "intersects":
-                    m = contact
-                elif predicate == "within":
-                    m = s_in & ~s_out & ~proper
-                elif predicate == "crosses":
-                    m = proper | (s_in & s_out)
-                else:
-                    m = contact & ~s_in & ~proper
-            else:
-                strict = predicate == "overlaps"
-                G = len(pos)
-                vmask = (poly.contains_points(gp[:, 0], gp[:, 1]) if strict
-                         else poly.covers_points(gp[:, 0], gp[:, 1]))
-                m = algo._any_per_group(vmask, pgrp, G)
-                touch_seg = np.zeros(len(gsa), dtype=bool)
-                proper_seg = np.zeros(len(gsa), dtype=bool)
-                for ring in poly.rings:
-                    algo._segments_vs_ring_accum(gsa, gsb, ring,
-                                                 touch_seg, proper_seg)
-                m |= algo._any_per_group(
-                    proper_seg if strict else touch_seg, sgrp, G)
-                un = np.flatnonzero(~m)
-                if len(un):
-                    usa, usb, usgrp = fb.gather_segments(pos[un])
-                    ring0 = poly.rings[0]
-                    q = ring0[:-1] if strict else ring0[:1]
-                    inside, _onb = algo.points_vs_flat_polygons(
-                        q[:, 0], q[:, 1], usa, usb, usgrp, len(un))
-                    m[un] |= inside.any(axis=0)
-            hit = cand[m]
-            if len(hit):
-                zrow = zns.iloc[rows_idx[0]]
-                o = lns.iloc[hit][left_cols].reset_index(drop=True)
-                for c2 in zone_attr_cols:
-                    o[c2] = zrow[c2]
-                outs.append(o)
-        if not outs:
-            return pd.DataFrame({c: [] for c in left_cols + zone_attr_cols})
-        return pd.concat(outs, ignore_index=True)
-
-    joined = both.groupby("_bucket").map_groups(refine, batch_format="pandas")
-    out_fields = [lschema.field(c) for c in left_cols] + \
-        [rschema.field(c) for c in zone_attr_cols]
-    target = pa.schema(out_fields)
-
-    def cast_out(batch: pa.Table) -> pa.Table:
-        cols = []
-        for f in target:
-            col = batch[f.name]
-            if col.type != f.type:
-                col = pc.cast(col, f.type)
-            cols.append(col)
-        return pa.table(dict(zip(target.names, cols)), schema=target)
-
-    return joined.map_batches(cast_out, batch_format="pyarrow")
-
-
-def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
-                         res: int = DEFAULT_INDEX_RES, num_buckets: int = 64,
-                         rows_per_task: int = 50_000,
-                         lon_col: str = "lon", lat_col: str = "lat",
-                         zone_geom_col: str = "geometry", how: str = "inner",
-                         checkpoint_dir: str | None = None):
-    """Two-phase shuffle spatial join for large×large inputs.
-
-    Phase 0 probes left-side cell counts → salt plan for hot cells.
-    Phase 1 keys left points by hash(cell, salt) bucket and explodes
-    zone cell covers (replicated across salts for hot cells).
-    Phase 2 co-locates with one ``groupby(bucket)`` and refines each
-    bucket vectorized (sort-merge on cell inside the bucket).
-
-    ``checkpoint_dir`` materializes the phase-1 keyed union as a
-    RESUMABLE partitioned-parquet stage boundary (one partition per
-    bucket + lineage manifest): a killed run re-submitted with the same
-    dir skips completed phase-1 partitions and the refine re-reads the
-    checkpoint — the "resume mid-shuffle" path of BASELINE.json.
-
-    Returns a Dataset of joined rows (left columns + zone attr columns).
-    """
-    if how != "inner":
-        raise ValueError(
-            f"spatial_join_shuffle supports how='inner' only (got {how!r}); "
-            "use the broadcast spatial_join for left joins")
-    if predicate not in ("intersects", "covers", "within", "contains"):
-        raise ValueError(
-            f"spatial_join_shuffle supports intersects/covers/within/contains "
-            f"(got {predicate!r})")
-    counts = _cell_counts(points_ds, lon_col, lat_col, res)
-    salts = plan_salts(counts, rows_per_task)
-    salts_ref = ray.put(salts)
-
-    def key_points(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False)
-        cells = grid.point_to_cell(lon, lat, res)
+    def key_left(batch: pa.Table) -> pa.Table:
+        rows, cells = cells_of(batch)
         salt_map = state.get_broadcast(salts_ref, key_extra=("salts",))
-        salt = np.zeros(len(cells), dtype=np.uint64)
-        if salt_map:
-            hot = np.fromiter(salt_map.keys(), dtype=np.int64)
-            fac = np.fromiter(salt_map.values(), dtype=np.int64)
-            order = np.argsort(hot)
-            hot, fac = hot[order], fac[order]
-            pos = np.searchsorted(hot, cells.view(np.int64))
-            pos_c = np.clip(pos, 0, len(hot) - 1)
-            is_hot = hot[pos_c] == cells.view(np.int64)
-            if is_hot.any():
-                # deterministic spread of each hot cell's rows
-                f = fac[pos_c[is_hot]].astype(np.uint64)
-                salt[is_hot] = (np.arange(len(cells), dtype=np.uint64)[is_hot]) % f
-        bucket = ((cells * np.uint64(0x9E3779B97F4A7C15) + salt)
-                  % np.uint64(num_buckets)).astype(np.int64)
-        t = batch.append_column("_cell", pa.array(cells.astype(np.int64)))
-        t = t.append_column("_bucket", pa.array(bucket))
-        return t.append_column("_side", pa.array(np.zeros(len(cells), np.int8)))
+        # deterministic spread of each hot cell's rows
+        salt = np.arange(len(cells), dtype=np.int64) % _salt_factors(cells, salt_map)
+        if rows is not None:
+            batch = batch.take(pa.array(rows))
+        return _append_keys(batch, cells, salt, 0, num_buckets)
 
     def explode_zones(batch: pa.Table) -> pa.Table:
         geoms = batch[zone_geom_col].to_pylist()
         salt_map = state.get_broadcast(salts_ref, key_extra=("salts",))
-        bb = np.array([wkb.bbox(bytes(g)) for g in geoms], np.float64) \
-            if geoms else np.empty((0, 4))
-        if len(bb) == 0:
-            empty = batch.slice(0, 0)
-            empty = empty.append_column("_cell", pa.array([], pa.int64()))
-            empty = empty.append_column("_bucket", pa.array([], pa.int64()))
-            return empty.append_column("_side", pa.array([], pa.int8()))
-        # vectorized cover of every zone bbox at once
+        if not geoms:
+            return _append_keys(batch, np.empty(0, np.uint64),
+                                np.empty(0, np.int64), 1, num_buckets)
+        bb = np.array([wkb.bbox(bytes(g)) for g in geoms], np.float64)
+        # vectorized cover of every zone bbox, replicated across salts
         rws, cls = grid.bboxes_to_cells(bb[:, 0], bb[:, 1], bb[:, 2], bb[:, 3],
                                         res=res)
-        # salt replication factors per cover cell
-        fac = np.ones(len(cls), dtype=np.int64)
-        if salt_map:
-            hot = np.fromiter(salt_map.keys(), dtype=np.int64)
-            hfac = np.fromiter(salt_map.values(), dtype=np.int64)
-            horder = np.argsort(hot)
-            hot, hfac = hot[horder], hfac[horder]
-            pos = np.clip(np.searchsorted(hot, cls.view(np.int64)), 0, len(hot) - 1)
-            m = hot[pos] == cls.view(np.int64)
-            fac[m] = hfac[pos[m]]
-        rows_rep = np.repeat(rws, fac)
-        cells_np = np.repeat(cls, fac)
+        fac = _salt_factors(cls, salt_map)
         cum = np.concatenate(([0], np.cumsum(fac)[:-1]))
-        salts_np = (np.arange(int(fac.sum()), dtype=np.int64)
-                    - np.repeat(cum, fac)).astype(np.uint64)
-        out = batch.take(pa.array(rows_rep))
-        bucket = ((cells_np * np.uint64(0x9E3779B97F4A7C15) + salts_np)
-                  % np.uint64(num_buckets)).astype(np.int64)
-        out = out.append_column("_cell", pa.array(cells_np.astype(np.int64)))
-        out = out.append_column("_bucket", pa.array(bucket))
-        return out.append_column("_side", pa.array(np.ones(out.num_rows, np.int8)))
+        salt = np.arange(int(fac.sum()), dtype=np.int64) - np.repeat(cum, fac)
+        return _append_keys(batch.take(pa.array(np.repeat(rws, fac))),
+                            np.repeat(cls, fac), salt, 1, num_buckets)
 
-    left_keyed = points_ds.map_batches(key_points, batch_format="pyarrow",
-                                       batch_size=65536)
+    left_keyed = left_ds.map_batches(key_left, batch_format="pyarrow",
+                                     batch_size=left_batch_size)
     right_keyed = zones_ds.map_batches(explode_zones, batch_format="pyarrow",
                                        batch_size=4096)
     # schema-harmonized union: missing columns null-filled with the
@@ -2068,8 +1720,7 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
         from pythongis_ray import checkpoint as ckpt
 
         def add_key(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_ckpt_key", batch["_bucket"])
+            return batch.append_column("_ckpt_key", batch["_bucket"])
 
         ckpt.write_partitioned(both.map_batches(add_key, batch_format="pyarrow"),
                                checkpoint_dir, key_col="_ckpt_key",
@@ -2084,48 +1735,42 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
             .map_batches(strip_ckpt_cols, batch_format="pyarrow")
 
     zone_attr_cols = [c for c in zones_ds.schema().names if c != zone_geom_col]
-    left_cols = [c for c in points_ds.schema().names]
+    left_cols = list(left_ds.schema().names)
+    out_cols = left_cols + zone_attr_cols
 
     def refine(group: pd.DataFrame) -> pd.DataFrame:
-        pts = group[group["_side"] == 0]
+        left = group[group["_side"] == 0]
         zns = group[group["_side"] == 1]
-        if len(pts) == 0 or len(zns) == 0:
-            return pd.DataFrame({c: [] for c in left_cols + zone_attr_cols})
-        lon = pts[lon_col].to_numpy(np.float64)
-        lat = pts[lat_col].to_numpy(np.float64)
-        pcell = pts["_cell"].to_numpy(np.int64)
-        order = np.argsort(pcell, kind="stable")
-        pcell_s = pcell[order]
-        # one refine per UNIQUE zone: parse once, gather the point
-        # segments of all its cover cells in this bucket, test vectorized
-        outs = []
-        zns = zns.reset_index(drop=True)
+        if len(left) == 0 or len(zns) == 0:
+            return pd.DataFrame({c: [] for c in out_cols})
+        match = matcher(left)
+        lcell = left["_cell"].to_numpy(np.int64)
+        order = np.argsort(lcell, kind="stable")
+        lcell_s = lcell[order]
+        zcell = zns["_cell"].to_numpy(np.int64)
+        # one refine per UNIQUE zone: parse once, gather the left rows
+        # of all its cover cells in this bucket, test vectorized
         geo_first: dict[bytes, list[int]] = {}
         for i, gb in enumerate(zns[zone_geom_col]):
             geo_first.setdefault(bytes(gb), []).append(i)
+        outs = []
         for gb, rows_idx in geo_first.items():
-            zcells = np.unique(zns["_cell"].to_numpy(np.int64)[rows_idx])
-            s0 = np.searchsorted(pcell_s, zcells, "left")
-            s1 = np.searchsorted(pcell_s, zcells, "right")
-            lens = s1 - s0
-            if lens.sum() == 0:
+            zcells = np.unique(zcell[rows_idx])
+            s0 = np.searchsorted(lcell_s, zcells, "left")
+            s1 = np.searchsorted(lcell_s, zcells, "right")
+            if (s1 - s0).sum() == 0:
                 continue
-            seg = np.concatenate([order[a:b] for a, b in zip(s0, s1) if b > a])
+            cand = np.concatenate([order[a:b] for a, b in zip(s0, s1) if b > a])
             g = wkb.decode(gb)
-            poly = algo.PreparedPolygon(g["rings"], g.get("ring_part"))
-            if predicate in ("within", "contains"):
-                m = poly.contains_points(lon[seg], lat[seg])
-            else:
-                m = poly.covers_points(lon[seg], lat[seg])
-            hit = seg[m]
+            hit = match(cand, algo.PreparedPolygon(g["rings"], g.get("ring_part")))
             if len(hit):
                 zrow = zns.iloc[rows_idx[0]]
-                o = pts.iloc[hit][left_cols].reset_index(drop=True)
-                for c2 in zone_attr_cols:
-                    o[c2] = zrow[c2]
+                o = left.iloc[hit][left_cols].reset_index(drop=True)
+                for c in zone_attr_cols:
+                    o[c] = zrow[c]
                 outs.append(o)
         if not outs:
-            return pd.DataFrame({c: [] for c in left_cols + zone_attr_cols})
+            return pd.DataFrame({c: [] for c in out_cols})
         return pd.concat(outs, ignore_index=True)
 
     joined = both.groupby("_bucket").map_groups(refine, batch_format="pandas")
@@ -2133,9 +1778,8 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
     # restore DECLARED dtypes: the pandas refine path (nullable unions +
     # per-bucket frames) can emit float64 where the input was int64;
     # cast every output column back to the source schema's type
-    out_fields = [lschema.field(c) for c in left_cols] + \
-        [rschema.field(c) for c in zone_attr_cols]
-    target = pa.schema(out_fields)
+    target = pa.schema([lschema.field(c) for c in left_cols]
+                       + [rschema.field(c) for c in zone_attr_cols])
 
     def cast_out(batch: pa.Table) -> pa.Table:
         cols = []
@@ -2147,6 +1791,189 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
         return pa.table(dict(zip(target.names, cols)), schema=target)
 
     return joined.map_batches(cast_out, batch_format="pyarrow")
+
+
+def spatial_join_lines_shuffle(lines_ds, zones_ds,
+                               predicate: str = "intersects", **kw):
+    """Shuffle spatial join for large×large LINE-left inputs — see
+    :func:`_spatial_join_geoms_shuffle`."""
+    if predicate not in ("intersects", "within", "crosses", "touches"):
+        raise ValueError(f"unsupported predicate {predicate!r}")
+    return _spatial_join_geoms_shuffle(lines_ds, zones_ds, "lines",
+                                       predicate, **kw)
+
+
+def spatial_join_polygons_shuffle(left_ds, zones_ds,
+                                  predicate: str = "intersects", **kw):
+    """Shuffle spatial join for large×large POLYGON-left inputs — see
+    :func:`_spatial_join_geoms_shuffle`. Predicates: intersects |
+    overlaps (interiors-only, the reference touch exclusion)."""
+    if predicate not in ("intersects", "overlaps"):
+        raise ValueError(f"unsupported predicate {predicate!r}")
+    return _spatial_join_geoms_shuffle(left_ds, zones_ds, "polygons",
+                                       predicate, **kw)
+
+
+def _cover_origin(res: int, xmin, ymin):
+    """(ix, iy) of the lowest cover cell of bboxes with these minima."""
+    step = grid.cell_size_deg(res)
+    _, ny = grid.cell_dims(res)
+    ix0 = np.floor((np.asarray(xmin) + 180.0) / step).astype(np.int64)
+    iy0 = np.clip(np.floor((np.asarray(ymin) + 90.0) / step).astype(np.int64),
+                  0, ny - 1)
+    return ix0, iy0
+
+
+def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
+                                predicate: str,
+                                res: int = DEFAULT_INDEX_RES,
+                                num_buckets: int = 64,
+                                rows_per_task: int = 50_000,
+                                geometry_col: str = "geometry",
+                                zone_geom_col: str = "geometry",
+                                checkpoint_dir: str | None = None):
+    """Shuffle spatial join for large×large GEOMETRY-left inputs — the
+    geometry-left extension of :func:`spatial_join_shuffle` (broadcast
+    geometry joins need the zone side in the object store; this path
+    shuffles both).
+
+    Phase 0 probes left COVER-cell counts → salt plan. Phase 1
+    explodes left bbox covers (one row per (feature, cover cell),
+    salted on hot cells) and zone covers (replicated across salts).
+    Phase 2 co-locates with one ``groupby(bucket)``; inside a bucket
+    each unique zone relates against its candidate cohort via the
+    batched flat kernels (polyline relate for lines; the
+    vertex/edge/probe polygon tests for polygons).
+
+    A (left, zone) pair shares possibly MANY cover cells and would be
+    emitted once per shared cell; instead of a dedup shuffle, each
+    pair is claimed only by its canonical cell — the smallest cell id
+    of the intersection of the two bbox covers, computed O(1) from
+    the two index ranges. Exactly-once emission with zero extra data
+    movement. (Covers assume no antimeridian-crossing bboxes, as
+    everywhere in the engine.)
+    """
+
+    def cells_of(batch: pa.Table):
+        fb = _FlatBatch(batch[geometry_col], batch.num_rows)
+        if not len(fb.feat_ids):
+            return np.empty(0, np.int64), np.empty(0, np.uint64)
+        rows, cells = grid.bboxes_to_cells(fb.xmin, fb.ymin, fb.xmax,
+                                           fb.ymax, res=res)
+        return fb.feat_ids[rows], cells
+
+    def matcher(lns: pd.DataFrame):
+        fb = _FlatBatch(lns[geometry_col].to_numpy(), len(lns))
+        lx0, ly0 = _cover_origin(res, fb.xmin, fb.ymin)
+        lcell = lns["_cell"].to_numpy(np.int64)   # one row per cover cell
+
+        def match(cand, poly):
+            # canonical cell: smallest shared cover cell of the pair
+            # (pack order is iy-major, ix-minor); ``pos`` maps cover
+            # rows to present-feature positions (feat_ids may skip
+            # null rows)
+            zx0, zy0 = _cover_origin(res, poly.bbox[0], poly.bbox[1])
+            pos = np.searchsorted(fb.feat_ids, cand)
+            can = grid.pack(res, np.maximum(lx0[pos], zx0),
+                            np.maximum(ly0[pos], zy0)).view(np.int64)
+            keep = lcell[cand] == can
+            cand, pos = cand[keep], pos[keep]
+            if not len(cand):
+                return cand
+            gp, pgrp = fb.gather_points(pos)
+            gsa, gsb, sgrp = fb.gather_segments(pos)
+            if geom_kind == "lines":
+                contact, s_in, s_out, proper = \
+                    algo.polylines_polygon_relate_flat(
+                        gp, pgrp, gsa, gsb, sgrp, len(pos), poly)
+                if predicate == "intersects":
+                    m = contact
+                elif predicate == "within":
+                    m = s_in & ~s_out & ~proper
+                elif predicate == "crosses":
+                    m = proper | (s_in & s_out)
+                else:
+                    m = contact & ~s_in & ~proper
+                return cand[m]
+            strict = predicate == "overlaps"
+            G = len(pos)
+            vmask = (poly.contains_points(gp[:, 0], gp[:, 1]) if strict
+                     else poly.covers_points(gp[:, 0], gp[:, 1]))
+            m = algo._any_per_group(vmask, pgrp, G)
+            touch_seg = np.zeros(len(gsa), dtype=bool)
+            proper_seg = np.zeros(len(gsa), dtype=bool)
+            for ring in poly.rings:
+                algo._segments_vs_ring_accum(gsa, gsb, ring,
+                                             touch_seg, proper_seg)
+            m |= algo._any_per_group(
+                proper_seg if strict else touch_seg, sgrp, G)
+            un = np.flatnonzero(~m)
+            if len(un):
+                usa, usb, usgrp = fb.gather_segments(pos[un])
+                ring0 = poly.rings[0]
+                q = ring0[:-1] if strict else ring0[:1]
+                inside, _onb = algo.points_vs_flat_polygons(
+                    q[:, 0], q[:, 1], usa, usb, usgrp, len(un))
+                m[un] |= inside.any(axis=0)
+            return cand[m]
+        return match
+
+    return _salted_shuffle_join(lines_ds, zones_ds, cells_of, matcher, 8192,
+                                res, num_buckets, rows_per_task,
+                                zone_geom_col, checkpoint_dir)
+
+
+def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
+                         res: int = DEFAULT_INDEX_RES, num_buckets: int = 64,
+                         rows_per_task: int = 50_000,
+                         lon_col: str = "lon", lat_col: str = "lat",
+                         zone_geom_col: str = "geometry", how: str = "inner",
+                         checkpoint_dir: str | None = None):
+    """Two-phase shuffle spatial join for large×large inputs.
+
+    Phase 0 probes left-side cell counts → salt plan for hot cells.
+    Phase 1 keys left points by hash(cell, salt) bucket and explodes
+    zone cell covers (replicated across salts for hot cells).
+    Phase 2 co-locates with one ``groupby(bucket)`` and refines each
+    bucket vectorized (sort-merge on cell inside the bucket).
+
+    ``checkpoint_dir`` materializes the phase-1 keyed union as a
+    RESUMABLE partitioned-parquet stage boundary (one partition per
+    bucket + lineage manifest): a killed run re-submitted with the same
+    dir skips completed phase-1 partitions and the refine re-reads the
+    checkpoint — the "resume mid-shuffle" path of BASELINE.json.
+
+    Returns a Dataset of joined rows (left columns + zone attr columns).
+    """
+    if how != "inner":
+        raise ValueError(
+            f"spatial_join_shuffle supports how='inner' only (got {how!r}); "
+            "use the broadcast spatial_join for left joins")
+    if predicate not in ("intersects", "covers", "within", "contains"):
+        raise ValueError(
+            f"spatial_join_shuffle supports intersects/covers/within/contains "
+            f"(got {predicate!r})")
+    interior = predicate in ("within", "contains")
+
+    def cells_of(batch: pa.Table):
+        # one cell per point: the keyed batch is the input batch plus
+        # the key columns (no take of the possibly wide rows)
+        lon = batch[lon_col].to_numpy(zero_copy_only=False)
+        lat = batch[lat_col].to_numpy(zero_copy_only=False)
+        return None, grid.point_to_cell(lon, lat, res)
+
+    def matcher(pts: pd.DataFrame):
+        lon = pts[lon_col].to_numpy(np.float64)
+        lat = pts[lat_col].to_numpy(np.float64)
+
+        def match(cand, poly):
+            test = poly.contains_points if interior else poly.covers_points
+            return cand[test(lon[cand], lat[cand])]
+        return match
+
+    return _salted_shuffle_join(points_ds, zones_ds, cells_of, matcher, 65536,
+                                res, num_buckets, rows_per_task,
+                                zone_geom_col, checkpoint_dir)
 
 
 # ----------------------------------------- exactly-once point self-join

@@ -17,9 +17,9 @@ query matrix) across batches:
    hits the cache. Same asymptotics as an actor pool, without paying
    process spawn per stage.
 
-Both paths are implemented for every stateful stage; ``compute="tasks"``
-is the default (better on shared warm clusters), ``compute="actors"``
-pins dedicated processes (better when state is huge or thread-unsafe).
+The spatial joins and kNN joins use the second way only. Actor pools
+remain in a few non-join stages (the decode and feature stages of
+``multimodal.py``, ``vector.connect``).
 """
 
 from __future__ import annotations

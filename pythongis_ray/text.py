@@ -809,11 +809,16 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     <= n_docs x degree_cap instead of buckets x C(bucket_cap, 2)
     (mutation-variant bucket memberships of one template cluster
     otherwise multiply: the 10%-template torture corpus emits 3.5M
-    clique pairs uncapped). Every node retains the edge to its
-    smallest partner, so the descending-id chain to each cluster's
-    representative — all that CC-based dedup consumes — is preserved;
-    exact pair RECALL is complete whenever every near-dup cluster has
-    <= degree_cap members (the oracle fixtures' regime)."""
+    clique pairs uncapped). The cap counts CANDIDATE partners, before
+    verify, and LSH false-positive co-bucket members take slots too.
+    Exact pair RECALL is complete whenever no doc has more than
+    ``degree_cap`` smaller-id candidate partners; a bound on near-dup
+    CLUSTER size alone does not give it.
+    CC-based dedup keeps its components while each doc's ``degree_cap``
+    smallest candidates still hold a verified partner (a clique of
+    true near-dups of any size qualifies); when false positives fill
+    those slots, a doc can lose its only verified edge and its cluster
+    splits."""
     import logging
 
     from pythongis_ray import relational as rel

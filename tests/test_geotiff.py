@@ -268,6 +268,70 @@ def test_png_roundtrip_gray_and_rgb():
         assert np.array_equal(b2, rgb) and m2["bands"] == 3
 
 
+def _png_filter_rows(px: np.ndarray, bpp: int, shift: int) -> bytes:
+    """Filter each scanline of an (h, rowbytes) uint8 image with PNG
+    filter type 1 + (y + shift) % 4 (Sub/Up/Average/Paeth), computed
+    with numpy from the raw bytes, each row led by its filter byte."""
+    rows = []
+    prev = np.zeros(px.shape[1], np.int64)
+    for y, raw in enumerate(px.astype(np.int64)):
+        a = np.concatenate([np.zeros(bpp, np.int64), raw[:-bpp]])
+        c = np.concatenate([np.zeros(bpp, np.int64), prev[:-bpp]])
+        b = prev
+        ft = 1 + (y + shift) % 4
+        if ft == 1:
+            pred = a
+        elif ft == 2:
+            pred = b
+        elif ft == 3:
+            pred = (a + b) >> 1
+        else:
+            p = a + b - c
+            pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+            pred = np.where((pa <= pb) & (pa <= pc), a,
+                            np.where(pb <= pc, b, c))
+        rows.append(bytes([ft]) + ((raw - pred) % 256).astype(np.uint8)
+                    .tobytes())
+        prev = raw
+    return b"".join(rows)
+
+
+def test_png_reads_all_scanline_filters():
+    """Sub/Up/Average/Paeth scanlines (write_png emits filter 0 only)
+    decode bit-exact, for gray and RGB, whichever filter starts the
+    image."""
+    import struct
+    import tempfile
+    import zlib
+
+    def chunk(typ: bytes, payload: bytes) -> bytes:
+        return (struct.pack(">I", len(payload)) + typ + payload
+                + struct.pack(">I", zlib.crc32(typ + payload) & 0xFFFFFFFF))
+
+    rng = np.random.default_rng(8)
+    h, w = 11, 13
+    with tempfile.TemporaryDirectory(dir="/tmp") as d:
+        for nch, ctype in ((1, 0), (3, 2)):
+            px = rng.integers(0, 256, (h, w * nch), dtype=np.uint8)
+            for shift in range(4):
+                body = _png_filter_rows(px, nch, shift)
+                data = (raster.PNG_MAGIC
+                        + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8,
+                                                     ctype, 0, 0, 0))
+                        + chunk(b"IDAT", zlib.compress(body))
+                        + chunk(b"IEND", b""))
+                path = f"{d}/f{nch}{shift}.png"
+                with open(path, "wb") as f:
+                    f.write(data)
+                arr, meta = raster.read_png(path)
+                want = px.reshape(h, w, nch).astype(np.float64)
+                want = want[:, :, 0] if nch == 1 else np.moveaxis(want, 2, 0)
+                assert meta["bands"] == nch
+                assert np.array_equal(arr, want), (nch, shift)
+
+
+@pytest.mark.skipif(not os.path.exists(f"{NE}/land_shallow_topo_2048.png"),
+                    reason="reference data absent")
 def test_png_reads_reference_natural_earth_image():
     """The reference's real 2048x1024 RGB basemap (adaptive filters
     incl. Paeth) decodes; ocean blue dominates the channel means."""
@@ -370,11 +434,15 @@ def test_jpg_roundtrip_gray_and_rgb():
         assert np.abs(b2 - rgb).mean() < 3.0
 
 
+REF_JPG = "/root/reference/pythongis/app/icons/perspectivemap.jpg"
+
+
+@pytest.mark.skipif(not os.path.exists(REF_JPG),
+                    reason="reference data absent")
 def test_jpg_reads_reference_real_file():
     """A real libjpeg-produced file from the reference tree decodes
     (its own DQT/DHT tables, subsampled chroma)."""
-    arr, meta = raster.read_jpg(
-        "/root/reference/pythongis/app/icons/perspectivemap.jpg")
+    arr, meta = raster.read_jpg(REF_JPG)
     assert arr.shape == (3, 250, 238) and meta["bands"] == 3
     assert 200 < arr.mean() < 255          # light-background icon
 

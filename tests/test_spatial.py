@@ -96,7 +96,6 @@ def test_shuffle_join_matches_broadcast(ray_session, zones):
 
     pts = make_points(1500)
     ds = rd.from_pandas(pts)
-    bc = spatial.spatial_join(ds, zones, predicate="within").to_pandas()
     zds = rd.from_pandas(zones)
     # rows_per_task=20 forces the salted-split branch on the hot city
     # cells of this fixture (max cell count ~76) — verifies salting
@@ -107,15 +106,18 @@ def test_shuffle_join_matches_broadcast(ray_session, zones):
     import numpy as _np
     _, counts = _np.unique(cells, return_counts=True)
     assert counts.max() > 20  # fixture really has hot cells
-    sh = spatial.spatial_join_shuffle(
-        rd.from_pandas(pts), zds, predicate="within", rows_per_task=20).to_pandas()
     key = lambda df: sorted(zip(df.pid.astype(int), df.zone_id.astype(int)))
-    assert key(sh) == key(bc)
-    # declared-dtype contract: the shuffle path must emit the SAME
-    # schema as the broadcast path (round-1 regression: untyped null
-    # padding promoted pk/zone_id to float64)
-    assert {c: str(sh[c].dtype) for c in bc.columns} == \
-        {c: str(bc[c].dtype) for c in bc.columns}
+    for pred in ("intersects", "covers", "within", "contains"):
+        bc = spatial.spatial_join(ds, zones, predicate=pred).to_pandas()
+        sh = spatial.spatial_join_shuffle(
+            rd.from_pandas(pts), zds, predicate=pred,
+            rows_per_task=20).to_pandas()
+        assert key(sh) == key(bc), pred
+        # declared-dtype contract: the shuffle path must emit the SAME
+        # schema as the broadcast path (round-1 regression: untyped null
+        # padding promoted pk/zone_id to float64)
+        assert {c: str(sh[c].dtype) for c in bc.columns} == \
+            {c: str(bc[c].dtype) for c in bc.columns}, pred
 
 
 def test_shuffle_join_rejects_unsupported(ray_session, zones):
@@ -129,6 +131,12 @@ def test_shuffle_join_rejects_unsupported(ray_session, zones):
     with pytest.raises(ValueError):
         spatial.spatial_join_shuffle(rd.from_pandas(pts), zds,
                                      predicate="touches")
+    with pytest.raises(ValueError):
+        spatial.spatial_join_lines_shuffle(rd.from_pandas(pts), zds,
+                                           predicate="contains")
+    with pytest.raises(ValueError):
+        spatial.spatial_join_polygons_shuffle(rd.from_pandas(pts), zds,
+                                              predicate="within")
 
 
 def test_spatial_agg_exact(ray_session, zones):
@@ -471,6 +479,20 @@ def test_line_clip_general_zone(ray_session):
     assert len(out2) == 1 and out2.clip_len.iloc[0] == 12.0
 
 
+def _cover_salt_plan(geoms, rows_per_task: int) -> dict:
+    """The geometry shuffle join's salt plan for these left geometries
+    (one batch): bbox cover-cell counts fed to ``plan_salts``."""
+    from pythongis_ray import grid
+    from pythongis_ray.geom import wkb
+
+    bb = np.array([wkb.bbox(g) for g in geoms], np.float64)
+    _, cells = grid.bboxes_to_cells(bb[:, 0], bb[:, 1], bb[:, 2], bb[:, 3],
+                                    res=spatial.DEFAULT_INDEX_RES)
+    cell, n = np.unique(cells, return_counts=True)
+    return spatial.plan_salts(pd.DataFrame({"cell": cell, "n": n}),
+                              rows_per_task)
+
+
 def test_lines_shuffle_matches_broadcast(ray_session):
     """The big-x-big line shuffle join must emit exactly the broadcast
     join's pair set — once per pair (canonical-cell rule), across
@@ -496,13 +518,16 @@ def test_lines_shuffle_matches_broadcast(ray_session):
         "geometry": [wkb.encode_polygon([np.array(
             [[x, y], [x + 8, y], [x + 8, y + 6], [x, y + 6], [x, y]])])
             for x, y in zip(zx, zy)]})
+    # rows_per_task=3 salts the cells covered by >3 lines (at most 9
+    # here), so the salted branch really runs
+    assert _cover_salt_plan(lines.geometry, 3)
     for pred in ("intersects", "within", "crosses"):
         want = spatial.spatial_join_lines(
             rd.from_pandas(lines), zones, predicate=pred) \
             .to_pandas()[["lid", "zone_id"]]
         got = spatial.spatial_join_lines_shuffle(
             rd.from_pandas(lines), rd.from_pandas(zones), predicate=pred,
-            num_buckets=16, rows_per_task=50) \
+            num_buckets=16, rows_per_task=3) \
             .to_pandas()[["lid", "zone_id"]]
         a = set(map(tuple, want.to_numpy()))
         b = set(map(tuple, got.to_numpy()))
@@ -536,13 +561,14 @@ def test_polygons_shuffle_matches_broadcast(ray_session):
         "geometry": [wkb.encode_polygon([np.array(
             [[x, y], [x + 9, y], [x + 9, y + 7], [x, y + 7], [x, y]])])
             for x, y in zip(zx, zy)]})
+    assert _cover_salt_plan(polys.geometry, 3)  # salted branch runs
     for pred in ("intersects", "overlaps"):
         want = spatial.spatial_join_polygons(
             rd.from_pandas(polys), zones, predicate=pred) \
             .to_pandas()[["pid", "zone_id"]]
         got = spatial.spatial_join_polygons_shuffle(
             rd.from_pandas(polys), rd.from_pandas(zones), predicate=pred,
-            num_buckets=16, rows_per_task=40) \
+            num_buckets=16, rows_per_task=3) \
             .to_pandas()[["pid", "zone_id"]]
         a = set(map(tuple, want.to_numpy()))
         b = set(map(tuple, got.to_numpy()))
@@ -601,7 +627,7 @@ def test_radius_join_geoms_matches_bruteforce(ray_session):
 def test_lines_shuffle_checkpoint_resume(ray_session, tmp_path):
     """Killing after the phase-1 checkpoint and re-running with the
     same dir reproduces the identical pair set (resume skips the
-    completed partitions)."""
+    completed partitions), for line-left and polygon-left joins."""
     import ray.data as rd
 
     from pythongis_ray.geom import wkb
@@ -621,21 +647,29 @@ def test_lines_shuffle_checkpoint_resume(ray_session, tmp_path):
             [[x, y], [x + 12, y], [x + 12, y + 9], [x, y + 9], [x, y]])])
             for x, y in zip(rng.uniform(-40, 40, 10).round(2),
                             rng.uniform(-30, 30, 10).round(2))]})
-    ck = str(tmp_path / "ck")
-    first = spatial.spatial_join_lines_shuffle(
-        rd.from_pandas(lines), rd.from_pandas(zones), num_buckets=8,
-        checkpoint_dir=ck).to_pandas()
-    # second run resumes from the existing checkpoint
-    second = spatial.spatial_join_lines_shuffle(
-        rd.from_pandas(lines), rd.from_pandas(zones), num_buckets=8,
-        checkpoint_dir=ck).to_pandas()
-    a = sorted(map(tuple, first[["lid", "zone_id"]].to_numpy()))
-    b = sorted(map(tuple, second[["lid", "zone_id"]].to_numpy()))
-    assert a == b
-    want = spatial.spatial_join_lines(
-        rd.from_pandas(lines), zones).to_pandas()
-    c = sorted(map(tuple, want[["lid", "zone_id"]].to_numpy()))
-    assert a == c
+    polys = pd.DataFrame({
+        "lid": np.arange(n, dtype=np.int64),
+        "geometry": [wkb.encode_polygon([np.array(
+            [[x, y], [x + 5, y], [x + 5, y + 3], [x, y + 3], [x, y]])])
+            for x, y in zip(ax, ay)]})
+    for left, shuffle, broadcast in (
+            (lines, spatial.spatial_join_lines_shuffle,
+             spatial.spatial_join_lines),
+            (polys, spatial.spatial_join_polygons_shuffle,
+             spatial.spatial_join_polygons)):
+        ck = str(tmp_path / shuffle.__name__)
+        first = shuffle(rd.from_pandas(left), rd.from_pandas(zones),
+                        num_buckets=8, checkpoint_dir=ck).to_pandas()
+        # second run resumes from the existing checkpoint
+        second = shuffle(rd.from_pandas(left), rd.from_pandas(zones),
+                         num_buckets=8, checkpoint_dir=ck).to_pandas()
+        a = sorted(map(tuple, first[["lid", "zone_id"]].to_numpy()))
+        b = sorted(map(tuple, second[["lid", "zone_id"]].to_numpy()))
+        assert a == b, shuffle.__name__
+        want = broadcast(rd.from_pandas(left), zones).to_pandas()
+        c = sorted(map(tuple, want[["lid", "zone_id"]].to_numpy()))
+        assert a == c, shuffle.__name__
+        assert len(a) > 0, shuffle.__name__
 
 
 # ------------------------------------- dwithin_self_pairs (exactly-once)

@@ -1521,11 +1521,14 @@ def test_corpus_build_skew_collapses_capped_cluster(ray_session):
 
 
 def test_degree_cap_preserves_components(ray_session):
-    """Property: connected components over degree-capped candidate
-    pairs equal components over uncapped pairs — the invariant that
-    makes degree_cap safe for CC-based dedup (every node keeps the
-    edge to its smallest partner, so descending chains to each
-    component representative survive)."""
+    """Connected components over degree-capped candidate pairs equal
+    components over uncapped pairs on this corpus: its candidates are
+    the template clusters' true near-dups, so every doc's degree_cap
+    smallest smaller-id candidates hold a verified partner and the
+    descending chain to each representative survives. The guarantee
+    is scoped to candidate degree: LSH false-positive co-bucket
+    members count against the cap too and could crowd a verified edge
+    out, whatever the near-dup cluster size."""
     import ray.data as rd
     from pythongis_ray import graph, text
 
