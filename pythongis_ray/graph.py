@@ -1296,20 +1296,20 @@ def _truss_support(e):
     closing-edge probe ((a,c) composite key), then count each
     triangle once toward all three of its edges. Edges in no
     triangle do not appear (support 0). Returns Dataset
-    (u, v, support). Uses the bucketed fallback join — the native
-    Dataset.join spawns a fresh actor pool per call, too costly for
-    the peeling loop."""
+    (u, v, support). Both joins are bucketed hash joins
+    (``rel.join_large``): task-based shuffles with no per-call actor
+    pool, cheap enough to rerun every round of the peeling loop."""
     ab = e.map_batches(lambda b: pa.table({"a": b["u"], "b": b["v"]}),
                        batch_format="pyarrow", batch_size=65536)
     bc = e.map_batches(lambda b: pa.table({"b": b["u"], "c": b["v"]}),
                        batch_format="pyarrow", batch_size=65536)
     ac = e.map_batches(lambda b: pa.table({"a": b["u"], "c": b["v"]}),
                        batch_format="pyarrow", batch_size=65536)
-    wedges = rel.join_large(ab, bc, on="b", num_buckets=16, native=False)
+    wedges = rel.join_large(ab, bc, on="b", num_buckets=16)
     tri = rel.join_large(
         wedges.map_batches(lambda b: b.select(["a", "b", "c"]),
                            batch_format="pyarrow", batch_size=65536),
-        ac, on=["a", "c"], num_buckets=16, native=False)
+        ac, on=["a", "c"], num_buckets=16)
 
     def emit_roles(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy(zero_copy_only=False)

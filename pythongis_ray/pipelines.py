@@ -208,12 +208,11 @@ def corpus_build(docs_ds):
         lambda b: b.rename_columns(["doc_id", "component"]),
         batch_format="pyarrow", batch_size=65536)
     # comp is legitimately EMPTY on a corpus with no near-dups: guard
-    # its schema and use the bucketed join (the native join crashes on
-    # schema-less empties — see rel.with_empty_schema)
+    # its schema, which the bucketed join reads to pad its union (see
+    # rel.with_empty_schema)
     comp = rel.with_empty_schema(comp, pa.schema([
         ("doc_id", pa.int64()), ("component", pa.int64())]))
-    joined = rel.join_large(survivors, comp, on="doc_id", how="left",
-                            native=False)
+    joined = rel.join_large(survivors, comp, on="doc_id", how="left")
 
     def keep_rep(batch: pa.Table) -> pa.Table:
         comp_col = batch["component"]

@@ -22,11 +22,19 @@ Determinism notes (these define the oracle contract):
   string-typed save path that would poison Arrow column types; the
   deviation is deliberate and matched by the DuckDB oracles.
 
-Scale pattern: algebraic stats (count/sum/min/max/mean) pre-aggregate
-per batch inside ``map_batches`` (combiner), so the ``groupby`` shuffle
-moves one row per (key, batch) instead of every input row. Holistic
-stats (majority/minority/concat/first/last/median) go through
-``groupby().map_groups``.
+Scale pattern: every hash-partitioned operator is one call of
+:func:`bucketed_group_apply` — key locally, then ONE shuffle over B
+hash buckets with a vectorized pandas pass per bucket. Algebraic stats
+(count/sum/min/max/mean) pre-aggregate per batch inside
+``map_batches`` (combiner), so the shuffle moves one row per
+(key, batch) instead of every input row; holistic stats
+(majority/minority/concat/first/last/median/quantile) run the one
+group-stat kernel :func:`_group_stats` per bucket. The two-input joins
+(``join_large``, ``asof_join``, ``interval_join``) tag each side,
+union them and bucket the union, so one shuffle co-locates every key's
+rows from both inputs; ``hash_join`` broadcasts a small right side
+instead and shuffles nothing. (``add_global_rank``'s range buckets
+and ``skyline``'s single group are the only other shuffles.)
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
+from ray.data.context import ShuffleStrategy
 
 ALGEBRAIC = {"count", "sum", "min", "max", "mean", "avg"}
 HOLISTIC = {"first", "last", "majority", "minority", "concat", "median",
@@ -56,6 +65,15 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
     receives one bucket DataFrame (already without the bucket column)
     and returns its aggregated frame. Bucket hash is
     ``pd.util.hash_pandas_object`` (deterministic, fixed key).
+
+    The groupby is pinned to the sort-based pull shuffle, so a global
+    ``HASH_SHUFFLE`` setting cannot route it through hash-shuffle
+    aggregator actors (which stall on small clusters). Ray picks the
+    shuffle when ``map_groups`` is called, from the keyed Dataset's
+    context — an object shared with the input's whole ``map_batches``
+    chain — so the pin is set there only while the groupby is built
+    and then restored: neither the global ``DataContext`` nor the
+    caller's Datasets change.
     """
 
     def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
@@ -74,9 +92,16 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
     # 5000-doc corpus ran its whole explode+hash chain serially at
     # 65536). 8192 keeps ≥30-way task parallelism at bench scale and
     # per-task temporaries under the glibc mmap threshold.
-    return (ds.map_batches(add_bucket, batch_format="pandas",
+    keyed = ds.map_batches(add_bucket, batch_format="pandas",
                            batch_size=BUCKET_BATCH_SIZE)
-            .groupby("_bucket").map_groups(per_bucket, batch_format="pandas"))
+    ctx = keyed.context
+    strategy = ctx.shuffle_strategy
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+    try:
+        return keyed.groupby("_bucket").map_groups(per_bucket,
+                                                   batch_format="pandas")
+    finally:
+        ctx.shuffle_strategy = strategy
 
 
 @dataclass
@@ -111,7 +136,8 @@ def groupby_aggregate(ds, keys, specs, order_col: str | list[str] | None = None)
     specs = _normalize(specs)
     if all(s.stat.split(":")[0] in ALGEBRAIC for s in specs):
         return _aggregate_partial(ds, keys, specs)
-    return _aggregate_map_groups(ds, keys, specs, order_col)
+    return bucketed_group_apply(
+        ds, keys, lambda b: _group_stats(b, keys, specs, order_col))
 
 
 def _aggregate_partial(ds, keys: list[str], specs: list[Agg]):
@@ -197,14 +223,12 @@ def _aggregate_partial(ds, keys: list[str], specs: list[Agg]):
     return bucketed_group_apply(partials, keys, combine)
 
 
-def _aggregate_map_groups(ds, keys: list[str], specs: list[Agg], order_col):
-    def per_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = [per_group(g) for _, g in
-                bucket.groupby(keys, sort=False, dropna=False)]
-        if not outs:
-            cols = keys + [s.out for s in specs]
-            return pd.DataFrame({c: [] for c in cols})
-        return pd.concat(outs, ignore_index=True)
+def _group_stats(frame: pd.DataFrame, keys: list[str], specs: list[Agg],
+                 order_col=None) -> pd.DataFrame:
+    """The sql.aggreg kernel over one pandas frame: one output row per
+    key group, columns ``keys + [s.out for s in specs]``. Runs inside
+    each bucket of :func:`groupby_aggregate`'s holistic path, and once
+    over the whole right frame for the ``hash_join`` collapse fusion."""
 
     def per_group(g: pd.DataFrame) -> pd.DataFrame:
         if order_col is not None:
@@ -259,7 +283,6 @@ def _aggregate_map_groups(ds, keys: list[str], specs: list[Agg], order_col):
                 else:
                     vc = vals.value_counts()
                     # deterministic tie-break: smallest value
-                    best = None
                     target = vc.max() if st == "majority" else vc.min()
                     cand = sorted(v for v, c in vc.items() if c == target)
                     row[s.out] = [cand[0]]
@@ -269,7 +292,11 @@ def _aggregate_map_groups(ds, keys: list[str], specs: list[Agg], order_col):
                 raise ValueError(f"unknown stat {s.stat!r}")
         return pd.DataFrame(row)
 
-    return bucketed_group_apply(ds, keys, per_bucket)
+    outs = [per_group(g) for _, g in
+            frame.groupby(keys, sort=False, dropna=False)]
+    if not outs:
+        return pd.DataFrame({c: [] for c in keys + [s.out for s in specs]})
+    return pd.concat(outs, ignore_index=True)
 
 
 def compute_grouped(ds, by, value_col: str, stat: str, out_col: str,
@@ -286,61 +313,10 @@ def compute_grouped(ds, by, value_col: str, stat: str, out_col: str,
     return hash_join(ds, agg, on=by)
 
 
-def aggreg_pandas(df: pd.DataFrame, keys, specs) -> pd.DataFrame:
-    """Driver/worker-side sql.aggreg over a pandas frame (used by the
-    join ``collapse`` fusion). Same vocabulary + determinism rules as
-    :func:`groupby_aggregate`."""
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    specs = _normalize(specs)
-    rows = []
-    for kv, g in df.groupby(keys, sort=False, dropna=False):
-        kv = kv if isinstance(kv, tuple) else (kv,)
-        row = dict(zip(keys, kv))
-        for s in specs:
-            st, _, delim = s.stat.partition(":")
-            delim = delim or ","
-            vals = g[s.col].dropna()
-            if st in ("sum", "min", "max", "mean", "avg", "median") \
-                    and vals.dtype == object:
-                vals = pd.to_numeric(vals, errors="coerce").dropna()
-            if st == "count":
-                row[s.out] = len(vals)
-            elif st == "sum":
-                row[s.out] = vals.sum() if len(vals) else None
-            elif st == "min":
-                row[s.out] = vals.min() if len(vals) else None
-            elif st == "max":
-                row[s.out] = vals.max() if len(vals) else None
-            elif st in ("mean", "avg"):
-                row[s.out] = (float(vals.sum()) / len(vals)
-                              if len(vals) else None)
-            elif st == "median":
-                row[s.out] = vals.median() if len(vals) else None
-            elif st == "first":
-                row[s.out] = vals.iloc[0] if len(vals) else None
-            elif st == "last":
-                row[s.out] = vals.iloc[-1] if len(vals) else None
-            elif st in ("majority", "minority"):
-                if not len(vals):
-                    row[s.out] = None
-                else:
-                    vc = vals.value_counts()
-                    tgt = vc.max() if st == "majority" else vc.min()
-                    row[s.out] = sorted(v for v, c in vc.items()
-                                        if c == tgt)[0]
-            elif st == "concat":
-                row[s.out] = delim.join(str(v) for v in vals)
-            else:
-                raise ValueError(s.stat)
-        rows.append(row)
-    cols = keys + [s.out for s in specs]
-    return pd.DataFrame(rows, columns=cols)
-
-
 # ----------------------------------------------------------------- joins
 
 def hash_join(left_ds, right: pd.DataFrame, on, how: str = "inner",
-              rsuffix: str = "_r", collapse=None):
+              collapse=None):
     """Broadcast hash join: small right side shipped once via ray.put,
     pandas merge per batch. Duplicate right column names are DROPPED
     (reference rule, /root/reference/pythongis/vector/data.py:1040-1043)
@@ -350,7 +326,7 @@ def hash_join(left_ds, right: pd.DataFrame, on, how: str = "inner",
     join stays 1:1."""
     on = [on] if isinstance(on, str) else list(on)
     if collapse is not None:
-        right = aggreg_pandas(right, on, collapse)
+        right = _group_stats(right, on, _normalize(collapse))
     ref = ray.put(right)
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
@@ -362,116 +338,81 @@ def hash_join(left_ds, right: pd.DataFrame, on, how: str = "inner",
     return left_ds.map_batches(fn, batch_format="pandas", batch_size=65536)
 
 
-def join_large(left_ds, right_ds, on, num_buckets: int = 32, how: str = "inner",
-               native: bool = True):
-    """Partitioned hash join for two large Datasets: both sides keyed by
-    hash(key) % B, co-located by one groupby, merged per bucket
-    (the portable large×large pattern; Ray's native ``Dataset.join`` is
-    used instead when available). ``native=False`` forces the bucketed
-    fallback — iterative algorithms (graph.py) prefer it because the
-    native join spawns a fresh aggregator actor pool per call, a
-    multi-second fixed cost paid every round."""
+def join_large(left_ds, right_ds, on, num_buckets: int = 32, how: str = "inner"):
+    """Partitioned hash join for two large Datasets: both sides are
+    tagged, unioned and co-located by ONE :func:`bucketed_group_apply`
+    shuffle over ``hash(on) % num_buckets``, then merged per bucket.
+    Right-side non-key columns that the left side also has are DROPPED
+    first (the reference rule, vector/data.py:1040-1043, as in
+    :func:`hash_join`). Both inputs need a schema — guard a side that
+    may come out of a zero-group grouped apply with
+    :func:`with_empty_schema`."""
     on = [on] if isinstance(on, str) else list(on)
-    if native and hasattr(left_ds, "join"):
-        # hash-shuffle join spawns one aggregator actor per partition —
-        # cap partitions at the CPU count so the pool fits the cluster
-        nparts = max(2, min(num_buckets, int(ray.cluster_resources().get("CPU", 4))))
-        try:
-            return left_ds.join(right_ds, join_type=how, on=tuple(on),
-                                num_partitions=nparts)
-        except (TypeError, ValueError, NotImplementedError) as exc:
-            # planning-time rejection only (unsupported how/on shape on
-            # this Ray version) — anything else should surface, not be
-            # silently rerouted to the fallback join
-            import logging
-            logging.getLogger(__name__).warning(
-                "native Dataset.join rejected plan (%s); using bucketed "
-                "fallback join", exc)
-
-    def key_side(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            h = pd.util.hash_pandas_object(batch[on].astype("int64", errors="ignore"),
-                                           index=False).to_numpy()
-            batch = batch.copy()
-            batch["_bucket"] = (h % num_buckets).astype(np.int64)
-            batch["_side"] = np.int8(side)
-            return batch
-        return fn
-
-    l = left_ds.map_batches(key_side(0), batch_format="pandas")
-    r = right_ds.map_batches(key_side(1), batch_format="pandas")
-    lcols = [c for c in left_ds.schema().names]
-    rcols = [c for c in right_ds.schema().names]
-
-    def pad(missing):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            for m in missing:
-                batch[m] = None
-            return batch
-        return fn
-
-    onlyl = [c for c in lcols if c not in rcols]
-    onlyr = [c for c in rcols if c not in lcols]
-    if onlyr:
-        l = l.map_batches(pad(onlyr), batch_format="pandas")
-    if onlyl:
-        r = r.map_batches(pad(onlyl), batch_format="pandas")
+    lnames = set(left_ds.schema().names)
+    rkeep = [c for c in right_ds.schema().names
+             if c in on or c not in lnames]
+    u, lcols, rcols = _two_sided_buckets(left_ds, right_ds, on, rkeep, {})
 
     def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["_side"] == 0][lcols]
-        rg = g[g["_side"] == 1][rcols]
-        dup = [c for c in rcols if c in lcols and c not in on]
-        return lg.merge(rg.drop(columns=dup), on=on, how=how)
+        return g[g["_side"] == 0][lcols].merge(
+            g[g["_side"] == 1][rcols], on=on, how=how)
 
-    return l.union(r).groupby("_bucket").map_groups(bucket_join, batch_format="pandas")
+    return bucketed_group_apply(u, on, bucket_join, num_buckets)
 
 
-def _two_sided_buckets(left_ds, right_ds, left_key: str, right_key: str,
-                       rkeep: list[str], rename: dict[str, str],
-                       num_buckets: int, shared: set[str] | None = None):
-    """Shared shuffle skeleton for the two-input ordered joins: key both
-    sides by ``hash(key) % B``, rename the right side's columns into the
-    left's namespace, pad each side with the other's columns and union
-    so ONE groupby co-locates every key's rows from both inputs.
+def _two_sided_buckets(left_ds, right_ds, keys: list[str], rkeep: list[str],
+                       rename: dict[str, str],
+                       shared: set[str] | None = None):
+    """Shared input skeleton of the two-input joins: tag each side with
+    ``_side`` (0 left, 1 right), rename the right side's ``rkeep``
+    columns into the left's namespace, pad each side with the other's
+    columns and union them, so ONE :func:`bucketed_group_apply` on
+    ``keys`` (left-namespace names) co-locates every key's rows from
+    both inputs. Integer keys (object-typed ones included) are cast to
+    int64 on both sides first: ``hash_pandas_object`` hashes a negative
+    int32, or an object-typed int, differently from the same int64.
     Returns (unioned_ds, lcols, rcols_renamed)."""
-    lcols = list(left_ds.schema().names)
+    lschema, rschema = left_ds.schema(), right_ds.schema()
+    lcols = list(lschema.names)
     rcols = [rename.get(c, c) for c in rkeep]
-    ok = shared if shared is not None else {rename.get(right_key, right_key)}
+    ok = shared if shared is not None else set(keys)
     clash = [c for c in rcols if c in lcols and c not in ok]
     if clash:
         raise ValueError(f"right columns collide with left: {clash}")
 
-    def key_side(side: int, key: str, keep: list[str] | None):
+    def pad_value(t):
+        # a None pad turns an integer or bool column into an object
+        # column where the union's blocks concatenate (slow to move,
+        # and it leaks into the output); a typed zero keeps its dtype
+        if isinstance(t, pa.DataType) and (pa.types.is_integer(t)
+                                           or pa.types.is_boolean(t)):
+            return np.zeros(1, t.to_pandas_dtype())[0]
+        return None
+
+    rtypes = dict(zip(rschema.names, rschema.types))
+    lpad = {rename.get(c, c): pad_value(rtypes[c]) for c in rkeep
+            if rename.get(c, c) not in lcols}
+    rpad = {c: pad_value(t) for c, t in zip(lcols, lschema.types)
+            if c not in rcols}
+
+    def key_side(side: int, keep: list[str] | None, pad: dict):
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             if keep is not None:
                 batch = batch[keep].rename(columns=rename)
             else:
                 batch = batch.copy()
-            h = pd.util.hash_pandas_object(
-                batch[[rename.get(key, key)]], index=False).to_numpy()
-            batch["_bucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
+            for k in keys:
+                col = batch[k].infer_objects()
+                batch[k] = col.astype(np.int64) if col.dtype.kind == "i" \
+                    else col
             batch["_side"] = np.int8(side)
+            for m, v in pad.items():
+                batch[m] = v
             return batch
         return fn
 
-    l = left_ds.map_batches(key_side(0, left_key, None),
-                            batch_format="pandas", batch_size=65536)
-    r = right_ds.map_batches(key_side(1, right_key, rkeep),
-                             batch_format="pandas", batch_size=65536)
-
-    def pad(missing):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            for m in missing:
-                batch[m] = None
-            return batch
-        return fn
-
-    onlyl = [c for c in lcols if c not in rcols]
-    onlyr = [c for c in rcols if c not in lcols]
-    if onlyr:
-        l = l.map_batches(pad(onlyr), batch_format="pandas")
-    if onlyl:
-        r = r.map_batches(pad(onlyl), batch_format="pandas")
+    l = left_ds.map_batches(key_side(0, None, lpad), batch_format="pandas")
+    r = right_ds.map_batches(key_side(1, rkeep, rpad), batch_format="pandas")
     return l.union(r), lcols, rcols
 
 
@@ -488,8 +429,9 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     ``moving_window``, /root/reference/pythongis/vector/data.py:653-695)
     and Ray Data lacks natively — DuckDB ``ASOF JOIN`` is the oracle.
 
-    Scale shape: both sides hash-bucket on the key (one shuffle each,
-    co-located by a single groupby over B buckets); inside a bucket the
+    Scale shape: both sides are tagged and unioned, and ONE
+    :func:`bucketed_group_apply` shuffle over B hash buckets of the key
+    co-locates each key's rows from both inputs; inside a bucket the
     match is ``pd.merge_asof`` — a vectorized C merge over both sides
     sorted by ``on``. A key's full right-side history lands in one
     bucket (the documented partitioning assumption); under extreme
@@ -510,16 +452,15 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
         rename[right_by] = left_by
     if right_on != left_on:
         rename[right_on] = left_on
-    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, left_by, right_by,
-                                     rkeep, rename, num_buckets,
-                                     shared={left_by, left_on})
+    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, [left_by], rkeep,
+                                     rename, shared={left_by, left_on})
     on, by = left_on, left_by
     out_rcols = [c for c in right_cols if c not in lcols]
     tie_sorted = [rename.get(c, c) for c in tie_cols]
 
     def bucket_asof(g: pd.DataFrame) -> pd.DataFrame:
-        # the union pad leaves the OTHER side's columns object-typed in
-        # this bucket frame — infer_objects restores ints/datetimes on
+        # a None union pad leaves the OTHER side's columns object-typed
+        # in this bucket frame — infer_objects restores their dtypes on
         # both sides so merge_asof dtypes and the output schema stay exact
         lg = g[g["_side"] == 0][lcols].infer_objects()
         rg = g[g["_side"] == 1][[by, on] + [c for c in dict.fromkeys(
@@ -544,7 +485,7 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
                     out[c] = out[c].astype(rg[c].dtype)
         return out.drop(columns=["_rmatch"])
 
-    return u.groupby("_bucket").map_groups(bucket_asof, batch_format="pandas")
+    return bucketed_group_apply(u, [by], bucket_asof, num_buckets)
 
 
 def interval_join(left_ds, right_ds, left_by: str, right_by: str,
@@ -571,8 +512,8 @@ def interval_join(left_ds, right_ds, left_by: str, right_by: str,
     rkeep = list(dict.fromkeys([right_by, right_start, right_end]
                                + right_cols))
     rename = {right_by: left_by} if right_by != left_by else {}
-    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, left_by, right_by,
-                                     rkeep, rename, num_buckets)
+    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, [left_by], rkeep,
+                                     rename)
     by, t = left_by, left_time
     out_rcols = [c for c in right_cols if c not in lcols]
 
@@ -625,7 +566,7 @@ def interval_join(left_ds, right_ds, left_by: str, right_by: str,
             [lg.iloc[lidx[keep]].reset_index(drop=True),
              rg[out_rcols].iloc[ridx[keep]].reset_index(drop=True)], axis=1)
 
-    return u.groupby("_bucket").map_groups(bucket_iv, batch_format="pandas")
+    return bucketed_group_apply(u, [by], bucket_iv, num_buckets)
 
 
 # ------------------------------------------------------------ dedup/window
@@ -940,12 +881,15 @@ def with_empty_schema(ds, schema: pa.Schema):
     see a schema even when the dataset produced no blocks.
 
     Why: ``groupby().map_groups`` with ZERO groups yields a dataset
-    with no blocks and no schema; Ray's native join then fails at
-    execution ("No match for key field") instead of returning empty.
-    Candidate tables (near-dup pairs, duplicated-window hashes) are
-    legitimately empty on clean corpora, so every join whose input
-    comes from a grouped apply needs this guard. The extra block has
-    no rows — plans and results are unchanged otherwise."""
+    with no blocks and no schema, and the bucketed joins
+    (:func:`join_large` and the other users of
+    :func:`_two_sided_buckets`) read each side's ``schema()`` to pad
+    the union — ``None`` there fails at plan time instead of
+    returning empty. Candidate tables (near-dup pairs,
+    duplicated-window hashes) are legitimately empty on clean corpora,
+    so every join whose input comes from a grouped apply needs this
+    guard. The extra block has no rows — plans and results are
+    unchanged otherwise."""
     import ray.data as rd
 
     return ds.union(rd.from_arrow(schema.empty_table()))
@@ -1021,12 +965,13 @@ def bloom_semi_join(big, small, key: str, small_key: str | None = None,
     small side's keys, broadcast it once (``ray.put`` +
     ``state.get_broadcast`` — one deserialize per worker), drop every
     big-side row whose key fails the probe, then run ONE bucketed hash
-    semi-join of the survivors (true matches + ~fp-rate false
-    positives) against the key set for exactness. The all-to-all
-    shuffle carries survivors only — at a 1% hit rate that is ~100×
-    less data than joining the raw big side. Result is exact (the
-    Bloom probe is a superset; the verify join removes false
-    positives), so the DuckDB oracle is a plain ``IN`` subquery."""
+    semi-join (:func:`join_large` against the deduped key set) of the
+    survivors (true matches + ~fp-rate false positives) for exactness.
+    The all-to-all shuffle carries survivors only — at a 1% hit rate
+    that is ~100× less data than joining the raw big side. Result is
+    exact (the Bloom probe is a superset; the verify join removes
+    false positives), so the DuckDB oracle is a plain ``IN``
+    subquery."""
     from pythongis_ray import state
 
     skc = small_key or key

@@ -772,11 +772,10 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
                 [f"id_{side}", f"text_{side}"])
         return fn
 
-    # native=False: both sides here are tiny and may be single-block
     out = rel.join_large(cand, small.map_batches(
-        as_side("a"), batch_format="pyarrow"), on="id_a", native=False)
+        as_side("a"), batch_format="pyarrow"), on="id_a")
     return rel.join_large(out, small.map_batches(
-        as_side("b"), batch_format="pyarrow"), on="id_b", native=False)
+        as_side("b"), batch_format="pyarrow"), on="id_b")
 
 
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -1526,10 +1525,9 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
     dups = rel.bucketed_group_apply(wins.select_columns(["h"]),
                                     ["h"], count_keep_dups)
     dups = rel.with_empty_schema(dups, pa.schema([("h", pa.int64())]))
-    # native Dataset.join drops the schema when a side is all-empty
-    # (zero-row blocks never flow through its hash shuffle) — the
-    # bucketed fallback reads schema from metadata and returns empty
-    hits = rel.join_large(wins, dups, on="h", native=False)
+    # dups may be all-empty: the guard above gives the join a schema
+    # to read, and a bucket with no right rows joins to empty
+    hits = rel.join_large(wins, dups, on="h")
 
     def coverage(bucket: pd.DataFrame) -> pd.DataFrame:
         b = bucket.sort_values([id_col, "pos"], kind="stable")
@@ -1615,9 +1613,9 @@ def pmi_bigrams(ds, text_col: str = "text", k: int = 20,
         columns={"word": "w2", "cnt": "n_b"}), batch_format="pandas")
     bi = rel.with_empty_schema(bi, pa.schema([
         ("w1", pa.string()), ("w2", pa.string()), ("n_ab", pa.int64())]))
-    # native=False: bi is empty when no doc has two tokens
-    j = rel.join_large(rel.join_large(bi, u1, on="w1", native=False),
-                       u2, on="w2", native=False)
+    # bi is empty when no doc has two tokens (schema guarded above)
+    j = rel.join_large(rel.join_large(bi, u1, on="w1"),
+                       u2, on="w2")
 
     def score_block(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["n_ab"] >= min_count].copy()

@@ -132,6 +132,132 @@ def test_join_large_matches_broadcast(ray_session):
     k = lambda d: sorted(zip(d.o_orderkey.astype(int), d.c_acctbal.round(2)))
     assert k(bc) == k(lg)
 
+    # each case: join_large == pandas merge of the right side without
+    # its non-key columns that the left side also has
+    rng = np.random.default_rng(3)
+    n = 400
+    left = pd.DataFrame({
+        "k": rng.integers(-60, 60, n).astype(np.int64),
+        "k2": rng.integers(0, 3, n).astype(np.int64),
+        "x": np.arange(n, dtype=np.int64)})
+    right = pd.DataFrame({"k": np.arange(-40, 40, dtype=np.int64),
+                          "y": np.arange(80, dtype=np.float64) * 1.5})
+    right2 = pd.DataFrame({
+        "k": np.repeat(np.arange(-30, 30, dtype=np.int64), 2),
+        "k2": np.tile(np.array([0, 2], np.int64), 60),
+        "y": np.arange(120, dtype=np.float64)})
+    no_groups = rel.bucketed_group_apply(
+        rd.from_pandas(right).filter(lambda r: False), ["k"], lambda b: b)
+    empty = rel.with_empty_schema(no_groups, pa.schema(
+        [("k", pa.int64()), ("y", pa.float64())]))
+    cases = [
+        ("inner", right, ["k"]),
+        ("left", right, ["k"]),
+        ("inner", right2, ["k", "k2"]),
+        ("left", right2, ["k", "k2"]),
+        # overlapping non-key column: the right side's x is dropped
+        ("inner", right.assign(x=np.int64(-1)), ["k"]),
+        ("inner", right.iloc[:0], ["k"]),
+        ("left", right.iloc[:0], ["k"]),
+        # int32 right key (negative values) against an int64 left key;
+        # more rows than one bucketing batch, so the sides hash apart
+        ("inner", pd.DataFrame({
+            "k": np.arange(-20000, 20000, dtype=np.int32),
+            "y": np.arange(40000, dtype=np.float64)}), ["k"]),
+    ]
+    for how, rpd, on in cases:
+        # the empty right side is a schema-less grouped output, guarded
+        rds = empty if rpd.empty else rd.from_pandas(rpd)
+        got = rel.join_large(rd.from_pandas(left), rds, on=on if len(on) > 1
+                             else on[0], how=how).to_pandas()
+        exp = left.merge(rpd.drop(columns=[c for c in rpd.columns
+                                           if c in left.columns
+                                           and c not in on]),
+                         on=on, how=how)
+        if exp.empty:
+            # to_pandas drops the schema of an all-empty result
+            assert len(got) == 0, (how, on)
+            continue
+        assert sorted(got.columns) == sorted(exp.columns), (how, on)
+        cols = sorted(exp.columns)
+        canon = lambda d: d[cols].astype(np.float64) \
+            .sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(canon(got), canon(exp))
+
+
+def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
+    """The collapse fusion aggregates the right side with the same
+    kernel as groupby_aggregate before attaching it."""
+    import ray.data as rd
+
+    left = pd.DataFrame({"k": [1, 2, 3, 4], "name": list("abcd")})
+    # k=2 is an all-missing group; k=5 has no left row
+    right = pd.DataFrame({
+        "k": [1, 1, 1, 2, 2, 3, 3, 5],
+        "v": [1.0, 2.0, 2.0, None, None, 4.0, 5.0, 6.0],
+        "s": ["p", "q", "q", None, None, "y", "x", "z"],
+        "ord": range(8)})
+    specs = [("n", "v", "count"), ("tot", "v", "sum"),
+             ("maj", "s", "majority"), ("cat", "s", "concat:|")]
+    got = rel.hash_join(rd.from_pandas(left), right, on="k",
+                        collapse=specs).to_pandas()
+    # collapse concats in the right frame's row order; after the
+    # shuffle, groupby_aggregate needs that order spelled out
+    agg = rel.groupby_aggregate(rd.from_pandas(right), "k", specs,
+                                order_col="ord").to_pandas()
+    exp = left.merge(agg, on="k")
+
+    def rows(d):
+        d = d[["k", "name", "n", "tot", "maj", "cat"]].sort_values("k")
+        return [[None if pd.isna(v) else v for v in r]
+                for r in d.itertuples(index=False)]
+
+    assert rows(got) == rows(exp)
+    assert rows(got) == [[1, "a", 3, 5.0, "q", "p|q|q"],
+                         [2, "b", 0, None, None, ""],
+                         [3, "c", 2, 9.0, "x", "y|x"]]
+
+
+def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session):
+    """bucketed_group_apply pins its groupby to the sort shuffle: under
+    a global HASH_SHUFFLE, groupby_aggregate and join_large still equal
+    pandas and start no hash-shuffle aggregator actor."""
+    import ray.data as rd
+    from ray._private import state
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    def aggregators():
+        return sum("HashShuffleAggregator" in a["ActorClassName"]
+                   for a in state.actors().values())
+
+    df = pd.DataFrame({"k": np.arange(200, dtype=np.int64) % 7,
+                       "v": np.arange(200, dtype=np.int64)})
+    right = pd.DataFrame({"k": np.arange(5, dtype=np.int64),
+                          "w": np.arange(5, dtype=np.int64) * 10})
+    ctx = DataContext.get_current()
+    prev = ctx.shuffle_strategy
+    before = aggregators()
+    try:
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        agg = rel.groupby_aggregate(rd.from_pandas(df), "k",
+                                    [("s", "v", "sum")]).to_pandas()
+        joined = rel.join_large(rd.from_pandas(df), rd.from_pandas(right),
+                                on="k").to_pandas()
+        assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
+    finally:
+        ctx.shuffle_strategy = prev
+    exp = df.groupby("k", as_index=False)["v"].sum().rename(
+        columns={"v": "s"})
+    pd.testing.assert_frame_equal(
+        agg.sort_values("k").reset_index(drop=True)[["k", "s"]], exp,
+        check_dtype=False)
+    ej = df.merge(right, on="k").sort_values("v").reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        joined[ej.columns].sort_values("v").reset_index(drop=True), ej,
+        check_dtype=False)
+    assert aggregators() == before
+
 
 def test_dedup(ray_session):
     import ray.data as rd
