@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from pythongis_ray.relational import group_apply
+
 
 def partition_of(values: np.ndarray, num_partitions: int) -> np.ndarray:
     """Deterministic partition id for an int64 key column."""
@@ -75,11 +77,12 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
                       resume: bool = True):
     """Write a Dataset to resumable partitioned parquet.
 
-    Rows are routed to ``hash(key) % num_partitions``; on a rerun with
-    ``resume=True``, rows belonging to completed partitions are dropped
-    at the FILTER stage (before any downstream work) and only missing
-    partitions are written. Returns the list of partition metrics
-    written this run.
+    Rows are routed to ``hash(key) % num_partitions`` and each
+    partition is written by one group of a ``relational.group_apply``
+    on the partition id. On a rerun with ``resume=True``, rows
+    belonging to completed partitions are dropped at the FILTER stage
+    (before any downstream work) and only missing partitions are
+    written. Returns the list of partition metrics written this run.
     """
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir) if resume else set()
@@ -104,7 +107,7 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
         m = write_partition(table, out_dir, part)
         return pd.DataFrame([m])[["partition", "rows", "bytes", "wall_sec"]]
 
-    metrics = keyed.groupby("_part").map_groups(sink, batch_format="pandas")
+    metrics = group_apply(keyed, "_part", sink)
     out = metrics.to_pandas()
     # lineage + metrics additionally checkpointed AS PARQUET (the
     # BASELINE.json wording): the cumulative manifest across runs

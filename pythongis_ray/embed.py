@@ -4,7 +4,9 @@ Baseline: brute-force top-k by dot product / cosine — one numpy matmul
 per batch against a broadcast query matrix (the classic
 broadcast-small-side pattern: queries go through ``ray.put`` once).
 Scale path: LSH-bucketed search (random hyperplane signs) that turns
-the all-pairs problem into a ``groupby(bucket)``.
+the all-pairs problem into bucketed groups. Every keyed shuffle here
+(block-pair tasks, per-label and per-cluster folds) is one
+``relational.group_apply``.
 
 Exactness: for the DuckDB-verifiable variant, embeddings are quantized
 to integers (``round(x * 1000)``) so dot products are exact int64
@@ -20,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from pythongis_ray import state
+from pythongis_ray import relational as rel, state
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -332,8 +334,8 @@ def neardup_pairs_blocked(ds, threshold: int, id_col: str = "vec_id",
     block self-join (Okcan & Riedewald, SIGMOD'11): rows hash into
     ``n_blocks`` blocks; each row replicates to every block-pair task
     (i, j), i <= j, via one vectorized map_batches; a
-    ``groupby(task)`` co-locates each pair of blocks exactly once and
-    the per-group matmul verifies exactly in int64.
+    ``group_apply(task)`` co-locates each pair of blocks exactly once
+    and the per-group matmul verifies exactly in int64.
 
     Scale story: nothing materializes on the driver; shuffled bytes
     are n x n_blocks rows; per-task memory is two blocks
@@ -392,17 +394,14 @@ def neardup_pairs_blocked(ds, threshold: int, id_col: str = "vec_id",
                              "score": scores[ai, bj]})
 
     rep = ds.map_batches(replicate, batch_format="pyarrow", batch_size=4096)
-    return rep.groupby("task").map_groups(pairs_in_task,
-                                          batch_format="pandas")
+    return rel.group_apply(rep, "task", pairs_in_task)
 
 
 def label_centroids(ds, label_col: str = "label", emb_col: str = "embedding",
                     scale: int = 1000):
     """Per-label centroid of quantized embeddings: per-batch partial
-    (sum vector, count) → groupby(label) sum → one division.
+    (sum vector, count) → group_apply(label) sum → one division.
     Exact int sums → bit-stable means."""
-    from ray.data.aggregate import Sum
-
     def partial(batch: pa.Table) -> pd.DataFrame:
         mat = quantize(_as_matrix(batch[emb_col]), scale)
         labels = batch[label_col].to_numpy(zero_copy_only=False)
@@ -421,7 +420,7 @@ def label_centroids(ds, label_col: str = "label", emb_col: str = "embedding",
         return pd.DataFrame({label_col: [g[label_col].iloc[0]],
                              "centroid": [(s / n).tolist()], "n": [n]})
 
-    return parts.groupby(label_col).map_groups(combine, batch_format="pandas")
+    return rel.group_apply(parts, label_col, combine)
 
 
 # ------------------------------------------------- distributed k-means
@@ -520,12 +519,12 @@ def semdedup(ds, centroids: np.ndarray, threshold: int,
     >= threshold (the deterministic keep-first policy). Emits
     (id, cluster, kept).
 
-    Scale story: the cluster id is the ONLY shuffle key (one groupby);
-    per-group work is an O(c^2) int-exact matmul where c is the
-    cluster size — SemDeDup's own contract is that k grows with the
-    corpus so c = n/k stays bounded (the paper uses 50k clusters for
-    LAION-440M). For a skewed giant cluster, sub-block it with
-    `neardup_pairs_blocked` keyed by (cluster, block-pair)."""
+    Scale story: the cluster id is the ONLY shuffle key (one
+    ``group_apply``); per-group work is an O(c^2) int-exact matmul
+    where c is the cluster size — SemDeDup's own contract is that k
+    grows with the corpus so c = n/k stays bounded (the paper uses 50k
+    clusters for LAION-440M). For a skewed giant cluster, sub-block it
+    with `neardup_pairs_blocked` keyed by (cluster, block-pair)."""
     labeled = kmeans_assign(ds, centroids, emb_col=emb_col, scale=scale)
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
@@ -543,8 +542,7 @@ def semdedup(ds, centroids: np.ndarray, threshold: int,
                                np.int64),
             "kept": (~dup.any(axis=1)).astype(np.int64)})
 
-    return labeled.groupby("cluster").map_groups(mark,
-                                                 batch_format="pandas")
+    return rel.group_apply(labeled, "cluster", mark)
 
 
 # ---------------------------------------------- product quantization
@@ -656,8 +654,6 @@ def mutual_nn_blocked(ds, id_col: str = "vec_id",
     combine picks the global top-1 and one unordered-pair co-location
     keeps exactly the reciprocal pairs. Nothing driver-side; compute
     is the inherent exact O(n²) spread over B(B+1)/2 tasks."""
-    from pythongis_ray import relational as rel
-
     B = int(n_blocks)
 
     def replicate(batch: pa.Table) -> pd.DataFrame:
@@ -709,8 +705,7 @@ def mutual_nn_blocked(ds, id_col: str = "vec_id",
 
     rep = ds.map_batches(replicate, batch_format="pyarrow",
                          batch_size=4096)
-    parts = rep.groupby("task").map_groups(best_in_task,
-                                           batch_format="pandas")
+    parts = rel.group_apply(rep, "task", best_in_task)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["id", "score", "partner"],

@@ -27,7 +27,7 @@ def load_zones(sf_dir: str) -> pd.DataFrame:
     return fixtures.zones_from_nation(nation)
 
 
-def flagship(sf_dir: str, replicate: int = 1, how: str = "inner"):
+def flagship(sf_dir: str, replicate: int = 1):
     """pages → geocode → fused spatial-join+partial-aggregate →
     125-key combine. Returns a small aggregated Dataset
     (zone_id, name, lang, n_pages, sum_tokens).
@@ -35,33 +35,17 @@ def flagship(sf_dir: str, replicate: int = 1, how: str = "inner"):
     Scale shape: token counting, the PIP join and the (zone, lang)
     partial aggregate all happen INSIDE one map_batches over the pages
     stream — no joined row ever hits the object store; the only
-    shuffle is a Sum-combine over zones×langs keys (one partial row
-    per (zone, lang, task)). At 10^12 pages the data moved after the
-    scan is O(zones × langs × tasks)."""
+    shuffle is one bucketed sum-combine over zones×langs keys
+    (``relational.bucketed_group_apply``, i.e. one
+    ``relational.group_apply``; one partial row per (zone, lang,
+    task)). At 10^12 pages the data moved after the scan is
+    O(zones × langs × tasks)."""
     import ray
 
     from pythongis_ray import state
-    from ray.data.aggregate import Sum
 
     ds = pages.pages_dataset(sf_dir, replicate=replicate)
     zones = load_zones(sf_dir)
-    if how != "inner":
-        # unfused fallback: unmatched pages must survive into the
-        # aggregate with a NULL zone, so the joined rows are needed
-        joined = spatial.spatial_join(
-            ds.select_columns(["page_id", "lon", "lat", "lang", "text"]),
-            zones[["zone_id", "name", "geometry"]],
-            predicate="within", how=how)
-        from ray.data.aggregate import Count
-
-        def add_tokens(batch: pa.Table) -> pa.Table:
-            n = pc.add(pc.count_substring(batch["text"], " "), 1)
-            return batch.append_column("n_tokens", pc.cast(n, pa.int64()))
-
-        joined = joined.map_batches(add_tokens, batch_format="pyarrow")
-        return joined.groupby(["zone_id", "name", "lang"]).aggregate(
-            Count(alias_name="n_pages"), Sum("n_tokens", alias_name="sum_tokens"))
-
     index = spatial.ZoneIndex.from_pandas(zones[["zone_id", "name", "geometry"]])
     ref = ray.put(index)
     nz = index.n_zones()

@@ -1622,8 +1622,6 @@ def zonal_statistics(tiles_ds, zones: pd.DataFrame, t: int = TILE):
     (reference zonal_statistics, raster/analyzer.py:16-88; exact mean
     via single division of int-exact partial sums when values are
     quantized)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     from pythongis_ray.spatial import ZoneIndex
 
     index = ZoneIndex.from_pandas(zones)

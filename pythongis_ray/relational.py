@@ -22,19 +22,21 @@ Determinism notes (these define the oracle contract):
   string-typed save path that would poison Arrow column types; the
   deviation is deliberate and matched by the DuckDB oracles.
 
-Scale pattern: every hash-partitioned operator is one call of
-:func:`bucketed_group_apply` — key locally, then ONE shuffle over B
-hash buckets with a vectorized pandas pass per bucket. Algebraic stats
-(count/sum/min/max/mean) pre-aggregate per batch inside
-``map_batches`` (combiner), so the shuffle moves one row per
+Scale pattern: :func:`group_apply` is the package's one grouped
+shuffle (pinned to the sort shuffle; ``key=None`` gathers one group).
+Every hash-partitioned operator is one call of
+:func:`bucketed_group_apply` — key locally, then ONE ``group_apply``
+over B hash buckets with a vectorized pandas pass per bucket.
+Algebraic stats (count/sum/min/max/mean) pre-aggregate per batch
+inside ``map_batches`` (combiner), so the shuffle moves one row per
 (key, batch) instead of every input row; holistic stats
 (majority/minority/concat/first/last/median/quantile) run the one
 group-stat kernel :func:`_group_stats` per bucket. The two-input joins
 (``join_large``, ``asof_join``, ``interval_join``) tag each side,
 union them and bucket the union, so one shuffle co-locates every key's
 rows from both inputs; ``hash_join`` broadcasts a small right side
-instead and shuffles nothing. (``add_global_rank``'s range buckets
-and ``skyline``'s single group are the only other shuffles.)
+instead and shuffles nothing. ``add_global_rank``'s range buckets
+and ``skyline``'s single group call ``group_apply`` directly.
 """
 
 from __future__ import annotations
@@ -55,25 +57,40 @@ NUM_BUCKETS = 64
 BUCKET_BATCH_SIZE = 8192
 
 
+def group_apply(ds, key: str | None, fn):
+    """The engine's one grouped shuffle: ``fn`` runs once per group of
+    ``key`` (its key column still in the frame) and returns a pandas
+    frame; ``key=None`` gathers the whole Dataset into ONE group (Ray
+    repartitions to one block — no sort, no aggregator).
+
+    The groupby is pinned to the sort-based pull shuffle, so a global
+    ``HASH_SHUFFLE`` setting cannot route it through hash-shuffle
+    aggregator actors (which stall on small clusters). Ray picks the
+    shuffle when ``map_groups`` is called, from the Dataset's context —
+    an object shared with the input's whole ``map_batches`` chain — so
+    the pin is set there only while the groupby is built and then
+    restored: neither the global ``DataContext`` nor the caller's
+    Datasets change.
+    """
+    ctx = ds.context
+    strategy = ctx.shuffle_strategy
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+    try:
+        return ds.groupby(key).map_groups(fn, batch_format="pandas")
+    finally:
+        ctx.shuffle_strategy = strategy
+
+
 def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS):
     """Hash-bucketed grouped apply: the high-cardinality groupby path.
 
     Ray's sort-based ``groupby().aggregate`` iterates keys in Python —
     fine for hundreds of groups, minutes for 10^5+. This routes rows to
-    ``hash(keys) % B`` buckets (ONE shuffle over B groups) and runs a
-    VECTORIZED pandas group computation inside each bucket. ``fn``
-    receives one bucket DataFrame (already without the bucket column)
-    and returns its aggregated frame. Bucket hash is
+    ``hash(keys) % B`` buckets and runs ONE :func:`group_apply` over
+    the B buckets, with a VECTORIZED pandas group computation inside
+    each. ``fn`` receives one bucket DataFrame (already without the
+    bucket column) and returns its aggregated frame. Bucket hash is
     ``pd.util.hash_pandas_object`` (deterministic, fixed key).
-
-    The groupby is pinned to the sort-based pull shuffle, so a global
-    ``HASH_SHUFFLE`` setting cannot route it through hash-shuffle
-    aggregator actors (which stall on small clusters). Ray picks the
-    shuffle when ``map_groups`` is called, from the keyed Dataset's
-    context — an object shared with the input's whole ``map_batches``
-    chain — so the pin is set there only while the groupby is built
-    and then restored: neither the global ``DataContext`` nor the
-    caller's Datasets change.
     """
 
     def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
@@ -94,14 +111,7 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
     # per-task temporaries under the glibc mmap threshold.
     keyed = ds.map_batches(add_bucket, batch_format="pandas",
                            batch_size=BUCKET_BATCH_SIZE)
-    ctx = keyed.context
-    strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    try:
-        return keyed.groupby("_bucket").map_groups(per_bucket,
-                                                   batch_format="pandas")
-    finally:
-        ctx.shuffle_strategy = strategy
+    return group_apply(keyed, "_bucket", per_bucket)
 
 
 @dataclass
@@ -686,7 +696,7 @@ def add_global_rank(ds, sort_cols, out_col: str = "rank",
          bucket via one-sided searchsorted);
       2. a counting pass reduces per-bucket row counts to the driver
          (B numbers) → exclusive prefix offsets;
-      3. one groupby(range-bucket) sorts each bucket and assigns
+      3. one group_apply on the range bucket sorts each and assigns
          ``offset + local index``.
 
     The input is scanned twice (count + assign) — the standard
@@ -733,7 +743,7 @@ def add_global_rank(ds, sort_cols, out_col: str = "rank",
         g[out_col] = offs[rb] + np.arange(1, len(g) + 1, dtype=np.int64)
         return g.drop(columns=["_rb"])
 
-    return tagged.groupby("_rb").map_groups(per_group, batch_format="pandas")
+    return group_apply(tagged, "_rb", per_group)
 
 
 def hopping_window(ds, group_key, ts_col: str, size: int, hop: int, specs,
@@ -1084,8 +1094,4 @@ def skyline(ds, xc: str, yc: str):
     counterpart); oracle = NOT EXISTS dominance anti-join."""
     local = ds.map_batches(lambda b: pareto_front_frame(b, xc, yc),
                            batch_format="pandas", batch_size=65536)
-    tagged = local.map_batches(lambda b: b.assign(_one=np.int64(0)),
-                               batch_format="pandas")
-    return tagged.groupby("_one").map_groups(
-        lambda g: pareto_front_frame(g.drop(columns=["_one"]), xc, yc),
-        batch_format="pandas")
+    return group_apply(local, None, lambda g: pareto_front_frame(g, xc, yc))

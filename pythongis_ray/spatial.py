@@ -18,10 +18,10 @@ plans:
   explodes right-side polygon cell covers (flat_map shape) and keys
   each left row by its cell (a point's single cell, a geometry's bbox
   cover), spreading a hot cell's left rows over its salts by row
-  position and replicating the right side across them; phase 2
-  ``groupby(bucket).map_groups`` runs the same vectorized refine per
-  co-located bucket. A left point has exactly one cell, so each
-  (left, right) pair meets in exactly one bucket. A line or polygon
+  position and replicating the right side across them; phase 2 is
+  one ``relational.group_apply`` on the bucket key, running the same
+  vectorized refine per co-located bucket. A left point has exactly
+  one cell, so each (left, right) pair meets in exactly one bucket. A line or polygon
   pair can share many cover cells; it is emitted only from its
   canonical cell (the smallest cell of the two covers' overlap), so no
   pair dedup pass is needed either way.
@@ -367,8 +367,6 @@ def spatial_agg(points_ds, zones: pd.DataFrame, value_col: str,
     joined points. Partial per-batch combine → small groupby final.
     Mean is computed as one division of exact integer sum/count so the
     result is bit-reproducible (and DuckDB-matchable)."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     index = ZoneIndex.from_pandas(zones)
     ref = ray.put(index)
 
@@ -1642,10 +1640,10 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
     spreads a hot cell's left rows over its salts by row position and
     replicates the zone covers across every salt of the cell; both are
     keyed by hash(cell, salt) bucket. Phase 2 co-locates with one
-    ``groupby(bucket)`` and relates each unique zone against the left
-    rows of its cover cells.
+    ``relational.group_apply`` on the bucket and relates each unique
+    zone against the left rows of its cover cells.
     """
-    from pythongis_ray.relational import bucketed_group_apply
+    from pythongis_ray.relational import bucketed_group_apply, group_apply
 
     def count(batch: pa.Table) -> pd.DataFrame:
         u, c = np.unique(cells_of(batch)[1], return_counts=True)
@@ -1773,7 +1771,7 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
             return pd.DataFrame({c: [] for c in out_cols})
         return pd.concat(outs, ignore_index=True)
 
-    joined = both.groupby("_bucket").map_groups(refine, batch_format="pandas")
+    joined = group_apply(both, "_bucket", refine)
 
     # restore DECLARED dtypes: the pandas refine path (nullable unions +
     # per-bucket frames) can emit float64 where the input was int64;
@@ -1840,8 +1838,8 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
     Phase 0 probes left COVER-cell counts → salt plan. Phase 1
     explodes left bbox covers (one row per (feature, cover cell),
     salted on hot cells) and zone covers (replicated across salts).
-    Phase 2 co-locates with one ``groupby(bucket)``; inside a bucket
-    each unique zone relates against its candidate cohort via the
+    Phase 2 co-locates with one ``group_apply(bucket)``; inside a
+    bucket each unique zone relates against its candidate cohort via the
     batched flat kernels (polyline relate for lines; the
     vertex/edge/probe polygon tests for polygons).
 
@@ -1934,7 +1932,7 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
     Phase 0 probes left-side cell counts → salt plan for hot cells.
     Phase 1 keys left points by hash(cell, salt) bucket and explodes
     zone cell covers (replicated across salts for hot cells).
-    Phase 2 co-locates with one ``groupby(bucket)`` and refines each
+    Phase 2 co-locates with one ``group_apply(bucket)`` and refines each
     bucket vectorized (sort-merge on cell inside the bucket).
 
     ``checkpoint_dir`` materializes the phase-1 keyed union as a

@@ -616,13 +616,18 @@ def connect(left_ds, right: pd.DataFrame, on: str,
                   * v1[:, None, :]
                   + np.sin(t[None, :, None] * omega[:, None, None])
                   * v2[:, None, :]) / sosafe[:, None, None]
-            # coincident endpoints (omega=0): constant path
+            # omega=0: a finite constant path; these rows are re-encoded below
             vs[so == 0] = v1[so == 0][:, None, :]
             lons = np.degrees(np.arctan2(vs[:, :, 1], vs[:, :, 0]))
             lats = np.degrees(np.arcsin(np.clip(
                 vs[:, :, 2] / np.linalg.norm(vs, axis=2), -1, 1)))
             paths = np.stack([lons, lats], axis=2)
             geoms = wkb.encode_linestrings_uniform(paths)
+            # coincident endpoints: great_circle_path's 2-point line
+            for i in np.flatnonzero(omega == 0):
+                geoms[i] = wkb.encode_linestring(
+                    [[j[lon_col].iat[i], j[lat_col].iat[i]],
+                     [j["_rlon"].iat[i], j["_rlat"].iat[i]]])
             return pd.DataFrame({on: j[on].to_numpy(),
                                  "geometry": geoms})
 

@@ -218,14 +218,20 @@ def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
                          [3, "c", 2, 9.0, "x", "y|x"]]
 
 
-def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session):
-    """bucketed_group_apply pins its groupby to the sort shuffle: under
-    a global HASH_SHUFFLE, groupby_aggregate and join_large still equal
-    pandas and start no hash-shuffle aggregator actor."""
+def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session, tmp_path):
+    """Every grouped shuffle goes through group_apply, which pins the
+    sort shuffle: under a global HASH_SHUFFLE, one caller per module
+    returns the same rows as under the default strategy (and
+    groupby_aggregate / join_large still equal pandas), and no
+    hash-shuffle aggregator actor starts."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
     from ray._private import state
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
+
+    from pythongis_ray import checkpoint, embed, fixtures, grid, spatial
 
     def aggregators():
         return sum("HashShuffleAggregator" in a["ActorClassName"]
@@ -235,6 +241,53 @@ def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session):
                        "v": np.arange(200, dtype=np.int64)})
     right = pd.DataFrame({"k": np.arange(5, dtype=np.int64),
                           "w": np.arange(5, dtype=np.int64) * 10})
+    rng = np.random.default_rng(5)
+    xy = pd.DataFrame({"id": np.arange(300, dtype=np.int64),
+                       "x": rng.integers(0, 40, 300),
+                       "y": rng.integers(0, 40, 300)})
+    # points with hot cells: rows_per_task=20 gives a non-empty salt plan
+    key = np.arange(800, dtype=np.int64) * 11 + 3
+    lon, lat = fixtures.units_to_deg(*fixtures.geocode_units(key))
+    pts = pd.DataFrame({"pid": key, "lon": lon, "lat": lat})
+    _, n = np.unique(grid.point_to_cell(lon, lat, spatial.DEFAULT_INDEX_RES),
+                     return_counts=True)
+    assert (n > 20).any()
+    nation = pq.read_table(f"{SF}/nation.parquet").to_pandas()
+    zones = fixtures.zones_from_nation(nation)[["zone_id", "geometry"]]
+    emb = pa.table({"label": pa.array(np.arange(60) % 4, pa.int64()),
+                    "embedding": pa.array(
+                        rng.integers(-9, 9, (60, 3)).astype(float).tolist(),
+                        pa.list_(pa.float64()))})
+
+    def written(name):
+        def run():
+            out = str(tmp_path / name)
+            m = checkpoint.write_partitioned(rd.from_pandas(df), out, "v", 8)
+            return pd.concat([m[["partition", "rows"]],
+                              pd.read_parquet(out)[["k", "v"]]])
+        return run
+
+    cases = {
+        "skyline": lambda: rel.skyline(rd.from_pandas(xy), "x", "y"),
+        "add_global_rank": lambda: rel.add_global_rank(
+            rd.from_pandas(xy), ["x", "id"], num_buckets=4),
+        "spatial_join_shuffle": lambda: spatial.spatial_join_shuffle(
+            rd.from_pandas(pts), rd.from_pandas(zones), predicate="within",
+            num_buckets=8, rows_per_task=20),
+        "label_centroids": lambda: embed.label_centroids(rd.from_arrow(emb)),
+        "gather": lambda: rel.group_apply(
+            rd.from_pandas(df), None,
+            lambda g: pd.DataFrame({"n": [len(g)], "s": [g["v"].sum()]})),
+    }
+
+    def frame(out):
+        out = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+        return out.astype(str).sort_values(list(out.columns)) \
+            .reset_index(drop=True)
+
+    want = {c: frame(f()) for c, f in cases.items()}
+    want["write_partitioned"] = frame(written("sort")())
+    cases["write_partitioned"] = written("hash")
     ctx = DataContext.get_current()
     prev = ctx.shuffle_strategy
     before = aggregators()
@@ -244,6 +297,7 @@ def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session):
                                     [("s", "v", "sum")]).to_pandas()
         joined = rel.join_large(rd.from_pandas(df), rd.from_pandas(right),
                                 on="k").to_pandas()
+        got = {c: frame(f()) for c, f in cases.items()}
         assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
     finally:
         ctx.shuffle_strategy = prev
@@ -256,7 +310,32 @@ def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session):
     pd.testing.assert_frame_equal(
         joined[ej.columns].sort_values("v").reset_index(drop=True), ej,
         check_dtype=False)
+    for c in want:
+        assert len(want[c]) > 0, c
+        pd.testing.assert_frame_equal(got[c], want[c], obj=c)
     assert aggregators() == before
+
+
+def test_one_grouped_shuffle_entry_point():
+    """relational.group_apply is the package's only map_groups call;
+    no hand-rolled one-group gather (constant ``_one`` key or
+    ``repartition(1)``) remains."""
+    import pathlib
+
+    import pythongis_ray
+
+    root = pathlib.Path(pythongis_ray.__file__).parent
+    found = {"map_groups": [], "_one=": [], "repartition(1)": []}
+    for path in sorted(root.rglob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            for pat, hits in (("map_groups(", found["map_groups"]),
+                              ("_one=", found["_one="]),
+                              ("repartition(1)", found["repartition(1)"])):
+                if pat in line:
+                    hits.append(f"{path.relative_to(root)}:{i}")
+    assert len(found["map_groups"]) == 1, found["map_groups"]
+    assert found["map_groups"][0].startswith("relational.py:")
+    assert found["_one="] == [] and found["repartition(1)"] == []
 
 
 def test_dedup(ray_session):

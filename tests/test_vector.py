@@ -88,6 +88,20 @@ def test_connect_great_circle(ray_session):
     assert np.allclose(path[:, 1], 0.0, atol=1e-9)  # equator stays equator
     assert path[0, 0] == 0.0 and np.isclose(path[-1, 0], 90.0)
 
+    # every row matches great_circle_path, coincident endpoints included
+    left = pd.DataFrame({"k": [1, 2, 3], "lon": [0.0, 12.5, -30.0],
+                         "lat": [0.0, -7.25, 45.0]})
+    right = pd.DataFrame({"k": [1, 2, 3], "lon": [90.0, 12.5, 60.0],
+                          "lat": [0.0, -7.25, -10.0]})
+    out = vector.connect(rd.from_pandas(left), right, on="k",
+                         segments=4).to_pandas().sort_values("k")
+    for k, g in zip(out.k, out.geometry):
+        a, b = left[left.k == k].iloc[0], right[right.k == k].iloc[0]
+        exp = vector.great_circle_path(a.lon, a.lat, b.lon, b.lat, n=4)
+        got = wkb.decode(bytes(g))["rings"][0]
+        assert got.shape == exp.shape
+        np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
+
 
 def test_crop_points_and_polys(ray_session):
     import ray.data as rd
