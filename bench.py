@@ -247,9 +247,11 @@ def run_benchmarks() -> dict:
 
     # 13. integer PageRank over the html-extracted link graph at x64
     # (320k pages → 960k edges, 5 rounds) on the resident-shard Pregel
-    # engine: one streaming load routes edge blocks into actors, then
-    # rounds exchange only pre-combined message arrays. End-to-end
-    # timed: synthesis → href regex extraction → load → 5 rounds.
+    # engine: tasks split the edge blocks into per-shard parts, each
+    # shard's layout is built and put once, then every round is one
+    # task per shard exchanging only pre-combined message arrays.
+    # End-to-end timed: synthesis → href regex extraction → load → 5
+    # rounds.
     def pagerank_bench():
         from pythongis_ray import graph, pages
 

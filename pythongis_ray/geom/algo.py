@@ -209,37 +209,6 @@ def polygons_intersect(pa: PreparedPolygon, pb: PreparedPolygon) -> bool:
     return False
 
 
-def polygons_interiors_intersect(pa_: PreparedPolygon, pb: PreparedPolygon) -> bool:
-    """True when the interiors overlap (touch-only contact excluded) —
-    the reference's poly-poly spatial_stats exclusion rule
-    (/root/reference/pythongis/vector/analyzer.py:62-66)."""
-    ax0, ay0, ax1, ay1 = pa_.bbox
-    bx0, by0, bx1, by1 = pb.bbox
-    if ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0:
-        return False
-    ar, br = pa_.rings[0], pb.rings[0]
-    if pb.contains_points(ar[:-1, 0], ar[:-1, 1]).any():
-        return True
-    if pa_.contains_points(br[:-1, 0], br[:-1, 1]).any():
-        return True
-    # proper (strict) edge crossings imply interior overlap
-    for ra in pa_.rings:
-        for rb in pb.rings:
-            a0x, a0y = ra[:-1, 0][:, None], ra[:-1, 1][:, None]
-            a1x, a1y = ra[1:, 0][:, None], ra[1:, 1][:, None]
-            b0x, b0y = rb[:-1, 0][None, :], rb[:-1, 1][None, :]
-            b1x, b1y = rb[1:, 0][None, :], rb[1:, 1][None, :]
-            d1 = (a1x - a0x) * (b0y - a0y) - (a1y - a0y) * (b0x - a0x)
-            d2 = (a1x - a0x) * (b1y - a0y) - (a1y - a0y) * (b1x - a0x)
-            d3 = (b1x - b0x) * (a0y - b0y) - (b1y - b0y) * (a0x - b0x)
-            d4 = (b1x - b0x) * (a1y - b0y) - (b1y - b0y) * (a1x - b0x)
-            proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
-                & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-            if proper.any():
-                return True
-    return False
-
-
 # -------------------------------------------------- polyline × polygon
 
 def polyline_polygon_relate(pts: np.ndarray, poly: PreparedPolygon):

@@ -151,15 +151,6 @@ def geodetic_point_buffers(lon, lat, radius_m: float, n: int = 32) -> np.ndarray
     return np.concatenate([ring, ring[:, :1]], axis=1)
 
 
-def geodetic_line_length_m(coords: np.ndarray) -> float:
-    """Vincenty length of a coordinate path (reference geodetic
-    `length`, /root/reference/pythongis/vector/data.py:314-318)."""
-    if len(coords) < 2:
-        return 0.0
-    d = vincenty_inverse_m(coords[:-1, 0], coords[:-1, 1], coords[1:, 0], coords[1:, 1])
-    return float(np.sum(d))
-
-
 # ------------------------------------------------------- polygon area
 
 _E = np.sqrt(WGS84_F * (2.0 - WGS84_F))  # first eccentricity

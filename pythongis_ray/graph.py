@@ -1,23 +1,31 @@
 """Distributed graph operators over edge Datasets.
 
 Most operators here run on ONE resident-shard engine (Pregel/GraphX
-layout): a pool of shard actors, each holding the edges whose key
-endpoint hashes to it plus the state of the nodes that hash to it.
-One streaming pass routes the edge Dataset into the pool (the load is
-the only time O(E) bytes move); every round after that is a local
-pre-combine, then an owner-side combine of the per-destination
-messages — the two-phase aggregation shape, with only
-O(nodes-touched) message bytes per round.
+layout): the graph is split into shards, each holding the edges whose
+key endpoint hashes to it plus the state of the nodes that hash to it.
+A round is a local pre-combine, then an owner-side combine of the
+per-destination messages — the two-phase aggregation shape, with only
+O(nodes-touched) message bytes per round. That shape needs no
+long-lived process, only state that stays put between rounds, so a
+shard lives in the object store as driver-owned refs and every shard
+method call is one stateless task: (shard state, *incoming parts) →
+(new state, *outgoing parts), the parts via ``num_returns``.
 
-  * ``_Shard`` owns what every algorithm shares: idempotent edge
-    ingest, the node exchange that registers in-link-only nodes, the
+  * Load: tasks split each edge block into per-shard parts (the only
+    time O(E) bytes move); each shard's first task builds it from its
+    parts, and ``init`` turns the edges into the shard's immutable
+    layout, put once and read zero-copy by every later round. A round
+    writes only the round-mutable state and the messages.
+  * ``_Shard`` owns what every algorithm shares: edge ingest, the
+    node exchange that registers in-link-only nodes, the
     by-destination-shard edge layout, the result table and atomic
-    per-round checkpoint/restore of the state columns.
+    per-round checkpoint/restore of the state arrays.
   * One subclass per algorithm keeps only ``init``, its message
     send/receive methods and its state.
-  * ``_run`` is the one round loop: spawn, edge load, init, the
-    loop over rounds (each an ``_exchange`` all-to-all), round-level
-    checkpoint/resume, materialize-before-teardown.
+  * ``_run`` is the one round loop: edge split, init, the loop over
+    rounds (each an ``_exchange`` all-to-all), round-level
+    checkpoint/resume. Every ref is a task return the driver owns, so
+    a lost one is rebuilt from lineage, and nothing outlives the call.
 
 The one the dedup plan needs is connected components, turning a
 near-duplicate PAIR table (MinHash/SimHash/embedding candidates) into
@@ -37,10 +45,19 @@ hash-partitioned joins and shuffles with nothing resident.
 
 from __future__ import annotations
 
+import functools
+import json
+import os
+import re
+import time
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
 
 from pythongis_ray import relational as rel
 
@@ -161,6 +178,14 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
     return mass
 
 
+def _renamed(ds, x: str, y: str, a: str, b: str):
+    """``ds``'s columns x, y as int64 columns named a, b."""
+    return ds.map_batches(
+        lambda t: pa.table({a: pc.cast(t[x], pa.int64()),
+                            b: pc.cast(t[y], pa.int64())}),
+        batch_format="pyarrow", batch_size=65536)
+
+
 def triangle_count(edges, src: str = "src", dst: str = "dst"):
     """Directed-path triangle count: instances of u→v, v→w with a
     closing edge u→w (multi-edges multiply, matching the SQL 3-way
@@ -173,24 +198,8 @@ def triangle_count(edges, src: str = "src", dst: str = "dst"):
     bound wedge fan-out on hot nodes; the synthetic web graph's
     out-degree is a constant 3 so it is omitted here.
     """
-    def as_uv(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "u": pc.cast(batch[src], pa.int64()),
-            "v": pc.cast(batch[dst], pa.int64())})
-
-    def as_vw(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": pc.cast(batch[src], pa.int64()),
-            "w": pc.cast(batch[dst], pa.int64())})
-
-    def as_uw(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "u": pc.cast(batch[src], pa.int64()),
-            "w": pc.cast(batch[dst], pa.int64())})
-
-    e_uv = edges.map_batches(as_uv, batch_format="pyarrow", batch_size=65536)
-    e_vw = edges.map_batches(as_vw, batch_format="pyarrow", batch_size=65536)
-    e_uw = edges.map_batches(as_uw, batch_format="pyarrow", batch_size=65536)
+    e_uv, e_vw, e_uw = (_renamed(edges, src, dst, *n)
+                        for n in ("uv", "vw", "uw"))
     wedges = rel.join_large(e_uv, e_vw, on="v", num_buckets=16)
     closed = rel.join_large(
         wedges.map_batches(lambda b: b.select(["u", "w"]),
@@ -204,6 +213,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst"):
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _EMPTY = np.empty(0, np.int64)
+_MISSING = object()
 
 
 def _bucket_of(ids: np.ndarray, nb: int) -> np.ndarray:
@@ -214,40 +224,20 @@ def _bucket_of(ids: np.ndarray, nb: int) -> np.ndarray:
             % np.uint64(nb)).astype(np.int64)
 
 
-def _batch_token(a: np.ndarray, b: np.ndarray) -> int:
-    """Content token for retry-idempotent edge ingest: a 64-bit
-    blake2b over both arrays' bytes — order- and content-exact, so
-    two different blocks can't collide the way the old sum-based
-    checksum could (equal length + equal per-column sums)."""
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=8)
-    h.update(np.ascontiguousarray(a).tobytes())
-    h.update(np.ascontiguousarray(b).tobytes())
-    return int.from_bytes(h.digest(), "little")
-
-
-def _group_sum(ids: np.ndarray, vals: np.ndarray):
-    """Exact int64 per-id sums (sort + reduceat; bincount's float
-    weights would lose exactness past 2^53)."""
+def _group_reduce(ufunc, ids: np.ndarray, vals: np.ndarray):
+    """Exact int64 per-id ``ufunc`` reduction (sort + reduceat;
+    bincount's float weights would lose exactness past 2^53)."""
     if len(ids) == 0:
         return ids, vals
     o = np.argsort(ids, kind="stable")
     ids, vals = ids[o], vals[o]
     first = np.concatenate(([True], ids[1:] != ids[:-1]))
     starts = np.nonzero(first)[0]
-    return ids[starts], np.add.reduceat(vals, starts)
+    return ids[starts], ufunc.reduceat(vals, starts)
 
 
-def _group_min(ids: np.ndarray, vals: np.ndarray):
-    """Per-id minima (sort + minimum.reduceat), exact int64."""
-    if len(ids) == 0:
-        return ids, vals
-    o = np.argsort(ids, kind="stable")
-    ids, vals = ids[o], vals[o]
-    first = np.concatenate(([True], ids[1:] != ids[:-1]))
-    starts = np.nonzero(first)[0]
-    return ids[starts], np.minimum.reduceat(vals, starts)
+_group_sum = functools.partial(_group_reduce, np.add)
+_group_min = functools.partial(_group_reduce, np.minimum)
 
 
 def _cat(parts) -> np.ndarray:
@@ -259,34 +249,30 @@ class _Shard:
     edges whose KEY endpoint hashes here plus the state of the nodes
     that hash here (same hash → a node's edges and its state are
     co-resident, so a round reads state locally and ships only
-    pre-combined messages). This is the raw-actor escape hatch the
-    Dataset API can't express: the edge table must stay RESIDENT
-    across rounds — re-shuffling it every round (the union+groupby
+    pre-combined messages). The edge layout stays RESIDENT across
+    rounds — re-shuffling it every round (the union+groupby
     formulation of ``pagerank``) moves O(E) per round where messages
-    are only O(nodes-touched).
+    are only O(nodes-touched). ``_run`` keeps a shard's attributes in
+    the object store and runs each method as one stateless task.
 
-    Edges arrive as kind-tagged blocks: ``"f"`` is the layout keyed by
+    Edges arrive as kind-tagged parts: ``"f"`` is the layout keyed by
     src (or by both endpoints, for undirected algorithms) and ``"r"``
-    the reversed layout keyed by dst. ``state`` names the per-node
-    arrays that form the result columns after ``node`` and the
-    per-round checkpoint."""
+    the reversed layout keyed by dst. ``state`` names the
+    round-mutable arrays: the per-round checkpoint and, unless
+    ``result`` is overridden, the result columns after ``node``. An
+    array a round changes in place must be listed there; everything
+    else ``init`` builds is the read-only layout."""
 
     state: tuple = ()
 
     def __init__(self, b: int, nb: int):
         self.b, self.nb = b, nb
         self._blocks = {"f": [], "r": []}
-        self._seen = set()
         self._loaded = None
 
-    def add_edges(self, kind: str, token: int, key: np.ndarray,
+    def add_edges(self, kind: str, key: np.ndarray,
                   other: np.ndarray) -> int:
-        # idempotence under Ray task retry: a re-executed route task
-        # re-sends the same arrays; the content token dedups them so a
-        # retry can't double outdegrees or inflate shard memory
-        if (kind, token) not in self._seen:
-            self._seen.add((kind, token))
-            self._blocks[kind].append((key, other))
+        self._blocks[kind].append((key, other))
         return len(key)
 
     def _edges(self, keep: bool = False) -> dict:
@@ -313,12 +299,23 @@ class _Shard:
         eb = _bucket_of(ends, self.nb)
         return tuple(ends[eb == t] for t in range(self.nb))
 
+    def _both_layouts(self, *incoming) -> None:
+        """Owned nodes plus the by-destination forward (src → dst) and
+        reverse (dst → src) layouts of a 'both' load."""
+        (fs, fd), (rs, rdst) = self._edges().values()
+        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
+        self.f_splits, self.f_dst, self.f_idx = \
+            self._by_dest(fd, np.searchsorted(self.owned, fs))
+        self.r_splits, self.r_dst, self.r_idx = \
+            self._by_dest(rdst, np.searchsorted(self.owned, rs))
+
     def _by_dest(self, dest: np.ndarray, *cols):
-        """Stable-sort edge columns ONCE by the shard owning ``dest``,
-        so each round's per-destination parts are contiguous slices.
-        Returns (splits, dest, *cols) in that order."""
+        """Sort edge columns ONCE by (shard owning ``dest``, ``dest``):
+        each round's per-destination parts are contiguous slices, in id
+        order so the per-round group-by sort is a linear pass. Returns
+        (splits, dest, *cols) in that order."""
         db = _bucket_of(dest, self.nb)
-        o = np.argsort(db, kind="stable")
+        o = np.lexsort((dest, db))
         return (np.searchsorted(db[o], np.arange(self.nb + 1)), dest[o],
                 *(c[o] for c in cols))
 
@@ -329,11 +326,14 @@ class _Shard:
 
     def _fold(self, vals: np.ndarray, msgs, ufunc) -> np.ndarray:
         """A copy of ``vals`` with (ids, values) messages folded in by
-        ``ufunc`` (np.add / np.minimum) at the ids' owned positions."""
-        new = vals.copy()
+        ``ufunc`` (np.add / np.minimum) at the ids' owned positions.
+        Canonical dtypes keep ``ufunc.at`` on its fast path (~25x): a
+        pickled array's dtype is another instance."""
+        new = vals.astype(vals.dtype.type)
         for ids, m in msgs:
             if len(ids):
-                ufunc.at(new, np.searchsorted(self.owned, ids), m)
+                ufunc.at(new, np.searchsorted(self.owned, ids),
+                         m.view(new.dtype))
         return new
 
     def _update(self, name: str, new: np.ndarray) -> int:
@@ -343,97 +343,140 @@ class _Shard:
         setattr(self, name, new)
         return changed
 
+    def snapshot(self) -> pa.Table:
+        """``node`` plus one column per ``state`` array (a 2-D array as
+        a fixed-size list): the per-round checkpoint."""
+        cols = {"node": pa.array(self.owned)}
+        for c in self.state:
+            v = getattr(self, c)
+            cols[c] = (pa.array(v) if v.ndim == 1 else pa.FixedSizeListArray
+                       .from_arrays(v.ravel(), v.shape[1]))
+        return pa.table(cols)
+
+    def load(self, t: pa.Table, rnd: int) -> None:
+        """Set the ``state`` arrays from round ``rnd``'s ``snapshot``."""
+        self._check_nodes(t["node"].to_numpy())
+        for c in self.state:
+            col = t[c].combine_chunks()
+            v = (col.flatten().to_numpy().reshape(len(col),
+                                                  col.type.list_size)
+                 if pa.types.is_fixed_size_list(col.type)
+                 else col.to_numpy(zero_copy_only=False))
+            setattr(self, c, v.astype(getattr(self, c).dtype))
+
+    def _check_nodes(self, node: np.ndarray) -> None:
+        if not np.array_equal(node.astype(np.int64), self.owned):
+            raise ValueError(
+                f"checkpoint shard {self.b}: node layout mismatch "
+                f"(different edges or shard count?)")
+
     def result(self) -> pa.Table:
-        return pa.table({"node": pa.array(self.owned),
-                         **{c: pa.array(getattr(self, c))
-                            for c in self.state}})
+        return self.snapshot()
 
     def checkpoint(self, cdir: str, rnd: int) -> int:
         """Atomic per-shard state snapshot (tmp + rename, same
         discipline as checkpoint.write_partition)."""
-        import os
-
-        import pyarrow.parquet as pq
-
         d = os.path.join(cdir, f"round_{rnd:04d}")
         os.makedirs(d, exist_ok=True)
         tmp = os.path.join(d, f".shard_{self.b}.parquet.tmp")
-        pq.write_table(self.result(), tmp)
+        pq.write_table(self.snapshot(), tmp)
         os.replace(tmp, os.path.join(d, f"shard_{self.b}.parquet"))
         return len(self.owned)
 
     def restore(self, cdir: str, rnd: int) -> int:
-        import os
-
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
-                                       f"shard_{self.b}.parquet"))
-        node = t["node"].to_numpy().astype(np.int64)
-        if not np.array_equal(node, self.owned):
-            raise ValueError(
-                f"checkpoint shard {self.b}: node layout mismatch "
-                f"(different edges or shard count?)")
-        for c in self.state:
-            setattr(self, c, t[c].to_numpy().astype(np.int64))
+        self.load(pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
+                                             f"shard_{self.b}.parquet")),
+                  rnd)
         return rnd
 
 
 def _shard_count(num_shards) -> int:
-    """Default shard-pool size: half the advertised CPUs, 2..16."""
-    import ray
-
-    nb = num_shards or max(2, min(16, int(
+    """Default shard count: half the advertised CPUs, 2..16."""
+    return max(2, num_shards or min(16, int(
         ray.cluster_resources().get("CPU", 4)) // 2))
-    return max(2, nb)
 
 
-def _route_edges(edges, shards, nb: int, src: str, dst: str,
-                 mode: str = "directed") -> None:
-    """Stream the edge Dataset INTO the shard pool (the load is the
-    only time O(E) bytes move). mode: 'directed' keys each edge by
-    src; 'doubled' keys by both endpoints (undirected algorithms);
-    'both' ships the forward layout keyed by src AND the reversed
-    layout keyed by dst (kind "r"). Retry-idempotent via the blake2b
-    content token; ray.get on the acks applies backpressure so the
-    stream can't outrun the shards."""
-    import ray as _ray
+@ray.remote
+def _split(block, nb: int, src: str, dst: str, mode: str) -> tuple:
+    """One edge block as ``nb`` per-shard parts, each a list of
+    (kind, key, other). mode: 'directed' keys each edge by src;
+    'doubled' keys by both endpoints (undirected algorithms); 'both'
+    adds the reversed layout keyed by dst (kind "r")."""
+    a = np.asarray(block[src]).astype(np.int64)
+    b = np.asarray(block[dst]).astype(np.int64)
+    layouts = {"directed": [("f", a, b)],
+               "doubled": [("f", np.concatenate([a, b]),
+                            np.concatenate([b, a]))],
+               "both": [("f", a, b), ("r", b, a)]}[mode]
+    parts = tuple([] for _ in range(nb))
+    for kind, key, other in layouts:
+        kb = _bucket_of(key, nb)
+        for t in range(nb):
+            m = kb == t
+            parts[t].append((kind, key[m], other[m]))
+    return parts
 
-    def route(batch: pa.Table) -> pa.Table:
-        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        acks = []
 
-        def send(key, other, kind="f"):
-            kb = _bucket_of(key, nb)
-            for t in range(nb):
-                m = kb == t
-                if m.any():
-                    tok = _batch_token(key[m], other[m])
-                    acks.append(shards[t].add_edges.remote(
-                        kind, tok, key[m], other[m]))
+@ray.remote
+def _shard_task(cls, b: int, nb: int, layout, state, method: str, args,
+                *parts):
+    """``method(*args, *parts)`` of shard ``b`` as one stateless task:
+    returns (new state, *the method's outputs).
 
-        if mode == "directed":
-            send(a, b)
-        elif mode == "doubled":
-            send(np.concatenate([a, b]), np.concatenate([b, a]))
-        elif mode == "both":
-            send(a, b)
-            send(b, a, kind="r")
-        else:
-            raise ValueError(mode)
-        _ray.get(acks)
-        return pa.table({"n": pa.array([len(a)], pa.int64())})
+    A ``state`` of None means the shard is not built yet: it is
+    constructed here and ``parts`` are its edge parts. ``init``
+    freezes the shard: every attribute but the ``state`` arrays is
+    returned once, ahead of the state, as the layout that later calls
+    read zero-copy. After that a call returns as state the ``state``
+    arrays plus whatever attributes the method reassigned, so a round
+    writes O(state + messages), never the edges."""
+    if state is None:
+        sh = cls(b, nb)
+        for part in parts:
+            for kind, key, other in part:
+                sh.add_edges(kind, key, other)
+        state, parts = {}, ()
+    else:
+        sh = cls.__new__(cls)
+        vars(sh).update(layout)
+        # own (writable) copies of the round-mutable arrays
+        vars(sh).update((k, v.copy() if isinstance(v, np.ndarray) else v)
+                        for k, v in state.items())
+    out = getattr(sh, method)(*args, *parts)
+    out = out if isinstance(out, tuple) else (out,)
+    attrs = vars(sh)
+    if method == "init":
+        return ({k: v for k, v in attrs.items() if k not in cls.state},
+                {k: attrs[k] for k in cls.state}, *out)
+    return ({k: v for k, v in attrs.items()
+             if k in state or layout.get(k, _MISSING) is not v}, *out)
 
-    edges.map_batches(route, batch_format="pyarrow",
-                      batch_size=65536).count()
+
+class _ShardRef:
+    """The driver's handle of one shard: refs to its layout and state,
+    both task returns the driver owns (a lost one is rebuilt from
+    lineage). ``call`` runs one method and moves the state ref on; it
+    returns the refs of the method's ``n_out`` outputs."""
+
+    def __init__(self, cls, b: int, nb: int, edge_parts: list):
+        self.cls, self.b, self.nb, self.edge_parts = cls, b, nb, edge_parts
+        self.layout, self.state = {}, None
+
+    def call(self, method: str, args=(), parts=(), n_out: int = 1):
+        frozen = method == "init"
+        refs = _shard_task.options(num_returns=1 + frozen + n_out).remote(
+            self.cls, self.b, self.nb, self.layout, self.state, method,
+            args, *self.edge_parts, *parts)
+        if frozen:
+            self.layout, *refs = refs
+        self.edge_parts = ()
+        self.state, *out = refs
+        return out
 
 
 def _each(shards, method: str, *args) -> list:
     """``method(*args)`` on every shard; returns the results."""
-    import ray
-
-    return ray.get([getattr(sh, method).remote(*args) for sh in shards])
+    return ray.get([sh.call(method, args)[0] for sh in shards])
 
 
 def _exchange(shards, send: str, recv: str, *args) -> list:
@@ -441,141 +484,104 @@ def _exchange(shards, send: str, recv: str, *args) -> list:
     part per shard (``num_returns=nb``, so only object refs pass
     through the caller) and shard t's ``recv(*args, *parts)`` folds
     part t of every sender. Returns the ``recv`` results."""
-    import ray
-
-    nb = len(shards)
-    parts = [getattr(sh, send).options(num_returns=nb).remote()
-             for sh in shards]
-    return ray.get([getattr(shards[t], recv).remote(
-        *args, *[p[t] for p in parts]) for t in range(nb)])
-
-
-def _scatter_gather(shards, rnd: int) -> list:
-    return _exchange(shards, "scatter", "gather")
+    parts = [sh.call(send, n_out=len(shards)) for sh in shards]
+    return ray.get([sh.call(recv, args, [p[t] for p in parts])[0]
+                    for t, sh in enumerate(shards)])
 
 
 def _complete_rounds(cdir: str, nb: int) -> list[int]:
     """Rounds whose _DONE marker AND all shard files exist."""
-    import os
-    import re
-
-    out = []
-    if not os.path.isdir(cdir):
-        return out
-    for name in os.listdir(cdir):
-        m = re.fullmatch(r"round_(\d{4,})", name)
-        if not m:
-            continue
-        d = os.path.join(cdir, name)
-        if os.path.exists(os.path.join(d, "_DONE")) and all(
-                os.path.exists(os.path.join(d, f"shard_{b}.parquet"))
-                for b in range(nb)):
-            out.append(int(m.group(1)))
-    return sorted(out)
+    need = ["_DONE", *(f"shard_{b}.parquet" for b in range(nb))]
+    return sorted(
+        int(name[6:]) for name in os.listdir(cdir)
+        if re.fullmatch(r"round_\d{4,}", name)
+        and all(os.path.exists(os.path.join(cdir, name, f)) for f in need))
 
 
 def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
-         init_args=(), step=_scatter_gather, num_shards=None,
+         init_args=(), step=None, num_shards=None,
          checkpoint_dir=None, meta=None, must_converge=None):
-    """Run one resident-shard algorithm end to end: spawn the pool,
-    route the edges in (``mode`` as in ``_route_edges``), node
-    exchange plus ``init(*init_args, *incoming)`` (undirected
-    'doubled' layouts make every node a key on its owner shard, so
-    they skip the exchange), then up to ``rounds`` calls of
-    ``step(shards, rnd)``. A step returns per-shard counts; a zero
-    total is a fixed point (nothing changed, nothing left to do), so
-    the loop stops there — later rounds would be identical.
+    """Run one resident-shard algorithm end to end: split the edges
+    into per-shard parts (``mode`` as in ``_split``), node exchange
+    plus ``init(*init_args, *incoming)`` (undirected 'doubled' layouts
+    make every node a key on its owner shard, so they skip the
+    exchange), then up to ``rounds`` calls of ``step(shards, rnd)``
+    (by default one scatter/gather exchange). A step returns per-shard
+    counts; a zero total is a fixed point (nothing changed, nothing
+    left to do), so the loop stops there — later rounds would be
+    identical.
 
     ``must_converge`` (the op name) makes a run that ends without
     such a round raise. ``checkpoint_dir`` adds round-level resume:
-    ``meta`` (plus the shard count) must match the directory's
-    meta.json, the newest complete round is restored, and every round
-    writes the shards' state, a metrics.parquet and a _DONE marker.
-    State is ONLY the per-node columns — edges are rebuilt from the
-    (deterministic) input on restart, so a round_k snapshot + the
-    same inputs reproduce rounds k+1.. bit-exactly. The result is
-    materialized before the pool is torn down."""
-    import os
-    import time
-
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
+    ``meta`` (by default the shard class and ``init_args``; plus the
+    shard count) must match the directory's meta.json, the newest
+    complete round is restored, and every round writes the shards'
+    state, a metrics.parquet and a _DONE marker. State is ONLY the
+    round-mutable arrays — edges are rebuilt from the (deterministic)
+    input on restart, so a round_k snapshot + the same inputs
+    reproduce rounds k+1.. bit-exactly."""
     nb = _shard_count(num_shards)
     if checkpoint_dir:
-        # validate/write run parameters BEFORE spawning or loading —
-        # a mismatched resume must fail fast, not after the edge load
-        import json
-
+        # validate/write run parameters BEFORE loading — a mismatched
+        # resume must fail fast, not after the edge load
         os.makedirs(checkpoint_dir, exist_ok=True)
         meta_path = os.path.join(checkpoint_dir, "meta.json")
-        meta = {"num_shards": nb, **meta}
-        if os.path.exists(meta_path):
-            if json.load(open(meta_path)) != meta:
-                raise ValueError("checkpoint_dir was written with "
-                                 "different parameters/shard count")
-        else:
-            tmp = meta_path + ".tmp"
-            json.dump(meta, open(tmp, "w"))
-            os.replace(tmp, meta_path)
-    Shard = ray.remote(cls)
-    shards = [Shard.remote(b, nb) for b in range(nb)]
-    try:
-        _route_edges(edges, shards, nb, src, dst, mode)
-        if mode == "doubled":
-            n_nodes = _each(shards, "init", *init_args)
-        else:
-            n_nodes = _exchange(shards, "node_exchange", "init",
-                                *init_args)
+        meta = {"num_shards": nb, **(meta or {
+            "algo": cls.__name__, "args": list(init_args)})}
+        if not os.path.exists(meta_path):
+            json.dump(meta, open(meta_path + ".tmp", "w"))
+            os.replace(meta_path + ".tmp", meta_path)
+        if json.load(open(meta_path)) != meta:
+            raise ValueError("checkpoint_dir was written with "
+                             "different parameters/shard count")
+    # the load is the only time O(E) bytes move: tasks split each edge
+    # block into per-shard parts, and a shard's first call builds it
+    split = _split.options(num_returns=nb)
+    blocks = [split.remote(ref, nb, src, dst, mode)
+              for ref in edges.to_arrow_refs()]
+    shards = [_ShardRef(cls, b, nb, [p[b] for p in blocks])
+              for b in range(nb)]
+    n_nodes = (_each(shards, "init", *init_args) if mode == "doubled" else
+               _exchange(shards, "node_exchange", "init", *init_args))
 
-        start, converged = 0, False
-        done = (_complete_rounds(checkpoint_dir, nb) if checkpoint_dir
-                else [])
-        done = [r for r in done if r <= rounds]
-        if done:
-            start = max(done)
-            _each(shards, "restore", checkpoint_dir, start)
+    start, converged = 0, False
+    done = [r for r in (_complete_rounds(checkpoint_dir, nb)
+                        if checkpoint_dir else []) if r <= rounds]
+    if done:
+        start = max(done)
+        _each(shards, "restore", checkpoint_dir, start)
+        if must_converge:
+            # a restored round with zero changes IS the fixed point
+            # (otherwise a resume at start == rounds would spuriously
+            # raise despite a valid converged snapshot)
+            m = pq.read_table(os.path.join(
+                checkpoint_dir, f"round_{start:04d}", "metrics.parquet"))
+            converged = int(pc.sum(m["n_changed"]).as_py() or 0) == 0
+
+    for rnd in range(start + 1, rounds + 1):
+        if converged:
+            break
+        t0 = time.monotonic()
+        counts = (step(shards, rnd) if step
+                  else _exchange(shards, "scatter", "gather"))
+        if checkpoint_dir:
+            wall = time.monotonic() - t0
+            _each(shards, "checkpoint", checkpoint_dir, rnd)
+            cols = {"round": np.full(nb, rnd, np.int64),
+                    "shard": np.arange(nb, dtype=np.int64),
+                    "n_nodes": np.asarray(n_nodes, np.int64)}
             if must_converge:
-                # a restored round with zero changes IS the fixed point
-                # (otherwise a resume at start == rounds would
-                # spuriously raise despite a valid converged snapshot)
-                m = pq.read_table(os.path.join(
-                    checkpoint_dir, f"round_{start:04d}",
-                    "metrics.parquet"))
-                converged = int(pc.sum(m["n_changed"]).as_py() or 0) == 0
-
-        for rnd in range(start + 1, rounds + 1):
-            if converged:
-                break
-            t0 = time.monotonic()
-            counts = step(shards, rnd)
-            if checkpoint_dir:
-                wall = time.monotonic() - t0
-                _each(shards, "checkpoint", checkpoint_dir, rnd)
-                cols = {"round": np.full(nb, rnd, np.int64),
-                        "shard": np.arange(nb, dtype=np.int64),
-                        "n_nodes": np.asarray(n_nodes, np.int64)}
-                if must_converge:
-                    cols["n_changed"] = np.asarray(counts, np.int64)
-                cols["round_wall_s"] = np.full(nb, wall, np.float64)
-                d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
-                pq.write_table(pa.table(cols),
-                               os.path.join(d, "metrics.parquet"))
-                open(os.path.join(d, "_DONE"), "w").close()
-            converged = sum(counts) == 0
-        if must_converge and not converged:
-            raise RuntimeError(f"{must_converge}: no convergence "
-                               f"in {rounds} rounds")
-        # materialize BEFORE the finally below kills the pool
-        return rd.from_arrow_refs(
-            [sh.result.remote() for sh in shards]).materialize()
-    finally:
-        # ALWAYS release the pool — each shard reserves a CPU and a
-        # leaked pool (e.g. a restore() mismatch mid-run) starves
-        # every later pipeline in the session (see CLAUDE.md)
-        for sh in shards:
-            ray.kill(sh)
+                cols["n_changed"] = np.asarray(counts, np.int64)
+            cols["round_wall_s"] = np.full(nb, wall, np.float64)
+            d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
+            pq.write_table(pa.table(cols),
+                           os.path.join(d, "metrics.parquet"))
+            open(os.path.join(d, "_DONE"), "w").close()
+        converged = sum(counts) == 0
+    if must_converge and not converged:
+        raise RuntimeError(f"{must_converge}: no convergence "
+                           f"in {rounds} rounds")
+    return rd.from_arrow_refs([sh.call("result")[0] for sh in shards])
 
 
 # ------------------------------------------------------------- pagerank
@@ -629,16 +635,17 @@ def pagerank_actors(edges, src: str = "src", dst: str = "dst",
                     d_den: int = 100, num_shards: int | None = None,
                     checkpoint_dir: str | None = None,
                     seed_mod: int | None = None):
-    """Integer PageRank on a resident actor-sharded graph (same exact
+    """Integer PageRank on the resident-shard engine (same exact
     semantics as ``pagerank``; see its docstring for the arithmetic
-    contract). One streaming pass routes edge blocks directly into
-    shard actors (the load IS the shuffle — no sort), then each round
-    is a pure message exchange: every shard pushes O(distinct dsts)
-    pre-combined int64 sums to its peers via ``num_returns`` object
-    refs, so the caller only routes refs and the static O(E) edge
-    arrays never move again. This is the Pregel/GraphX layout; the
-    Dataset formulation in ``pagerank`` re-shuffles edges every round
-    and is kept as the shuffle-only reference. ``checkpoint_dir``
+    contract). Edge blocks are split straight into per-shard parts
+    (the load IS the shuffle — no sort) and built once into each
+    shard's layout, then each round is a pure message exchange: every
+    shard task pushes O(distinct dsts) pre-combined int64 sums to its
+    peers via ``num_returns`` object refs, so the caller only routes
+    refs and the static O(E) edge arrays are never written again.
+    This is the Pregel/GraphX layout; the Dataset formulation in
+    ``pagerank`` re-shuffles edges every round and is kept as the
+    shuffle-only reference. ``checkpoint_dir``
     makes a killed run resume at its newest complete round."""
     meta = {"d_num": int(d_num), "d_den": int(d_den),
             "init_mass": init_mass, "base_mass": base_mass,
@@ -659,16 +666,6 @@ class _CCShard(_Shard):
     pre-combined minima."""
 
     state = ("component",)
-
-    # Own copies, not inherited: perfbench/trace.py wraps these two on
-    # _CCShard, and Ray exports a wrapped method by reference only when
-    # its qualified name resolves to the wrapper itself.
-    def __init__(self, b: int, nb: int):
-        super().__init__(b, nb)
-
-    def add_edges(self, kind: str, token: int, key: np.ndarray,
-                  other: np.ndarray) -> int:
-        return super().add_edges(kind, token, key, other)
 
     def init(self) -> int:
         key, other = self._edges()["f"]
@@ -694,8 +691,8 @@ def connected_components(edges, src: str = "id_a", dst: str = "id_b",
     """Edge Dataset (src, dst) → Dataset (node, component) where
     ``component`` is the minimum node id reachable from ``node``
     (undirected). Only nodes appearing in at least one edge are
-    returned. The doubled edge table is loaded into shard actors ONCE
-    and each round exchanges only per-shard pre-combined label
+    returned. The doubled edge table is built into the shard layouts
+    ONCE and each round exchanges only per-shard pre-combined label
     minima. Convergence = a round with zero label changes; raises if
     ``max_iters`` rounds don't converge. ``checkpoint_dir`` makes a
     killed run resume at its newest complete round."""
@@ -721,15 +718,9 @@ class _HitsShard(_Shard):
     state = ("hub", "auth")
 
     def init(self, scale: int, *incoming) -> int:
-        e = self._edges()
-        (fs, fd), (rs, rd) = e["f"], e["r"]
-        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
-        # forward layout: contribution h[owned_idx(src)] routed to dst
-        self.f_splits, self.f_dst, self.f_idx = \
-            self._by_dest(fd, np.searchsorted(self.owned, fs))
+        # forward layout: contribution h[owned_idx(src)] routed to dst;
         # reverse layout: contribution a[owned_idx(dst)] routed to src
-        self.r_splits, self.r_dst, self.r_idx = \
-            self._by_dest(rd, np.searchsorted(self.owned, rs))
+        self._both_layouts(*incoming)
         self.hub = np.full(len(self.owned), scale, np.int64)
         self.auth = np.full(len(self.owned), scale, np.int64)
         return len(self.owned)
@@ -758,14 +749,17 @@ class _HitsShard(_Shard):
 
 def hits_actors(edges, src: str = "src", dst: str = "dst",
                 iters: int = 5, scale: int = 1_000_000,
-                num_shards: int | None = None):
-    """Integer HITS on the resident shard pool: per round, authority =
+                num_shards: int | None = None,
+                checkpoint_dir: str | None = None):
+    """Integer HITS on the resident-shard engine: per round, authority =
     per-node sum of in-neighbor hub scores normalized by the global
     divisor max(1, max_raw // scale), then hub = sum of out-neighbor
     (new) authority scores, same normalization — all int64 floor
     arithmetic, bit-reproducible for any partitioning and replayable
     in DuckDB as chained CTEs (the pagerank-oracle pattern plus a MAX
-    subquery per half-round). Returns (node, hub, auth)."""
+    subquery per half-round). Returns (node, hub, auth).
+    ``checkpoint_dir`` makes a killed run resume at its newest complete
+    round."""
     def step(shards, rnd):
         for send, name in (("scatter_fwd", "auth"), ("scatter_rev", "hub")):
             mx = _exchange(shards, send, "gather_raw")
@@ -773,7 +767,8 @@ def hits_actors(edges, src: str = "src", dst: str = "dst",
         return n
 
     return _run(_HitsShard, edges, src, dst, "both", iters,
-                init_args=(scale,), step=step, num_shards=num_shards)
+                init_args=(scale,), step=step, num_shards=num_shards,
+                checkpoint_dir=checkpoint_dir)
 
 
 # ------------------------------------------------------------------ bfs
@@ -843,7 +838,8 @@ def bfs_actors(edges, src: str = "src", dst: str = "dst",
                seed_mod: int = 97, iters: int = 8,
                num_shards: int | None = None,
                weight_mod: int | None = None,
-               temporal_mod: int | None = None):
+               temporal_mod: int | None = None,
+               checkpoint_dir: str | None = None):
     """Hop distance from the seed set {node : node % seed_mod == 0}
     following edge direction, capped at ``iters`` rounds (nodes
     farther than that — or unreachable — keep the BFS_INF sentinel).
@@ -861,12 +857,13 @@ def bfs_actors(edges, src: str = "src", dst: str = "dst",
     Reference analogue: link-distance crawls in web-graph analysis
     (no direct reference op; the graph layer generalizes
     /root/reference/pythongis/vector/sql.py's per-group folds to
-    iterative whole-graph folds)."""
+    iterative whole-graph folds). ``checkpoint_dir`` makes a killed run
+    resume at its newest complete round."""
     if weight_mod is not None and temporal_mod is not None:
         raise ValueError("weight_mod and temporal_mod are exclusive")
     return _run(_BfsShard, edges, src, dst, "directed", iters,
                 init_args=(seed_mod, weight_mod, temporal_mod),
-                num_shards=num_shards)
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
 
 
 class _MultiBfsShard(_BfsShard):
@@ -911,16 +908,19 @@ class _MultiBfsShard(_BfsShard):
 
 def multi_bfs_actors(edges, src: str = "src", dst: str = "dst",
                      seed_mod: int = 97, n_landmarks: int = 3,
-                     iters: int = 8, num_shards: int | None = None):
+                     iters: int = 8, num_shards: int | None = None,
+                     checkpoint_dir: str | None = None):
     """Simultaneous hop distances from ``n_landmarks`` seed sets
     ({node % seed_mod == l}) in ONE resident-shard run — the landmark
     distance-feature / harmonic-centrality prep. Edges route once;
     every round advances all landmark frontiers together, so the cost
     over single-landmark BFS is only the extra message columns. Fixed
     round cap => exact replay of n_landmarks chained min-plus
-    LEFT-JOIN CTE sets in DuckDB."""
+    LEFT-JOIN CTE sets in DuckDB. ``checkpoint_dir`` makes a killed
+    run resume at its newest complete round."""
     return _run(_MultiBfsShard, edges, src, dst, "directed", iters,
-                init_args=(seed_mod, n_landmarks), num_shards=num_shards)
+                init_args=(seed_mod, n_landmarks), num_shards=num_shards,
+                checkpoint_dir=checkpoint_dir)
 
 
 # -------------------------------------------------------- random walks
@@ -947,7 +947,11 @@ class _WalkShard(_Shard):
     out-neighbor[h(cur, k) mod deg] (dead ends stay put) and is routed
     to the next node's owner; each shard appends a table of the
     (start, step, node) rows it hosts, so the current step number is
-    the count of tables recorded so far (step 0 included)."""
+    the count of tables recorded so far (step 0 included). Those
+    tables are the state: the checkpoint is the result so far, and
+    its last step holds the walkers."""
+
+    state = ("w_start", "w_cur", "out")
 
     def init(self, *incoming) -> int:
         src, dst = self._edges()["f"]
@@ -993,12 +997,20 @@ class _WalkShard(_Shard):
             "node": pa.array(self.w_cur)}))
         return len(self.w_cur)
 
-    def result(self) -> pa.Table:
+    def snapshot(self) -> pa.Table:
         return pa.concat_tables(self.out)
+
+    def load(self, t: pa.Table, rnd: int) -> None:
+        steps = t["step"].to_numpy()
+        self.out = [t.filter(pa.array(steps == k)) for k in range(rnd + 1)]
+        self._check_nodes(self.out[0]["start"].to_numpy())
+        self.w_start, self.w_cur = (self.out[-1][c].to_numpy()
+                                    for c in ("start", "node"))
 
 
 def random_walks(edges, src: str = "src", dst: str = "dst",
-                 length: int = 4, num_shards: int | None = None):
+                 length: int = 4, num_shards: int | None = None,
+                 checkpoint_dir: str | None = None):
     """DeepWalk-style sampling corpus: one deterministic walk of
     ``length`` steps from EVERY node, stepping to the h(cur, k)-th
     distinct out-neighbor (sorted by id; dead ends stay put). Output
@@ -1006,21 +1018,25 @@ def random_walks(edges, src: str = "src", dst: str = "dst",
     bit-reproducible for any sharding and an exact DuckDB replay
     (ROW_NUMBER adjacency + chained LEFT-JOIN CTEs). This is the
     sampling stage a graph-embedding (DeepWalk/node2vec) training
-    pipeline runs at corpus scale."""
+    pipeline runs at corpus scale. ``checkpoint_dir`` makes a killed
+    run resume at its newest complete step."""
     return _run(_WalkShard, edges, src, dst, "directed", length,
                 step=lambda shards, rnd: _exchange(shards, "step", "land"),
-                num_shards=num_shards)
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
 
 
 # ---------------------------------------------------------------- kcore
 
 class _KCoreShard(_Shard):
     """k-core peeling: the DOUBLED distinct edges whose KEY endpoint
-    hashes here (CSR), an alive mask per owned node and an alive mask
-    per edge-other. Each round kills owned nodes whose alive-degree
-    < k and ships ONLY the dead ids to the shards owning the reverse
-    edges (message volume = edges of dying nodes — O(E) summed over
-    the whole peel, not per round)."""
+    hashes here (CSR), plus an alive mask and the alive-degree (count
+    of neighbors not yet announced dead) per owned node. Each round
+    kills owned nodes whose alive-degree < k and ships ONLY the dead
+    ids to the shards owning the reverse edges (message volume = edges
+    of dying nodes — O(E) summed over the whole peel, not per
+    round)."""
+
+    state = ("alive", "deg")
 
     def init(self, k: int) -> int:
         key, other = self._edges()["f"]
@@ -1031,25 +1047,22 @@ class _KCoreShard(_Shard):
                 if len(key) else np.empty((0, 2), np.int64))
         key, other = pair[:, 0], pair[:, 1]
         self.owned = np.unique(key)
-        o = np.argsort(key, kind="stable")    # already sorted, cheap
-        self.e_other = other[o]
+        self.e_other = other                  # sorted by key already
         self.indptr = np.concatenate(
-            [np.searchsorted(key[o], self.owned),
-             [len(key)]]).astype(np.int64)
+            [np.searchsorted(key, self.owned), [len(key)]]).astype(np.int64)
+        self.deg = np.diff(self.indptr)
+        self.e_key_idx = np.repeat(np.arange(len(self.owned)), self.deg)
         self.alive = np.ones(len(self.owned), bool)
-        self.e_other_alive = np.ones(len(self.e_other), bool)
         return len(self.owned)
 
     def peel(self):
         """Kill owned alive nodes with alive-degree < k; return the
         dead ids routed per owner shard of the reverse edges."""
-        deg = self._alive_deg()
-        dead = self.alive & (deg < self.k)
+        dead = self.alive & (self.deg < self.k)
         self.alive[dead] = False
         # notify the owners of the REVERSE edges: for each dying
         # node's edge (dead → other), other's owner shard holds
-        # (other → dead) and must mark it. Message volume = edges of
-        # dying nodes, O(E) summed over the whole peel.
+        # (other → dead) and must discount it
         idx = np.nonzero(dead)[0]
         starts = self.indptr[idx]
         counts = self.indptr[idx + 1] - starts
@@ -1068,26 +1081,20 @@ class _KCoreShard(_Shard):
         if not allv:
             return 0
         dead = np.unique(np.concatenate(allv))
+        # each node dies once, so each edge to it is discounted once
         hit = np.isin(self.e_other, dead)
-        self.e_other_alive[hit] = False
+        np.subtract.at(self.deg, self.e_key_idx[hit], 1)
         return int(len(dead))
 
-    def _alive_deg(self) -> np.ndarray:
-        """Per-owned-node count of alive others (exact cumsum-diff
-        over the CSR segments — handles empty segments)."""
-        c = np.concatenate(
-            [[0], np.cumsum(self.e_other_alive.astype(np.int64))])
-        return c[self.indptr[1:]] - c[self.indptr[:-1]]
-
     def result(self) -> pa.Table:
-        deg = self._alive_deg()
         m = self.alive
         return pa.table({"node": pa.array(self.owned[m]),
-                         "deg_core": pa.array(deg[m])})
+                         "deg_core": pa.array(self.deg[m])})
 
 
 def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
-          max_rounds: int = 16, num_shards: int | None = None):
+          max_rounds: int = 16, num_shards: int | None = None,
+          checkpoint_dir: str | None = None):
     """k-core membership of the UNDIRECTED distinct-edge graph:
     iteratively remove nodes with fewer than k alive neighbors
     (simultaneous rounds) until a fixed point or ``max_rounds``;
@@ -1095,12 +1102,13 @@ def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
     make the result an exact replay of chained degree-filter CTEs in
     DuckDB regardless of sharding; the early exit on a no-death
     round is bit-exact (monotone fixed point). Self-loops count once
-    toward degree (distinct doubled pairs)."""
+    toward degree (distinct doubled pairs). ``checkpoint_dir`` makes a
+    killed run resume at its newest complete round."""
     return _run(_KCoreShard, edges, src, dst, "doubled", max_rounds,
                 init_args=(k,),
                 step=lambda shards, rnd: _exchange(shards, "peel",
                                                    "mark_dead"),
-                num_shards=num_shards)
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
 
 
 # ---------------------------------------------------- label propagation
@@ -1156,9 +1164,7 @@ class _LpaShard(_Shard):
             self.e_other, self.community[self.e_key_idx])
 
     def gather(self, *msgs) -> int:
-        nodes = np.concatenate([m[0] for m in msgs])
-        lbls = np.concatenate([m[1] for m in msgs])
-        cnts = np.concatenate([m[2] for m in msgs])
+        nodes, lbls, cnts = (np.concatenate(c) for c in zip(*msgs))
         if len(nodes) == 0:
             return 0
         a, b, v = _group_sum2(nodes, lbls, cnts)
@@ -1169,7 +1175,8 @@ class _LpaShard(_Shard):
 
 
 def label_propagation(edges, src: str = "src", dst: str = "dst",
-                      rounds: int = 3, num_shards: int | None = None):
+                      rounds: int = 3, num_shards: int | None = None,
+                      checkpoint_dir: str | None = None):
     """Synchronous label propagation communities (Raghavan et al.
     2007, made deterministic): every node starts as its own label;
     each of the FIXED ``rounds`` simultaneous rounds adopts the
@@ -1177,9 +1184,10 @@ def label_propagation(edges, src: str = "src", dst: str = "dst",
     label id. Fixed rounds + deterministic ties = bit-reproducible
     for any sharding and an exact DuckDB replay (grouped counts +
     ROW_NUMBER per round); a round that changes no label is a fixed
-    point, so stopping there is bit-exact."""
+    point, so stopping there is bit-exact. ``checkpoint_dir`` makes a
+    killed run resume at its newest complete round."""
     return _run(_LpaShard, edges, src, dst, "doubled", rounds,
-                num_shards=num_shards)
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
 
 
 # ------------------------------------------- strongly connected comps
@@ -1200,16 +1208,10 @@ class _SccShard(_Shard):
     messages are per-destination pre-combined minima, anchor messages
     are deduped (target, color) pairs."""
 
-    state = ("scc",)
+    state = ("scc", "dec", "col", "anch")
 
     def init(self, *incoming) -> int:
-        e = self._edges()
-        (fs, fd), (rs, rd) = e["f"], e["r"]
-        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
-        self.f_splits, self.f_dst, self.f_idx = \
-            self._by_dest(fd, np.searchsorted(self.owned, fs))
-        self.r_splits, self.r_dst, self.r_idx = \
-            self._by_dest(rd, np.searchsorted(self.owned, rs))
+        self._both_layouts(*incoming)
         self.col = self.owned.copy()
         self.dec = np.zeros(len(self.owned), bool)
         self.anch = np.zeros(len(self.owned), bool)
@@ -1264,18 +1266,24 @@ class _SccShard(_Shard):
         self.anch = np.zeros(len(self.owned), bool)
         return int((~self.dec).sum())
 
+    def result(self) -> pa.Table:
+        return self.snapshot().select(["node", "scc"])
+
 
 def scc_actors(edges, src: str = "src", dst: str = "dst",
                outer: int = 4, inner: int = 8,
-               num_shards: int | None = None):
+               num_shards: int | None = None,
+               checkpoint_dir: str | None = None):
     """Strongly connected components (web bow-tie structure, spam
     rings): ``outer`` coloring rounds of ``inner``-capped forward
     min-color propagation + backward same-color anchoring on the
-    resident shard pool. Deterministic for any sharding; nodes not
+    resident-shard engine. Deterministic for any sharding; nodes not
     decided within the caps keep scc = -1 (sound: every emitted
     group is strongly connected; exact when inner covers each class
     diameter and outer covers the root chain — the link_distance
-    round-cap contract). Early exits at fixpoints are bit-exact."""
+    round-cap contract). Early exits at fixpoints are bit-exact.
+    ``checkpoint_dir`` resumes a killed run at its newest complete
+    outer round."""
     def step(shards, rnd):
         for _ in range(inner):
             if sum(_exchange(shards, "scatter_col", "gather_col")) == 0:
@@ -1287,7 +1295,24 @@ def scc_actors(edges, src: str = "src", dst: str = "dst",
         return _each(shards, "finish_outer")   # undecided nodes left
 
     return _run(_SccShard, edges, src, dst, "both", outer, step=step,
-                num_shards=num_shards)
+                num_shards=num_shards, checkpoint_dir=checkpoint_dir,
+                meta={"algo": "scc", "inner": inner})
+
+
+def _canonical_edges(edges, src: str, dst: str):
+    """The undirected distinct-edge graph as a materialized (u, v)
+    Dataset with u < v (self-loops dropped)."""
+    def canon(batch: pa.Table) -> pa.Table:
+        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
+
+    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
+    e = rel.dedup(e, ["u", "v"])
+    return rel.with_empty_schema(e, pa.schema(
+        [("u", pa.int64()), ("v", pa.int64())])).materialize()
 
 
 def _truss_support(e):
@@ -1299,12 +1324,7 @@ def _truss_support(e):
     (u, v, support). Both joins are bucketed hash joins
     (``rel.join_large``): task-based shuffles with no per-call actor
     pool, cheap enough to rerun every round of the peeling loop."""
-    ab = e.map_batches(lambda b: pa.table({"a": b["u"], "b": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
-    bc = e.map_batches(lambda b: pa.table({"b": b["u"], "c": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
-    ac = e.map_batches(lambda b: pa.table({"a": b["u"], "c": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
+    ab, bc, ac = (_renamed(e, "u", "v", *n) for n in ("ab", "bc", "ac"))
     wedges = rel.join_large(ab, bc, on="b", num_buckets=16)
     tri = rel.join_large(
         wedges.map_batches(lambda b: b.select(["a", "b", "c"]),
@@ -1348,17 +1368,7 @@ def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
     Each round is two hash-partitioned joins + one bucketed count —
     the per-round state is only the narrow surviving edge list,
     re-materialized so the peeling loop never re-executes lineage."""
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
-    e = rel.dedup(e, ["u", "v"])
-    e = rel.with_empty_schema(e, pa.schema(
-        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+    e = _canonical_edges(edges, src, dst)
     n_edges = e.count()
 
     thresh = k - 2
@@ -1371,7 +1381,6 @@ def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
         n_new = e.count()
         if n_new == 0:
             # all later rounds (and the final support pass) are empty
-            import ray.data as rd
             return rd.from_arrow(pa.table({
                 "u": pa.array([], pa.int64()),
                 "v": pa.array([], pa.int64()),
@@ -1392,17 +1401,7 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
     counts toward all three corners; degrees come from the doubled
     distinct edge list. Both per-node tables are node-bounded; they
     meet in ONE bucketed combine via union-all partials (no join)."""
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
-    e = rel.dedup(e, ["u", "v"])
-    e = rel.with_empty_schema(e, pa.schema(
-        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+    e = _canonical_edges(edges, src, dst)
 
     supp = _truss_support(e)   # reuse: emits (u,v,support) per EDGE
 

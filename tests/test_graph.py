@@ -461,6 +461,98 @@ def test_shard_pool_torn_down_on_error(ray_session, op):
     assert live() == [], err.value
 
 
+@pytest.mark.parametrize("op", sorted(_SHARD_OPS))
+def test_graph_ops_start_no_actors(ray_session, op):
+    """Graph rounds are tasks over object-store shard state: a full
+    run starts no shard actor, so none shows up in the actor table,
+    not even a dead one."""
+    import ray.data as rd
+    from ray._private import state
+
+    from pythongis_ray import graph
+
+    rng = np.random.default_rng(5)
+    edges = rd.from_arrow(pa.table({
+        "src": pa.array(rng.integers(0, 40, 80).astype(np.int64)),
+        "dst": pa.array(rng.integers(0, 40, 80).astype(np.int64))}))
+    assert _SHARD_OPS[op](graph, edges).count() > 0
+    shards = [a["ActorClassName"] for a in state.actors().values()
+              if a["ActorClassName"].endswith("Shard")]
+    assert shards == []
+
+
+# op -> (rounds of the full run, run(graph, edges, rounds, cdir));
+# every op is still short of its fixed point after 2 rounds
+_RESUME_OPS = {
+    "pagerank_actors": (5, lambda g, e, r, d: g.pagerank_actors(
+        e, iters=r, checkpoint_dir=d)),
+    "connected_components": (60, lambda g, e, r, d: g.connected_components(
+        e, src="src", dst="dst", max_iters=r, checkpoint_dir=d)),
+    "hits_actors": (4, lambda g, e, r, d: g.hits_actors(
+        e, iters=r, scale=10_000, checkpoint_dir=d)),
+    "bfs_actors": (8, lambda g, e, r, d: g.bfs_actors(
+        e, seed_mod=11, iters=r, checkpoint_dir=d)),
+    "multi_bfs_actors": (8, lambda g, e, r, d: g.multi_bfs_actors(
+        e, seed_mod=11, n_landmarks=3, iters=r, checkpoint_dir=d)),
+    "random_walks": (5, lambda g, e, r, d: g.random_walks(
+        e, length=r, checkpoint_dir=d)),
+    "kcore": (40, lambda g, e, r, d: g.kcore(
+        e, k=2, max_rounds=r, checkpoint_dir=d)),
+    "label_propagation": (5, lambda g, e, r, d: g.label_propagation(
+        e, rounds=r, checkpoint_dir=d)),
+    "scc_actors": (4, lambda g, e, r, d: g.scc_actors(
+        e, outer=r, inner=3, checkpoint_dir=d)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_RESUME_OPS))
+def test_kill_at_round_k_resumes_identically(ray_session, tmp_path, op):
+    """A run stopped after round k leaves its checkpoint; re-running to
+    the end with the same directory restores round k, runs only the
+    rest, and returns exactly the uninterrupted run's table (values,
+    dtypes and row order)."""
+    import os
+
+    import ray.data as rd
+
+    from pythongis_ray import graph
+
+    # a random graph with a 30-node chain hanging off node 0: the chain
+    # keeps components, peeling and distances moving for many rounds
+    rng = np.random.default_rng(8)
+    src = np.concatenate([rng.integers(0, 120, 300), [0],
+                          np.arange(1000, 1029)]).astype(np.int64)
+    dst = np.concatenate([rng.integers(0, 120, 300), [1000],
+                          np.arange(1001, 1030)]).astype(np.int64)
+
+    def edges():
+        return rd.from_arrow(pa.table({"src": pa.array(src),
+                                       "dst": pa.array(dst)}))
+
+    rounds, run = _RESUME_OPS[op]
+    fdir = str(tmp_path / "full")
+    full = run(graph, edges(), rounds, fdir).to_pandas()
+
+    cdir = str(tmp_path / "killed")
+    k = 2
+    if op == "connected_components":
+        with pytest.raises(RuntimeError, match="no convergence"):
+            run(graph, edges(), k, cdir)
+    else:
+        run(graph, edges(), k, cdir)
+    first = f"{cdir}/round_0001/shard_0.parquet"
+    stamp = os.stat(first).st_mtime_ns
+    assert os.path.exists(f"{cdir}/round_{k:04d}/_DONE")
+    assert not os.path.exists(f"{cdir}/round_{k + 1:04d}")
+
+    resumed = run(graph, edges(), rounds, cdir).to_pandas()
+    assert os.path.exists(f"{cdir}/round_{k + 1:04d}/_DONE")
+    assert os.stat(first).st_mtime_ns == stamp     # not re-run
+    # a fixed point is reached in the same round as without the kill
+    assert sorted(os.listdir(cdir)) == sorted(os.listdir(fdir))
+    assert resumed.equals(full), op
+
+
 def test_cc_checkpoint_resume(ray_session, tmp_path):
     """Kill-after-round-2 resume of connected components: a fresh
     call with the same checkpoint_dir restores the newest complete
