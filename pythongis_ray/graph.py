@@ -45,7 +45,6 @@ hash-partitioned joins and shuffles with nothing resident.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -178,14 +177,6 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
     return mass
 
 
-def _renamed(ds, x: str, y: str, a: str, b: str):
-    """``ds``'s columns x, y as int64 columns named a, b."""
-    return ds.map_batches(
-        lambda t: pa.table({a: pc.cast(t[x], pa.int64()),
-                            b: pc.cast(t[y], pa.int64())}),
-        batch_format="pyarrow", batch_size=65536)
-
-
 def triangle_count(edges, src: str = "src", dst: str = "dst"):
     """Directed-path triangle count: instances of u→v, v→w with a
     closing edge u→w (multi-edges multiply, matching the SQL 3-way
@@ -198,8 +189,24 @@ def triangle_count(edges, src: str = "src", dst: str = "dst"):
     bound wedge fan-out on hot nodes; the synthetic web graph's
     out-degree is a constant 3 so it is omitted here.
     """
-    e_uv, e_vw, e_uw = (_renamed(edges, src, dst, *n)
-                        for n in ("uv", "vw", "uw"))
+    def as_uv(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "u": pc.cast(batch[src], pa.int64()),
+            "v": pc.cast(batch[dst], pa.int64())})
+
+    def as_vw(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "v": pc.cast(batch[src], pa.int64()),
+            "w": pc.cast(batch[dst], pa.int64())})
+
+    def as_uw(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "u": pc.cast(batch[src], pa.int64()),
+            "w": pc.cast(batch[dst], pa.int64())})
+
+    e_uv = edges.map_batches(as_uv, batch_format="pyarrow", batch_size=65536)
+    e_vw = edges.map_batches(as_vw, batch_format="pyarrow", batch_size=65536)
+    e_uw = edges.map_batches(as_uw, batch_format="pyarrow", batch_size=65536)
     wedges = rel.join_large(e_uv, e_vw, on="v", num_buckets=16)
     closed = rel.join_large(
         wedges.map_batches(lambda b: b.select(["u", "w"]),
@@ -224,20 +231,27 @@ def _bucket_of(ids: np.ndarray, nb: int) -> np.ndarray:
             % np.uint64(nb)).astype(np.int64)
 
 
-def _group_reduce(ufunc, ids: np.ndarray, vals: np.ndarray):
-    """Exact int64 per-id ``ufunc`` reduction (sort + reduceat;
-    bincount's float weights would lose exactness past 2^53)."""
+def _group_sum(ids: np.ndarray, vals: np.ndarray):
+    """Exact int64 per-id sums (sort + reduceat; bincount's float
+    weights would lose exactness past 2^53)."""
     if len(ids) == 0:
         return ids, vals
     o = np.argsort(ids, kind="stable")
     ids, vals = ids[o], vals[o]
     first = np.concatenate(([True], ids[1:] != ids[:-1]))
     starts = np.nonzero(first)[0]
-    return ids[starts], ufunc.reduceat(vals, starts)
+    return ids[starts], np.add.reduceat(vals, starts)
 
 
-_group_sum = functools.partial(_group_reduce, np.add)
-_group_min = functools.partial(_group_reduce, np.minimum)
+def _group_min(ids: np.ndarray, vals: np.ndarray):
+    """Per-id minima (sort + minimum.reduceat), exact int64."""
+    if len(ids) == 0:
+        return ids, vals
+    o = np.argsort(ids, kind="stable")
+    ids, vals = ids[o], vals[o]
+    first = np.concatenate(([True], ids[1:] != ids[:-1]))
+    starts = np.nonzero(first)[0]
+    return ids[starts], np.minimum.reduceat(vals, starts)
 
 
 def _cat(parts) -> np.ndarray:
@@ -299,16 +313,6 @@ class _Shard:
         eb = _bucket_of(ends, self.nb)
         return tuple(ends[eb == t] for t in range(self.nb))
 
-    def _both_layouts(self, *incoming) -> None:
-        """Owned nodes plus the by-destination forward (src → dst) and
-        reverse (dst → src) layouts of a 'both' load."""
-        (fs, fd), (rs, rdst) = self._edges().values()
-        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
-        self.f_splits, self.f_dst, self.f_idx = \
-            self._by_dest(fd, np.searchsorted(self.owned, fs))
-        self.r_splits, self.r_dst, self.r_idx = \
-            self._by_dest(rdst, np.searchsorted(self.owned, rs))
-
     def _by_dest(self, dest: np.ndarray, *cols):
         """Sort edge columns ONCE by (shard owning ``dest``, ``dest``):
         each round's per-destination parts are contiguous slices, in id
@@ -343,35 +347,10 @@ class _Shard:
         setattr(self, name, new)
         return changed
 
-    def snapshot(self) -> pa.Table:
-        """``node`` plus one column per ``state`` array (a 2-D array as
-        a fixed-size list): the per-round checkpoint."""
-        cols = {"node": pa.array(self.owned)}
-        for c in self.state:
-            v = getattr(self, c)
-            cols[c] = (pa.array(v) if v.ndim == 1 else pa.FixedSizeListArray
-                       .from_arrays(v.ravel(), v.shape[1]))
-        return pa.table(cols)
-
-    def load(self, t: pa.Table, rnd: int) -> None:
-        """Set the ``state`` arrays from round ``rnd``'s ``snapshot``."""
-        self._check_nodes(t["node"].to_numpy())
-        for c in self.state:
-            col = t[c].combine_chunks()
-            v = (col.flatten().to_numpy().reshape(len(col),
-                                                  col.type.list_size)
-                 if pa.types.is_fixed_size_list(col.type)
-                 else col.to_numpy(zero_copy_only=False))
-            setattr(self, c, v.astype(getattr(self, c).dtype))
-
-    def _check_nodes(self, node: np.ndarray) -> None:
-        if not np.array_equal(node.astype(np.int64), self.owned):
-            raise ValueError(
-                f"checkpoint shard {self.b}: node layout mismatch "
-                f"(different edges or shard count?)")
-
     def result(self) -> pa.Table:
-        return self.snapshot()
+        return pa.table({"node": pa.array(self.owned),
+                         **{c: pa.array(getattr(self, c))
+                            for c in self.state}})
 
     def checkpoint(self, cdir: str, rnd: int) -> int:
         """Atomic per-shard state snapshot (tmp + rename, same
@@ -379,21 +358,28 @@ class _Shard:
         d = os.path.join(cdir, f"round_{rnd:04d}")
         os.makedirs(d, exist_ok=True)
         tmp = os.path.join(d, f".shard_{self.b}.parquet.tmp")
-        pq.write_table(self.snapshot(), tmp)
+        pq.write_table(self.result(), tmp)
         os.replace(tmp, os.path.join(d, f"shard_{self.b}.parquet"))
         return len(self.owned)
 
     def restore(self, cdir: str, rnd: int) -> int:
-        self.load(pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
-                                             f"shard_{self.b}.parquet")),
-                  rnd)
+        t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
+                                       f"shard_{self.b}.parquet"))
+        node = t["node"].to_numpy().astype(np.int64)
+        if not np.array_equal(node, self.owned):
+            raise ValueError(
+                f"checkpoint shard {self.b}: node layout mismatch "
+                f"(different edges or shard count?)")
+        for c in self.state:
+            setattr(self, c, t[c].to_numpy().astype(np.int64))
         return rnd
 
 
 def _shard_count(num_shards) -> int:
     """Default shard count: half the advertised CPUs, 2..16."""
-    return max(2, num_shards or min(16, int(
+    nb = num_shards or max(2, min(16, int(
         ray.cluster_resources().get("CPU", 4)) // 2))
+    return max(2, nb)
 
 
 @ray.remote
@@ -479,61 +465,78 @@ def _each(shards, method: str, *args) -> list:
     return ray.get([sh.call(method, args)[0] for sh in shards])
 
 
-def _exchange(shards, send: str, recv: str, *args) -> list:
+def _exchange(shards, send: str, recv: str, *args, extra=None) -> list:
     """One all-to-all message round: each shard's ``send`` returns one
     part per shard (``num_returns=nb``, so only object refs pass
     through the caller) and shard t's ``recv(*args, *parts)`` folds
-    part t of every sender. Returns the ``recv`` results."""
+    part t of every sender. Returns the ``recv`` results. With an
+    ``extra`` list, ``recv`` returns (result, output) and the refs of
+    the outputs are appended to it, never fetched."""
     parts = [sh.call(send, n_out=len(shards)) for sh in shards]
-    return ray.get([sh.call(recv, args, [p[t] for p in parts])[0]
-                    for t, sh in enumerate(shards)])
+    outs = [sh.call(recv, args, [p[t] for p in parts],
+                    n_out=1 + (extra is not None))
+            for t, sh in enumerate(shards)]
+    if extra is not None:
+        extra += [o[1] for o in outs]
+    return ray.get([o[0] for o in outs])
+
+
+def _scatter_gather(shards, rnd: int) -> list:
+    return _exchange(shards, "scatter", "gather")
 
 
 def _complete_rounds(cdir: str, nb: int) -> list[int]:
     """Rounds whose _DONE marker AND all shard files exist."""
-    need = ["_DONE", *(f"shard_{b}.parquet" for b in range(nb))]
-    return sorted(
-        int(name[6:]) for name in os.listdir(cdir)
-        if re.fullmatch(r"round_\d{4,}", name)
-        and all(os.path.exists(os.path.join(cdir, name, f)) for f in need))
+    out = []
+    if not os.path.isdir(cdir):
+        return out
+    for name in os.listdir(cdir):
+        m = re.fullmatch(r"round_(\d{4,})", name)
+        if not m:
+            continue
+        d = os.path.join(cdir, name)
+        if os.path.exists(os.path.join(d, "_DONE")) and all(
+                os.path.exists(os.path.join(d, f"shard_{b}.parquet"))
+                for b in range(nb)):
+            out.append(int(m.group(1)))
+    return sorted(out)
 
 
 def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
-         init_args=(), step=None, num_shards=None,
+         init_args=(), step=_scatter_gather, num_shards=None,
          checkpoint_dir=None, meta=None, must_converge=None):
     """Run one resident-shard algorithm end to end: split the edges
     into per-shard parts (``mode`` as in ``_split``), node exchange
     plus ``init(*init_args, *incoming)`` (undirected 'doubled' layouts
     make every node a key on its owner shard, so they skip the
-    exchange), then up to ``rounds`` calls of ``step(shards, rnd)``
-    (by default one scatter/gather exchange). A step returns per-shard
-    counts; a zero total is a fixed point (nothing changed, nothing
-    left to do), so the loop stops there — later rounds would be
-    identical.
+    exchange), then up to ``rounds`` calls of ``step(shards, rnd)``.
+    A step returns per-shard counts; a zero total is a fixed point
+    (nothing changed, nothing left to do), so the loop stops there —
+    later rounds would be identical.
 
     ``must_converge`` (the op name) makes a run that ends without
     such a round raise. ``checkpoint_dir`` adds round-level resume:
-    ``meta`` (by default the shard class and ``init_args``; plus the
-    shard count) must match the directory's meta.json, the newest
-    complete round is restored, and every round writes the shards'
-    state, a metrics.parquet and a _DONE marker. State is ONLY the
-    round-mutable arrays — edges are rebuilt from the (deterministic)
-    input on restart, so a round_k snapshot + the same inputs
-    reproduce rounds k+1.. bit-exactly."""
+    ``meta`` (plus the shard count) must match the directory's
+    meta.json, the newest complete round is restored, and every round
+    writes the shards' state, a metrics.parquet and a _DONE marker.
+    State is ONLY the per-node columns — edges are rebuilt from the
+    (deterministic) input on restart, so a round_k snapshot + the
+    same inputs reproduce rounds k+1.. bit-exactly."""
     nb = _shard_count(num_shards)
     if checkpoint_dir:
         # validate/write run parameters BEFORE loading — a mismatched
         # resume must fail fast, not after the edge load
         os.makedirs(checkpoint_dir, exist_ok=True)
         meta_path = os.path.join(checkpoint_dir, "meta.json")
-        meta = {"num_shards": nb, **(meta or {
-            "algo": cls.__name__, "args": list(init_args)})}
-        if not os.path.exists(meta_path):
-            json.dump(meta, open(meta_path + ".tmp", "w"))
-            os.replace(meta_path + ".tmp", meta_path)
-        if json.load(open(meta_path)) != meta:
-            raise ValueError("checkpoint_dir was written with "
-                             "different parameters/shard count")
+        meta = {"num_shards": nb, **meta}
+        if os.path.exists(meta_path):
+            if json.load(open(meta_path)) != meta:
+                raise ValueError("checkpoint_dir was written with "
+                                 "different parameters/shard count")
+        else:
+            tmp = meta_path + ".tmp"
+            json.dump(meta, open(tmp, "w"))
+            os.replace(tmp, meta_path)
     # the load is the only time O(E) bytes move: tasks split each edge
     # block into per-shard parts, and a shard's first call builds it
     split = _split.options(num_returns=nb)
@@ -541,29 +544,32 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
               for ref in edges.to_arrow_refs()]
     shards = [_ShardRef(cls, b, nb, [p[b] for p in blocks])
               for b in range(nb)]
-    n_nodes = (_each(shards, "init", *init_args) if mode == "doubled" else
-               _exchange(shards, "node_exchange", "init", *init_args))
+    if mode == "doubled":
+        n_nodes = _each(shards, "init", *init_args)
+    else:
+        n_nodes = _exchange(shards, "node_exchange", "init", *init_args)
 
     start, converged = 0, False
-    done = [r for r in (_complete_rounds(checkpoint_dir, nb)
-                        if checkpoint_dir else []) if r <= rounds]
+    done = (_complete_rounds(checkpoint_dir, nb) if checkpoint_dir
+            else [])
+    done = [r for r in done if r <= rounds]
     if done:
         start = max(done)
         _each(shards, "restore", checkpoint_dir, start)
         if must_converge:
             # a restored round with zero changes IS the fixed point
-            # (otherwise a resume at start == rounds would spuriously
-            # raise despite a valid converged snapshot)
+            # (otherwise a resume at start == rounds would
+            # spuriously raise despite a valid converged snapshot)
             m = pq.read_table(os.path.join(
-                checkpoint_dir, f"round_{start:04d}", "metrics.parquet"))
+                checkpoint_dir, f"round_{start:04d}",
+                "metrics.parquet"))
             converged = int(pc.sum(m["n_changed"]).as_py() or 0) == 0
 
     for rnd in range(start + 1, rounds + 1):
         if converged:
             break
         t0 = time.monotonic()
-        counts = (step(shards, rnd) if step
-                  else _exchange(shards, "scatter", "gather"))
+        counts = step(shards, rnd)
         if checkpoint_dir:
             wall = time.monotonic() - t0
             _each(shards, "checkpoint", checkpoint_dir, rnd)
@@ -718,9 +724,15 @@ class _HitsShard(_Shard):
     state = ("hub", "auth")
 
     def init(self, scale: int, *incoming) -> int:
-        # forward layout: contribution h[owned_idx(src)] routed to dst;
+        e = self._edges()
+        (fs, fd), (rs, rd) = e["f"], e["r"]
+        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
+        # forward layout: contribution h[owned_idx(src)] routed to dst
+        self.f_splits, self.f_dst, self.f_idx = \
+            self._by_dest(fd, np.searchsorted(self.owned, fs))
         # reverse layout: contribution a[owned_idx(dst)] routed to src
-        self._both_layouts(*incoming)
+        self.r_splits, self.r_dst, self.r_idx = \
+            self._by_dest(rd, np.searchsorted(self.owned, rs))
         self.hub = np.full(len(self.owned), scale, np.int64)
         self.auth = np.full(len(self.owned), scale, np.int64)
         return len(self.owned)
@@ -749,17 +761,14 @@ class _HitsShard(_Shard):
 
 def hits_actors(edges, src: str = "src", dst: str = "dst",
                 iters: int = 5, scale: int = 1_000_000,
-                num_shards: int | None = None,
-                checkpoint_dir: str | None = None):
+                num_shards: int | None = None):
     """Integer HITS on the resident-shard engine: per round, authority =
     per-node sum of in-neighbor hub scores normalized by the global
     divisor max(1, max_raw // scale), then hub = sum of out-neighbor
     (new) authority scores, same normalization — all int64 floor
     arithmetic, bit-reproducible for any partitioning and replayable
     in DuckDB as chained CTEs (the pagerank-oracle pattern plus a MAX
-    subquery per half-round). Returns (node, hub, auth).
-    ``checkpoint_dir`` makes a killed run resume at its newest complete
-    round."""
+    subquery per half-round). Returns (node, hub, auth)."""
     def step(shards, rnd):
         for send, name in (("scatter_fwd", "auth"), ("scatter_rev", "hub")):
             mx = _exchange(shards, send, "gather_raw")
@@ -767,8 +776,7 @@ def hits_actors(edges, src: str = "src", dst: str = "dst",
         return n
 
     return _run(_HitsShard, edges, src, dst, "both", iters,
-                init_args=(scale,), step=step, num_shards=num_shards,
-                checkpoint_dir=checkpoint_dir)
+                init_args=(scale,), step=step, num_shards=num_shards)
 
 
 # ------------------------------------------------------------------ bfs
@@ -838,8 +846,7 @@ def bfs_actors(edges, src: str = "src", dst: str = "dst",
                seed_mod: int = 97, iters: int = 8,
                num_shards: int | None = None,
                weight_mod: int | None = None,
-               temporal_mod: int | None = None,
-               checkpoint_dir: str | None = None):
+               temporal_mod: int | None = None):
     """Hop distance from the seed set {node : node % seed_mod == 0}
     following edge direction, capped at ``iters`` rounds (nodes
     farther than that — or unreachable — keep the BFS_INF sentinel).
@@ -857,13 +864,12 @@ def bfs_actors(edges, src: str = "src", dst: str = "dst",
     Reference analogue: link-distance crawls in web-graph analysis
     (no direct reference op; the graph layer generalizes
     /root/reference/pythongis/vector/sql.py's per-group folds to
-    iterative whole-graph folds). ``checkpoint_dir`` makes a killed run
-    resume at its newest complete round."""
+    iterative whole-graph folds)."""
     if weight_mod is not None and temporal_mod is not None:
         raise ValueError("weight_mod and temporal_mod are exclusive")
     return _run(_BfsShard, edges, src, dst, "directed", iters,
                 init_args=(seed_mod, weight_mod, temporal_mod),
-                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
+                num_shards=num_shards)
 
 
 class _MultiBfsShard(_BfsShard):
@@ -908,19 +914,16 @@ class _MultiBfsShard(_BfsShard):
 
 def multi_bfs_actors(edges, src: str = "src", dst: str = "dst",
                      seed_mod: int = 97, n_landmarks: int = 3,
-                     iters: int = 8, num_shards: int | None = None,
-                     checkpoint_dir: str | None = None):
+                     iters: int = 8, num_shards: int | None = None):
     """Simultaneous hop distances from ``n_landmarks`` seed sets
     ({node % seed_mod == l}) in ONE resident-shard run — the landmark
     distance-feature / harmonic-centrality prep. Edges route once;
     every round advances all landmark frontiers together, so the cost
     over single-landmark BFS is only the extra message columns. Fixed
     round cap => exact replay of n_landmarks chained min-plus
-    LEFT-JOIN CTE sets in DuckDB. ``checkpoint_dir`` makes a killed
-    run resume at its newest complete round."""
+    LEFT-JOIN CTE sets in DuckDB."""
     return _run(_MultiBfsShard, edges, src, dst, "directed", iters,
-                init_args=(seed_mod, n_landmarks), num_shards=num_shards,
-                checkpoint_dir=checkpoint_dir)
+                init_args=(seed_mod, n_landmarks), num_shards=num_shards)
 
 
 # -------------------------------------------------------- random walks
@@ -945,13 +948,11 @@ class _WalkShard(_Shard):
     (CSR keyed by src) of the nodes hashing here plus the walkers
     currently AT those nodes. Each round every walker steps to
     out-neighbor[h(cur, k) mod deg] (dead ends stay put) and is routed
-    to the next node's owner; each shard appends a table of the
-    (start, step, node) rows it hosts, so the current step number is
-    the count of tables recorded so far (step 0 included). Those
-    tables are the state: the checkpoint is the result so far, and
-    its last step holds the walkers."""
+    to the next node's owner, which emits the (start, step, node) rows
+    it now hosts as a table of their own; ``k`` counts the steps taken
+    so far. The state is only the walkers, never the rows."""
 
-    state = ("w_start", "w_cur", "out")
+    state = ("w_start", "w_cur", "k")
 
     def init(self, *incoming) -> int:
         src, dst = self._edges()["f"]
@@ -967,10 +968,7 @@ class _WalkShard(_Shard):
         # walkers start at every owned node
         self.w_start = self.owned.copy()
         self.w_cur = self.owned.copy()
-        self.out = [pa.table({
-            "start": pa.array(self.owned),
-            "step": pa.array(np.zeros(len(self.owned), np.int64)),
-            "node": pa.array(self.owned)})]
+        self.k = 0
         return len(self.owned)
 
     def step(self):
@@ -979,7 +977,7 @@ class _WalkShard(_Shard):
         idx = np.searchsorted(self.owned, self.w_cur)
         lo = self.indptr[idx]
         deg = self.indptr[idx + 1] - lo
-        h = _walk_choice(self.w_cur, len(self.out))
+        h = _walk_choice(self.w_cur, self.k + 1)
         nxt = self.w_cur.copy()
         m = deg > 0
         nxt[m] = self.nbrs[lo[m] + h[m] % deg[m]]
@@ -987,30 +985,27 @@ class _WalkShard(_Shard):
         return tuple((self.w_start[tb == t], nxt[tb == t])
                      for t in range(self.nb))
 
-    def land(self, *msgs) -> int:
+    def land(self, *msgs):
+        """Host the arriving walkers; returns their count and their
+        (start, step, node) rows."""
         self.w_start = _cat([s for s, _ in msgs])
         self.w_cur = _cat([c for _, c in msgs])
-        self.out.append(pa.table({
+        self.k += 1
+        return len(self.w_cur), pa.table({
             "start": pa.array(self.w_start),
-            "step": pa.array(np.full(len(self.w_start), len(self.out),
-                                     np.int64)),
-            "node": pa.array(self.w_cur)}))
-        return len(self.w_cur)
+            "step": pa.array(np.full(len(self.w_start), self.k, np.int64)),
+            "node": pa.array(self.w_cur)})
 
-    def snapshot(self) -> pa.Table:
-        return pa.concat_tables(self.out)
-
-    def load(self, t: pa.Table, rnd: int) -> None:
-        steps = t["step"].to_numpy()
-        self.out = [t.filter(pa.array(steps == k)) for k in range(rnd + 1)]
-        self._check_nodes(self.out[0]["start"].to_numpy())
-        self.w_start, self.w_cur = (self.out[-1][c].to_numpy()
-                                    for c in ("start", "node"))
+    def result(self) -> pa.Table:
+        """The step-0 rows: every walker at its start node."""
+        return pa.table({
+            "start": pa.array(self.owned),
+            "step": pa.array(np.zeros(len(self.owned), np.int64)),
+            "node": pa.array(self.owned)})
 
 
 def random_walks(edges, src: str = "src", dst: str = "dst",
-                 length: int = 4, num_shards: int | None = None,
-                 checkpoint_dir: str | None = None):
+                 length: int = 4, num_shards: int | None = None):
     """DeepWalk-style sampling corpus: one deterministic walk of
     ``length`` steps from EVERY node, stepping to the h(cur, k)-th
     distinct out-neighbor (sorted by id; dead ends stay put). Output
@@ -1018,11 +1013,13 @@ def random_walks(edges, src: str = "src", dst: str = "dst",
     bit-reproducible for any sharding and an exact DuckDB replay
     (ROW_NUMBER adjacency + chained LEFT-JOIN CTEs). This is the
     sampling stage a graph-embedding (DeepWalk/node2vec) training
-    pipeline runs at corpus scale. ``checkpoint_dir`` makes a killed
-    run resume at its newest complete step."""
-    return _run(_WalkShard, edges, src, dst, "directed", length,
-                step=lambda shards, rnd: _exchange(shards, "step", "land"),
-                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
+    pipeline runs at corpus scale."""
+    rows = []   # refs of steps 1..length; the result holds step 0
+    walks = _run(_WalkShard, edges, src, dst, "directed", length,
+                 step=lambda shards, rnd: _exchange(shards, "step", "land",
+                                                    extra=rows),
+                 num_shards=num_shards)
+    return rd.from_arrow_refs(walks.to_arrow_refs() + rows)
 
 
 # ---------------------------------------------------------------- kcore
@@ -1083,7 +1080,8 @@ class _KCoreShard(_Shard):
         dead = np.unique(np.concatenate(allv))
         # each node dies once, so each edge to it is discounted once
         hit = np.isin(self.e_other, dead)
-        np.subtract.at(self.deg, self.e_key_idx[hit], 1)
+        self.deg -= np.bincount(self.e_key_idx[hit],
+                                minlength=len(self.deg))
         return int(len(dead))
 
     def result(self) -> pa.Table:
@@ -1093,8 +1091,7 @@ class _KCoreShard(_Shard):
 
 
 def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
-          max_rounds: int = 16, num_shards: int | None = None,
-          checkpoint_dir: str | None = None):
+          max_rounds: int = 16, num_shards: int | None = None):
     """k-core membership of the UNDIRECTED distinct-edge graph:
     iteratively remove nodes with fewer than k alive neighbors
     (simultaneous rounds) until a fixed point or ``max_rounds``;
@@ -1102,13 +1099,12 @@ def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
     make the result an exact replay of chained degree-filter CTEs in
     DuckDB regardless of sharding; the early exit on a no-death
     round is bit-exact (monotone fixed point). Self-loops count once
-    toward degree (distinct doubled pairs). ``checkpoint_dir`` makes a
-    killed run resume at its newest complete round."""
+    toward degree (distinct doubled pairs)."""
     return _run(_KCoreShard, edges, src, dst, "doubled", max_rounds,
                 init_args=(k,),
                 step=lambda shards, rnd: _exchange(shards, "peel",
                                                    "mark_dead"),
-                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
+                num_shards=num_shards)
 
 
 # ---------------------------------------------------- label propagation
@@ -1164,7 +1160,9 @@ class _LpaShard(_Shard):
             self.e_other, self.community[self.e_key_idx])
 
     def gather(self, *msgs) -> int:
-        nodes, lbls, cnts = (np.concatenate(c) for c in zip(*msgs))
+        nodes = np.concatenate([m[0] for m in msgs])
+        lbls = np.concatenate([m[1] for m in msgs])
+        cnts = np.concatenate([m[2] for m in msgs])
         if len(nodes) == 0:
             return 0
         a, b, v = _group_sum2(nodes, lbls, cnts)
@@ -1175,8 +1173,7 @@ class _LpaShard(_Shard):
 
 
 def label_propagation(edges, src: str = "src", dst: str = "dst",
-                      rounds: int = 3, num_shards: int | None = None,
-                      checkpoint_dir: str | None = None):
+                      rounds: int = 3, num_shards: int | None = None):
     """Synchronous label propagation communities (Raghavan et al.
     2007, made deterministic): every node starts as its own label;
     each of the FIXED ``rounds`` simultaneous rounds adopts the
@@ -1184,10 +1181,9 @@ def label_propagation(edges, src: str = "src", dst: str = "dst",
     label id. Fixed rounds + deterministic ties = bit-reproducible
     for any sharding and an exact DuckDB replay (grouped counts +
     ROW_NUMBER per round); a round that changes no label is a fixed
-    point, so stopping there is bit-exact. ``checkpoint_dir`` makes a
-    killed run resume at its newest complete round."""
+    point, so stopping there is bit-exact."""
     return _run(_LpaShard, edges, src, dst, "doubled", rounds,
-                num_shards=num_shards, checkpoint_dir=checkpoint_dir)
+                num_shards=num_shards)
 
 
 # ------------------------------------------- strongly connected comps
@@ -1211,7 +1207,13 @@ class _SccShard(_Shard):
     state = ("scc", "dec", "col", "anch")
 
     def init(self, *incoming) -> int:
-        self._both_layouts(*incoming)
+        e = self._edges()
+        (fs, fd), (rs, rd) = e["f"], e["r"]
+        self.owned = np.unique(np.concatenate([fs, rs, *incoming]))
+        self.f_splits, self.f_dst, self.f_idx = \
+            self._by_dest(fd, np.searchsorted(self.owned, fs))
+        self.r_splits, self.r_dst, self.r_idx = \
+            self._by_dest(rd, np.searchsorted(self.owned, rs))
         self.col = self.owned.copy()
         self.dec = np.zeros(len(self.owned), bool)
         self.anch = np.zeros(len(self.owned), bool)
@@ -1267,13 +1269,13 @@ class _SccShard(_Shard):
         return int((~self.dec).sum())
 
     def result(self) -> pa.Table:
-        return self.snapshot().select(["node", "scc"])
+        return pa.table({"node": pa.array(self.owned),
+                         "scc": pa.array(self.scc)})
 
 
 def scc_actors(edges, src: str = "src", dst: str = "dst",
                outer: int = 4, inner: int = 8,
-               num_shards: int | None = None,
-               checkpoint_dir: str | None = None):
+               num_shards: int | None = None):
     """Strongly connected components (web bow-tie structure, spam
     rings): ``outer`` coloring rounds of ``inner``-capped forward
     min-color propagation + backward same-color anchoring on the
@@ -1281,9 +1283,7 @@ def scc_actors(edges, src: str = "src", dst: str = "dst",
     decided within the caps keep scc = -1 (sound: every emitted
     group is strongly connected; exact when inner covers each class
     diameter and outer covers the root chain — the link_distance
-    round-cap contract). Early exits at fixpoints are bit-exact.
-    ``checkpoint_dir`` resumes a killed run at its newest complete
-    outer round."""
+    round-cap contract). Early exits at fixpoints are bit-exact."""
     def step(shards, rnd):
         for _ in range(inner):
             if sum(_exchange(shards, "scatter_col", "gather_col")) == 0:
@@ -1295,24 +1295,7 @@ def scc_actors(edges, src: str = "src", dst: str = "dst",
         return _each(shards, "finish_outer")   # undecided nodes left
 
     return _run(_SccShard, edges, src, dst, "both", outer, step=step,
-                num_shards=num_shards, checkpoint_dir=checkpoint_dir,
-                meta={"algo": "scc", "inner": inner})
-
-
-def _canonical_edges(edges, src: str, dst: str):
-    """The undirected distinct-edge graph as a materialized (u, v)
-    Dataset with u < v (self-loops dropped)."""
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
-    e = rel.dedup(e, ["u", "v"])
-    return rel.with_empty_schema(e, pa.schema(
-        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+                num_shards=num_shards)
 
 
 def _truss_support(e):
@@ -1324,7 +1307,12 @@ def _truss_support(e):
     (u, v, support). Both joins are bucketed hash joins
     (``rel.join_large``): task-based shuffles with no per-call actor
     pool, cheap enough to rerun every round of the peeling loop."""
-    ab, bc, ac = (_renamed(e, "u", "v", *n) for n in ("ab", "bc", "ac"))
+    ab = e.map_batches(lambda b: pa.table({"a": b["u"], "b": b["v"]}),
+                       batch_format="pyarrow", batch_size=65536)
+    bc = e.map_batches(lambda b: pa.table({"b": b["u"], "c": b["v"]}),
+                       batch_format="pyarrow", batch_size=65536)
+    ac = e.map_batches(lambda b: pa.table({"a": b["u"], "c": b["v"]}),
+                       batch_format="pyarrow", batch_size=65536)
     wedges = rel.join_large(ab, bc, on="b", num_buckets=16)
     tri = rel.join_large(
         wedges.map_batches(lambda b: b.select(["a", "b", "c"]),
@@ -1368,7 +1356,17 @@ def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
     Each round is two hash-partitioned joins + one bucketed count —
     the per-round state is only the narrow surviving edge list,
     re-materialized so the peeling loop never re-executes lineage."""
-    e = _canonical_edges(edges, src, dst)
+    def canon(batch: pa.Table) -> pa.Table:
+        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
+
+    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
+    e = rel.dedup(e, ["u", "v"])
+    e = rel.with_empty_schema(e, pa.schema(
+        [("u", pa.int64()), ("v", pa.int64())])).materialize()
     n_edges = e.count()
 
     thresh = k - 2
@@ -1401,7 +1399,17 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
     counts toward all three corners; degrees come from the doubled
     distinct edge list. Both per-node tables are node-bounded; they
     meet in ONE bucketed combine via union-all partials (no join)."""
-    e = _canonical_edges(edges, src, dst)
+    def canon(batch: pa.Table) -> pa.Table:
+        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
+
+    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
+    e = rel.dedup(e, ["u", "v"])
+    e = rel.with_empty_schema(e, pa.schema(
+        [("u", pa.int64()), ("v", pa.int64())])).materialize()
 
     supp = _truss_support(e)   # reuse: emits (u,v,support) per EDGE
 

@@ -481,27 +481,14 @@ def test_graph_ops_start_no_actors(ray_session, op):
     assert shards == []
 
 
-# op -> (rounds of the full run, run(graph, edges, rounds, cdir));
-# every op is still short of its fixed point after 2 rounds
+# op -> (rounds of the full run, run(graph, edges, rounds, cdir)):
+# the ops with round-level resume; each is still short of its fixed
+# point after 2 rounds
 _RESUME_OPS = {
     "pagerank_actors": (5, lambda g, e, r, d: g.pagerank_actors(
         e, iters=r, checkpoint_dir=d)),
     "connected_components": (60, lambda g, e, r, d: g.connected_components(
         e, src="src", dst="dst", max_iters=r, checkpoint_dir=d)),
-    "hits_actors": (4, lambda g, e, r, d: g.hits_actors(
-        e, iters=r, scale=10_000, checkpoint_dir=d)),
-    "bfs_actors": (8, lambda g, e, r, d: g.bfs_actors(
-        e, seed_mod=11, iters=r, checkpoint_dir=d)),
-    "multi_bfs_actors": (8, lambda g, e, r, d: g.multi_bfs_actors(
-        e, seed_mod=11, n_landmarks=3, iters=r, checkpoint_dir=d)),
-    "random_walks": (5, lambda g, e, r, d: g.random_walks(
-        e, length=r, checkpoint_dir=d)),
-    "kcore": (40, lambda g, e, r, d: g.kcore(
-        e, k=2, max_rounds=r, checkpoint_dir=d)),
-    "label_propagation": (5, lambda g, e, r, d: g.label_propagation(
-        e, rounds=r, checkpoint_dir=d)),
-    "scc_actors": (4, lambda g, e, r, d: g.scc_actors(
-        e, outer=r, inner=3, checkpoint_dir=d)),
 }
 
 
@@ -518,7 +505,7 @@ def test_kill_at_round_k_resumes_identically(ray_session, tmp_path, op):
     from pythongis_ray import graph
 
     # a random graph with a 30-node chain hanging off node 0: the chain
-    # keeps components, peeling and distances moving for many rounds
+    # keeps the component labels moving for many rounds
     rng = np.random.default_rng(8)
     src = np.concatenate([rng.integers(0, 120, 300), [0],
                           np.arange(1000, 1029)]).astype(np.int64)
