@@ -78,11 +78,14 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
     """Write a Dataset to resumable partitioned parquet.
 
     Rows are routed to ``hash(key) % num_partitions`` and each
-    partition is written by one group of a ``relational.group_apply``
-    on the partition id. On a rerun with ``resume=True``, rows
-    belonging to completed partitions are dropped at the FILTER stage
-    (before any downstream work) and only missing partitions are
-    written. Returns the list of partition metrics written this run.
+    partition is written by one Arrow group of a
+    ``relational.group_apply`` on the partition id, as it is: the
+    parquet holds the Dataset's exact Arrow types (an int64 column
+    with nulls stays int64) and no ``pandas`` schema metadata. On a
+    rerun with ``resume=True``, rows belonging to completed partitions
+    are dropped at the FILTER stage (before any downstream work) and
+    only missing partitions are written. Returns the list of partition
+    metrics written this run.
     """
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir) if resume else set()
@@ -98,16 +101,13 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
 
     keyed = ds.map_batches(add_part, batch_format="pyarrow", batch_size=65536)
 
-    import pandas as pd
+    def sink(group: pa.Table) -> pa.Table:
+        table = group.drop_columns(["_part"]).replace_schema_metadata()
+        m = write_partition(table, out_dir, group["_part"][0].as_py())
+        return pa.table({k: [m[k]] for k in ("partition", "rows", "bytes",
+                                             "wall_sec")})
 
-    def sink(group: pd.DataFrame) -> pd.DataFrame:
-        part = int(group["_part"].iloc[0])
-        table = pa.Table.from_pandas(group.drop(columns=["_part"]),
-                                     preserve_index=False)
-        m = write_partition(table, out_dir, part)
-        return pd.DataFrame([m])[["partition", "rows", "bytes", "wall_sec"]]
-
-    metrics = group_apply(keyed, "_part", sink)
+    metrics = group_apply(keyed, "_part", sink, batch_format="pyarrow")
     out = metrics.to_pandas()
     # lineage + metrics additionally checkpointed AS PARQUET (the
     # BASELINE.json wording): the cumulative manifest across runs

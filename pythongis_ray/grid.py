@@ -87,11 +87,6 @@ def cell_bounds(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return xmin, ymin, xmin + step, ymin + step
 
 
-def cell_center(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xmin, ymin, xmax, ymax = cell_bounds(cell)
-    return (xmin + xmax) * 0.5, (ymin + ymax) * 0.5
-
-
 def parent(cell: np.ndarray, steps: int = 1) -> np.ndarray:
     """Parent cell ``steps`` resolutions up (4:1 aggregation per step).
 

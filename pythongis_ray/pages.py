@@ -143,10 +143,17 @@ def pages_dataset(sf_dir: str, replicate: int = 1, geocode: bool = True,
                   columns: list[str] | None = None, links: bool = False,
                   images: bool = False, nest: bool = False):
     """read documents.parquet → pages Dataset (lazy, streaming)."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text", "lang"])
+    # read with the file's column types but without its ``pandas``
+    # schema metadata: a schema carrying that dict is unhashable, and
+    # Ray then unifies the schemas on every concat of the read blocks
+    path = f"{sf_dir}/documents.parquet"
+    cols = ["doc_id", "text", "lang"]
+    schema = pq.read_schema(path)
+    ds = rd.read_parquet(path, columns=cols,
+                         schema=pa.schema([schema.field(c) for c in cols]))
     # keep output blocks bounded: a replicate-R synthesis multiplies
     # rows AND bytes by R, so the input batch shrinks by R (wide-row
     # memory rule — html ~1 KB/row must not produce GB-sized blocks)

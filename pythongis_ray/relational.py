@@ -57,11 +57,18 @@ NUM_BUCKETS = 64
 BUCKET_BATCH_SIZE = 8192
 
 
-def group_apply(ds, key: str | None, fn):
+def group_apply(ds, key: str | None, fn, batch_format: str = "pandas"):
     """The engine's one grouped shuffle: ``fn`` runs once per group of
-    ``key`` (its key column still in the frame) and returns a pandas
-    frame; ``key=None`` gathers the whole Dataset into ONE group (Ray
-    repartitions to one block — no sort, no aggregator).
+    ``key`` (its key column still in the frame) and returns a frame of
+    its rows; ``key=None`` gathers the whole Dataset into ONE group
+    (Ray repartitions to one block — no sort, no aggregator).
+
+    ``batch_format`` is the group's type: a pandas frame by default,
+    ``"pyarrow"`` for a ``pa.Table``. Use Arrow for wide-row groups
+    that are only indexed and gathered (``take``): it skips the
+    pandas round trip of every column, keeps declared types where
+    pandas would promote a null-padded int64 to float64, and carries
+    no ``pandas`` schema metadata into the output blocks.
 
     The groupby is pinned to the sort-based pull shuffle, so a global
     ``HASH_SHUFFLE`` setting cannot route it through hash-shuffle
@@ -76,7 +83,7 @@ def group_apply(ds, key: str | None, fn):
     strategy = ctx.shuffle_strategy
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     try:
-        return ds.groupby(key).map_groups(fn, batch_format="pandas")
+        return ds.groupby(key).map_groups(fn, batch_format=batch_format)
     finally:
         ctx.shuffle_strategy = strategy
 

@@ -1632,16 +1632,22 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
     * ``cells_of(batch) -> (rows, cells)``: the uint64 cell of each
       left row, ``rows`` the batch row each cell belongs to (``None``
       when it is one cell per row, as for points);
-    * ``matcher(left) -> match``: binds one bucket's left rows (a
-      pandas frame) and returns ``match(cand, poly)``, the subset of
-      candidate row positions ``cand`` that pair with the zone ``poly``.
+    * ``matcher(group, rows) -> match``: binds the left rows ``rows``
+      of one bucket's Arrow group and returns ``match(cand, poly)``,
+      the subset of candidate positions ``cand`` (into ``rows``) that
+      pair with the zone ``poly``.
 
     Phase 0 counts left rows per cell → :func:`plan_salts`. Phase 1
     spreads a hot cell's left rows over its salts by row position and
     replicates the zone covers across every salt of the cell; both are
-    keyed by hash(cell, salt) bucket. Phase 2 co-locates with one
-    ``relational.group_apply`` on the bucket and relates each unique
-    zone against the left rows of its cover cells.
+    keyed by hash(cell, salt) bucket and reach the union in one column
+    order with no schema metadata. Phase 2 co-locates with one
+    ``relational.group_apply`` on the bucket over ``pa.Table`` groups:
+    ``refine`` relates each unique zone against the left rows of its
+    cover cells, collects int64 (left row, zone row) index pairs, and
+    builds its output with one ``take`` per side, in the declared
+    types (left schema, then the zone attributes), with no pandas
+    round trip and no separate cast stage.
     """
     from pythongis_ray.relational import bucketed_group_apply, group_apply
 
@@ -1686,31 +1692,31 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
                                      batch_size=left_batch_size)
     right_keyed = zones_ds.map_batches(explode_zones, batch_format="pyarrow",
                                        batch_size=4096)
-    # schema-harmonized union: missing columns null-filled with the
-    # OTHER side's declared type — untyped pa.nulls() would null-type
-    # the column and the pandas refine would then promote int64 to
-    # float64 (the round-1 spjoin_rect_shuffle hash-fail, VERDICT #1)
+    # schema-harmonized union: both sides emit ONE column order (left
+    # columns, zone columns, then the keys) with no schema metadata,
+    # and each side's missing columns are null-filled with the OTHER
+    # side's declared type — untyped pa.nulls() would null-type the
+    # column and lose its int64 (the round-1 spjoin_rect_shuffle
+    # hash-fail, VERDICT #1)
     lschema = getattr(left_keyed.schema(), "base_schema", left_keyed.schema())
     rschema = getattr(right_keyed.schema(), "base_schema", right_keyed.schema())
-    lcols = set(lschema.names)
-    rcols = set(rschema.names)
+    keys = ["_cell", "_bucket", "_side"]
+    union_cols = [c for c in lschema.names if c not in keys]
+    union_cols += [c for c in rschema.names
+                   if c not in keys and c not in union_cols] + keys
 
-    def pad(missing, other_schema):
-        types = {m: other_schema.field(m).type for m in missing}
+    def align(schema):
+        fill = {c: (lschema if c in lschema.names else rschema).field(c).type
+                for c in union_cols if c not in schema.names}
 
         def fn(batch: pa.Table) -> pa.Table:
-            for m in sorted(missing):
-                batch = batch.append_column(m, pa.nulls(batch.num_rows, types[m]))
-            return batch
+            return pa.table([pa.nulls(batch.num_rows, fill[c]) if c in fill
+                             else batch[c] for c in union_cols],
+                            names=union_cols)
         return fn
 
-    if rcols - lcols:
-        left_keyed = left_keyed.map_batches(pad(rcols - lcols, rschema),
-                                            batch_format="pyarrow")
-    if lcols - rcols:
-        right_keyed = right_keyed.map_batches(pad(lcols - rcols, lschema),
-                                              batch_format="pyarrow")
-    both = left_keyed.union(right_keyed)
+    both = left_keyed.map_batches(align(lschema), batch_format="pyarrow") \
+        .union(right_keyed.map_batches(align(rschema), batch_format="pyarrow"))
 
     if checkpoint_dir is not None:
         # materialized, resumable stage boundary between phase 1 and the
@@ -1726,32 +1732,37 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
         import ray.data as rd
 
         def strip_ckpt_cols(b: pa.Table) -> pa.Table:
-            drop = [c for c in ("_ckpt_key", "_part", "part") if c in b.column_names]
-            return b.drop_columns(drop)
+            # drops _ckpt_key and the hive ``part`` column; a dir written
+            # by the older pandas sink also carries ``pandas`` metadata
+            return b.select(union_cols).replace_schema_metadata()
 
         both = rd.read_parquet(checkpoint_dir) \
             .map_batches(strip_ckpt_cols, batch_format="pyarrow")
 
     zone_attr_cols = [c for c in zones_ds.schema().names if c != zone_geom_col]
     left_cols = list(left_ds.schema().names)
-    out_cols = left_cols + zone_attr_cols
+    target = pa.schema([lschema.field(c) for c in left_cols]
+                       + [rschema.field(c) for c in zone_attr_cols])
 
-    def refine(group: pd.DataFrame) -> pd.DataFrame:
-        left = group[group["_side"] == 0]
-        zns = group[group["_side"] == 1]
-        if len(left) == 0 or len(zns) == 0:
-            return pd.DataFrame({c: [] for c in out_cols})
-        match = matcher(left)
-        lcell = left["_cell"].to_numpy(np.int64)
+    def refine(group: pa.Table) -> pa.Table:
+        side = group["_side"].to_numpy()
+        lrows = np.flatnonzero(side == 0)
+        zrows = np.flatnonzero(side == 1)
+        if len(lrows) == 0 or len(zrows) == 0:
+            return target.empty_table()
+        match = matcher(group, lrows)
+        cell = group["_cell"].to_numpy()
+        lcell = cell[lrows]
         order = np.argsort(lcell, kind="stable")
         lcell_s = lcell[order]
-        zcell = zns["_cell"].to_numpy(np.int64)
+        zcell = cell[zrows]
         # one refine per UNIQUE zone: parse once, gather the left rows
-        # of all its cover cells in this bucket, test vectorized
+        # of all its cover cells in this bucket, test vectorized, and
+        # keep only the (left row, zone row) index pairs
         geo_first: dict[bytes, list[int]] = {}
-        for i, gb in enumerate(zns[zone_geom_col]):
-            geo_first.setdefault(bytes(gb), []).append(i)
-        outs = []
+        for i, gb in enumerate(group[zone_geom_col].take(zrows).to_pylist()):
+            geo_first.setdefault(gb, []).append(i)
+        lpos, zpos = [], []
         for gb, rows_idx in geo_first.items():
             zcells = np.unique(zcell[rows_idx])
             s0 = np.searchsorted(lcell_s, zcells, "left")
@@ -1761,34 +1772,19 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
             cand = np.concatenate([order[a:b] for a, b in zip(s0, s1) if b > a])
             g = wkb.decode(gb)
             hit = match(cand, algo.PreparedPolygon(g["rings"], g.get("ring_part")))
-            if len(hit):
-                zrow = zns.iloc[rows_idx[0]]
-                o = left.iloc[hit][left_cols].reset_index(drop=True)
-                for c in zone_attr_cols:
-                    o[c] = zrow[c]
-                outs.append(o)
-        if not outs:
-            return pd.DataFrame({c: [] for c in out_cols})
-        return pd.concat(outs, ignore_index=True)
+            lpos.append(hit)
+            zpos.append(np.full(len(hit), rows_idx[0], np.int64))
+        if not lpos:
+            return target.empty_table()
+        # one gather per side; a checkpoint dir written by the older
+        # pandas sink holds the null-padded int64 columns as double
+        lt = group.select(left_cols).take(lrows[np.concatenate(lpos)])
+        zt = group.select(zone_attr_cols).take(zrows[np.concatenate(zpos)])
+        return pa.Table.from_arrays(
+            [c if c.type == f.type else pc.cast(c, f.type)
+             for c, f in zip(lt.columns + zt.columns, target)], schema=target)
 
-    joined = group_apply(both, "_bucket", refine)
-
-    # restore DECLARED dtypes: the pandas refine path (nullable unions +
-    # per-bucket frames) can emit float64 where the input was int64;
-    # cast every output column back to the source schema's type
-    target = pa.schema([lschema.field(c) for c in left_cols]
-                       + [rschema.field(c) for c in zone_attr_cols])
-
-    def cast_out(batch: pa.Table) -> pa.Table:
-        cols = []
-        for f in target:
-            col = batch[f.name]
-            if col.type != f.type:
-                col = pc.cast(col, f.type)
-            cols.append(col)
-        return pa.table(dict(zip(target.names, cols)), schema=target)
-
-    return joined.map_batches(cast_out, batch_format="pyarrow")
+    return group_apply(both, "_bucket", refine, batch_format="pyarrow")
 
 
 def spatial_join_lines_shuffle(lines_ds, zones_ds,
@@ -1860,10 +1856,10 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
                                            fb.ymax, res=res)
         return fb.feat_ids[rows], cells
 
-    def matcher(lns: pd.DataFrame):
-        fb = _FlatBatch(lns[geometry_col].to_numpy(), len(lns))
+    def matcher(group: pa.Table, rows: np.ndarray):
+        fb = _FlatBatch(group[geometry_col].take(rows), len(rows))
         lx0, ly0 = _cover_origin(res, fb.xmin, fb.ymin)
-        lcell = lns["_cell"].to_numpy(np.int64)   # one row per cover cell
+        lcell = group["_cell"].to_numpy()[rows]   # one row per cover cell
 
         def match(cand, poly):
             # canonical cell: smallest shared cover cell of the pair
@@ -1960,9 +1956,9 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
         lat = batch[lat_col].to_numpy(zero_copy_only=False)
         return None, grid.point_to_cell(lon, lat, res)
 
-    def matcher(pts: pd.DataFrame):
-        lon = pts[lon_col].to_numpy(np.float64)
-        lat = pts[lat_col].to_numpy(np.float64)
+    def matcher(group: pa.Table, rows: np.ndarray):
+        lon = group[lon_col].to_numpy()[rows].astype(np.float64, copy=False)
+        lat = group[lat_col].to_numpy()[rows].astype(np.float64, copy=False)
 
         def match(cand, poly):
             test = poly.contains_points if interior else poly.covers_points

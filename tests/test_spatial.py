@@ -479,16 +479,20 @@ def test_line_clip_general_zone(ray_session):
     assert len(out2) == 1 and out2.clip_len.iloc[0] == 12.0
 
 
-def _cover_salt_plan(geoms, rows_per_task: int) -> dict:
-    """The geometry shuffle join's salt plan for these left geometries
-    (one batch): bbox cover-cell counts fed to ``plan_salts``."""
+def _cover_cells(geoms) -> np.ndarray:
+    """The shuffle joins' bbox cover cells of these geometries."""
     from pythongis_ray import grid
     from pythongis_ray.geom import wkb
 
     bb = np.array([wkb.bbox(g) for g in geoms], np.float64)
-    _, cells = grid.bboxes_to_cells(bb[:, 0], bb[:, 1], bb[:, 2], bb[:, 3],
-                                    res=spatial.DEFAULT_INDEX_RES)
-    cell, n = np.unique(cells, return_counts=True)
+    return grid.bboxes_to_cells(bb[:, 0], bb[:, 1], bb[:, 2], bb[:, 3],
+                                res=spatial.DEFAULT_INDEX_RES)[1]
+
+
+def _cover_salt_plan(geoms, rows_per_task: int) -> dict:
+    """The geometry shuffle join's salt plan for these left geometries
+    (one batch): bbox cover-cell counts fed to ``plan_salts``."""
+    cell, n = np.unique(_cover_cells(geoms), return_counts=True)
     return spatial.plan_salts(pd.DataFrame({"cell": cell, "n": n}),
                               rows_per_task)
 
@@ -1043,3 +1047,200 @@ def test_terrain_aspect_brute(ray_session):
             hi = lo + math.pi / 4
             eps = 1e-12
             assert lo - eps <= ang < hi + eps
+
+
+# ------------------------------- salted shuffle join: declared types
+
+def _buckets(cells, num_buckets: int) -> set:
+    """Unsalted shuffle-join buckets of uint64 cells."""
+    import pyarrow as pa
+
+    t = spatial._append_keys(pa.table({"x": np.zeros(len(cells))}), cells,
+                             np.zeros(len(cells), np.int64), 0, num_buckets)
+    return set(t["_bucket"].to_pylist())
+
+
+def _blocks(ds) -> list:
+    """The Dataset's Arrow blocks, less the column-less empty blocks
+    Ray emits for a shuffle partition that received no rows."""
+    import ray
+
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    return [b for b in blocks if b.num_columns or b.num_rows]
+
+
+def _square(x, y, d):
+    from pythongis_ray.geom import wkb
+
+    return wkb.encode_polygon([np.array(
+        [[x, y], [x + d, y], [x + d, y + d], [x, y + d], [x, y]])])
+
+
+def test_shuffle_join_declared_types(ray_session):
+    """Point-, line- and polygon-left shuffle joins with int64 left and
+    zone attributes emit exactly the declared schema (no float64
+    promotion of the null-padded ids, VERDICT #1) in every block, also
+    when some buckets hold only left rows or only zone rows and when
+    the join matches nothing."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pythongis_ray import grid
+    from pythongis_ray.geom import wkb
+
+    nb = 64
+    # zone 0 holds the hits; zones 1-3 and the left rows at x >= 100
+    # are far from everything
+    zx = np.array([10.2, -120.0, -60.0, 40.0])
+    zy = np.array([10.2, -50.0, 60.0, -40.0])
+    zones = pd.DataFrame({"zone_id": np.arange(4, dtype=np.int64) + 7,
+                          "pop": np.arange(4, dtype=np.int64) * 1000,
+                          "geometry": [_square(x, y, 1.0)
+                                       for x, y in zip(zx, zy)]})
+    lx = np.concatenate([10.3 + np.arange(6) * 0.1, [100.5, 130.5, 160.5]])
+    ly = np.concatenate([10.3 + np.arange(6) * 0.1, [20.5, -30.5, 70.5]])
+    n = len(lx)
+    ids = {"lid": np.arange(n, dtype=np.int64) * 3,
+           "val": np.arange(n, dtype=np.int64) - 4}
+    points = pd.DataFrame({**ids, "lon": lx, "lat": ly})
+    lines = pd.DataFrame({**ids, "geometry": [wkb.encode_linestring(
+        np.array([[x, y], [x + 0.05, y + 0.03]])) for x, y in zip(lx, ly)]})
+    polys = pd.DataFrame({**ids, "geometry": [_square(x, y, 0.05)
+                                              for x, y in zip(lx, ly)]})
+
+    zb = _buckets(_cover_cells(zones.geometry), nb)
+    point_b = _buckets(grid.point_to_cell(lx, ly, spatial.DEFAULT_INDEX_RES),
+                       nb)
+    for lb in (point_b, _buckets(_cover_cells(lines.geometry), nb),
+               _buckets(_cover_cells(polys.geometry), nb)):
+        assert lb - zb and zb - lb and lb & zb   # left-only, zone-only, both
+
+    def join(kind, left, z):
+        zds = rd.from_pandas(z)
+        if kind == "points":
+            return spatial.spatial_join_shuffle(
+                rd.from_pandas(left), zds, lon_col="lon", lat_col="lat",
+                num_buckets=nb)
+        fn = (spatial.spatial_join_lines_shuffle if kind == "lines"
+              else spatial.spatial_join_polygons_shuffle)
+        return fn(rd.from_pandas(left), zds, num_buckets=nb)
+
+    for kind, left in (("points", points), ("lines", lines),
+                       ("polygons", polys)):
+        lschema = pa.Schema.from_pandas(left, preserve_index=False)
+        want = pa.schema([lschema.field(c) for c in left.columns]
+                         + [pa.field("zone_id", pa.int64()),
+                            pa.field("pop", pa.int64())])
+        assert want.field("lid").type == pa.int64()
+        for z, n_hits in ((zones, 6), (zones.iloc[1:], 0)):
+            blocks = _blocks(join(kind, left, z))
+            assert blocks, kind
+            for b in blocks:
+                assert b.schema == want, (kind, b.schema)
+                assert b.schema.metadata is None, kind
+            out = pa.concat_tables(blocks)
+            assert out.num_rows == n_hits, kind
+            if n_hits:
+                assert sorted(out["lid"].to_pylist()) == \
+                    sorted(ids["lid"][:6].tolist()), kind
+                assert set(out["zone_id"].to_pylist()) == {7}, kind
+                assert set(out["pop"].to_pylist()) == {0}, kind
+
+
+def test_shuffle_join_blocks_have_hashable_schemas(ray_session, zones,
+                                                   tmp_path):
+    """Every block of ``pages_dataset`` and of a shuffle join hashes its
+    schema, and so does every partition ``write_partitioned`` writes
+    from it: a ``pandas`` metadata dict makes ``Schema.__hash__`` raise
+    and sends Ray's schema unification off its same-schema fast path."""
+    import glob
+
+    import ray.data as rd
+
+    from pythongis_ray import checkpoint as ckpt
+    from pythongis_ray import pages
+
+    pts = pages.pages_dataset(SF, columns=["page_id", "url", "lon", "lat"])
+    joined = spatial.spatial_join_shuffle(
+        pts, rd.from_pandas(zones[["zone_id", "name", "geometry"]]),
+        predicate="within", rows_per_task=20, num_buckets=8)
+    for ds in (pages.pages_dataset(SF), joined):
+        blocks = _blocks(ds)
+        assert sum(b.num_rows for b in blocks) > 0
+        for b in blocks:
+            hash(b.schema)
+    ckpt.write_partitioned(joined, str(tmp_path), key_col="page_id",
+                           num_partitions=4, resume=False)
+    files = glob.glob(f"{tmp_path}/part=*/data.parquet")
+    assert files
+    for f in files:
+        assert pq.read_schema(f).metadata is None, f
+
+
+def _to_pandas_sink_format(cdir):
+    """Rewrite every partition of a shuffle-join checkpoint dir as the
+    older pandas partition sink wrote it: Arrow → pandas → Arrow, so
+    the null-padded int64 columns are double and the schema carries
+    ``pandas`` metadata."""
+    import glob
+
+    import pyarrow as pa
+
+    for f in glob.glob(f"{cdir}/part=*/data.parquet"):
+        t = pq.read_table(f).to_pandas()
+        pq.write_table(pa.Table.from_pandas(t, preserve_index=False), f)
+
+
+def test_shuffle_join_resumes_pandas_sink_checkpoint(ray_session, zones,
+                                                     tmp_path):
+    """A checkpoint dir in the older pandas-sink format resumes to the
+    same rows in the declared types, complete or partly complete (the
+    missing partitions then come from the Arrow sink, so int64 and
+    double files mix)."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pythongis_ray import checkpoint as ckpt
+
+    pts = make_points(800)
+    zds = rd.from_pandas(zones[["zone_id", "geometry"]])
+
+    def run(cdir):
+        return _blocks(spatial.spatial_join_shuffle(
+            rd.from_pandas(pts), zds, predicate="within", rows_per_task=20,
+            num_buckets=8, checkpoint_dir=cdir))
+
+    def part_types(cdir):
+        return {pq.read_schema(f"{cdir}/part={p}/data.parquet")
+                .field("pid").type for p in ckpt.completed_partitions(cdir)}
+
+    cdir = str(tmp_path / "phase1")
+    first = pa.concat_tables(run(cdir))
+    want = first.schema
+    assert want.field("pid").type == pa.int64()
+    assert want.field("zone_id").type == pa.int64()
+    assert part_types(cdir) == {pa.int64()}
+    key = sorted(zip(first["pid"].to_pylist(), first["zone_id"].to_pylist()))
+    assert len(key) > 100
+
+    _to_pandas_sink_format(cdir)
+    assert part_types(cdir) == {pa.float64()}
+    done = sorted(ckpt.completed_partitions(cdir))
+    assert b"pandas" in pq.read_schema(
+        f"{cdir}/part={done[0]}/data.parquet").metadata
+    for partial in (False, True):
+        if partial:
+            for p in done[::2]:
+                shutil.rmtree(os.path.join(cdir, f"part={p}"))
+                os.remove(os.path.join(cdir, "_manifest", f"part-{p}.json"))
+        blocks = run(cdir)
+        for b in blocks:
+            assert b.schema == want, (partial, b.schema)
+            hash(b.schema)
+        out = pa.concat_tables(blocks)
+        assert sorted(zip(out["pid"].to_pylist(),
+                          out["zone_id"].to_pylist())) == key, partial
+    assert part_types(cdir) == {pa.int64(), pa.float64()}
