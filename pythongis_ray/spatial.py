@@ -1610,15 +1610,44 @@ def _salt_factors(cells: np.ndarray, salt_map: dict) -> np.ndarray:
     return fac
 
 
+def _cell_bucket(cells: np.ndarray, salt: np.ndarray,
+                 num_buckets: int) -> np.ndarray:
+    """int64 bucket = hash(cell, salt) of uint64 ``cells``."""
+    return ((cells * np.uint64(0x9E3779B97F4A7C15) + salt.astype(np.uint64))
+            % np.uint64(num_buckets)).astype(np.int64)
+
+
 def _append_keys(batch: pa.Table, cells: np.ndarray, salt: np.ndarray,
                  side: int, num_buckets: int) -> pa.Table:
     """Append ``_cell``, ``_bucket`` = hash(cell, salt) and ``_side``
     (0 = left, 1 = zone) to a batch with one row per uint64 cell."""
-    bucket = ((cells * np.uint64(0x9E3779B97F4A7C15) + salt.astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int64)
     t = batch.append_column("_cell", pa.array(cells.view(np.int64)))
-    t = t.append_column("_bucket", pa.array(bucket))
+    t = t.append_column("_bucket", pa.array(_cell_bucket(cells, salt,
+                                                         num_buckets)))
     return t.append_column("_side", pa.array(np.full(len(cells), side, np.int8)))
+
+
+def _arrow_schema(ds) -> pa.Schema | None:
+    """The Arrow schema of ``ds``'s blocks; ``None`` when Ray knows none
+    (a Dataset whose blocks are all empty). Pandas-backed blocks give
+    the Arrow types of their dtypes (``null`` for an object column)."""
+    s = ds.schema()
+    s = getattr(s, "base_schema", s)
+    if s is None or isinstance(s, pa.Schema):
+        return s
+    return pa.Schema.from_pandas(pd.DataFrame(
+        {c: pd.Series(dtype=t) for c, t in zip(s.names, s.types)}),
+        preserve_index=False)
+
+
+def _join_schema(left: pa.Schema | None, zones: pa.Schema | None,
+                 zone_geom_col: str) -> pa.Schema:
+    """A shuffle join's output schema: the left fields, then the zone
+    attributes (the zone fields less its geometry), no key column."""
+    keys = ("_cell", "_pos", "_bucket", "_side")
+    return pa.schema(
+        [f for f in (left or []) if f.name not in keys]
+        + [f for f in (zones or []) if f.name not in keys + (zone_geom_col,)])
 
 
 def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
@@ -1637,40 +1666,76 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
       the subset of candidate positions ``cand`` (into ``rows``) that
       pair with the zone ``poly``.
 
-    Phase 0 counts left rows per cell → :func:`plan_salts`. Phase 1
-    spreads a hot cell's left rows over its salts by row position and
-    replicates the zone covers across every salt of the cell; both are
-    keyed by hash(cell, salt) bucket and reach the union in one column
-    order with no schema metadata. Phase 2 co-locates with one
-    ``relational.group_apply`` on the bucket over ``pa.Table`` groups:
-    ``refine`` relates each unique zone against the left rows of its
-    cover cells, collects int64 (left row, zone row) index pairs, and
-    builds its output with one ``take`` per side, in the declared
-    types (left schema, then the zone attributes), with no pandas
-    round trip and no separate cast stage.
+    Phase 0 runs the left's lineage (read, synthesis, geocode) once:
+    it maps the left to its *celled* table (the left rows plus an int64
+    ``_cell``, one row per cell, and the row's position ``_pos`` in its
+    phase-0 batch) and materializes it. Nothing later re-executes the
+    left's lineage: the cell counts, the keying and the left schema all
+    read the celled table, whose schema costs no plan. The counts are
+    per-batch partials combined over Arrow groups of the cell's bucket
+    → :func:`plan_salts`. Phase 1 spreads a hot cell's celled rows over
+    its salts by ``_pos`` (the salt does not depend on how Ray blocks
+    the celled table, so a checkpoint dir resumes with the same row
+    placement) and replicates the zone covers across every salt of the
+    cell; both are keyed by hash(cell, salt) bucket and reach the union
+    in one column order with no schema metadata. Phase 2 co-locates
+    with one ``relational.group_apply`` on the bucket over ``pa.Table``
+    groups: ``refine`` relates each unique zone against the left rows
+    of its cover cells, collects int64 (left row, zone row) index
+    pairs, and builds its output with one ``take`` per side, in the
+    declared types (left schema, then the zone attributes), with no
+    pandas round trip and no separate cast stage. An input with no
+    rows gives an empty result in those types.
     """
-    from pythongis_ray.relational import bucketed_group_apply, group_apply
+    import ray.data as rd
 
-    def count(batch: pa.Table) -> pd.DataFrame:
-        u, c = np.unique(cells_of(batch)[1], return_counts=True)
-        return pd.DataFrame({"cell": u.view(np.int64), "n": c.astype(np.int64)})
+    from pythongis_ray.relational import group_apply
 
-    parts = left_ds.map_batches(count, batch_format="pyarrow",
-                                batch_size=left_batch_size)
-    counts = bucketed_group_apply(
-        parts, ["cell"],
-        lambda b: b.groupby("cell", sort=False)["n"].sum().reset_index()).to_pandas()
-    counts["cell"] = counts["cell"].to_numpy().view(np.uint64)
-    salts_ref = ray.put(plan_salts(counts, rows_per_task))
-
-    def key_left(batch: pa.Table) -> pa.Table:
+    def with_cells(batch: pa.Table) -> pa.Table:
         rows, cells = cells_of(batch)
-        salt_map = state.get_broadcast(salts_ref, key_extra=("salts",))
-        # deterministic spread of each hot cell's rows
-        salt = np.arange(len(cells), dtype=np.int64) % _salt_factors(cells, salt_map)
         if rows is not None:
             batch = batch.take(pa.array(rows))
-        return _append_keys(batch, cells, salt, 0, num_buckets)
+        t = batch.append_column("_cell", pa.array(cells.view(np.int64)))
+        return t.append_column("_pos", pa.array(np.arange(len(cells),
+                                                          dtype=np.int64)))
+
+    celled = left_ds.map_batches(with_cells, batch_format="pyarrow",
+                                 batch_size=left_batch_size).materialize()
+    cschema = _arrow_schema(celled)
+    if cschema is None:
+        # no left row: the left's declared types come from its source
+        return rd.from_arrow(_join_schema(
+            _arrow_schema(left_ds), _arrow_schema(zones_ds),
+            zone_geom_col).empty_table())
+
+    def count(batch: pa.Table) -> pa.Table:
+        cell, n = np.unique(batch["_cell"].to_numpy(), return_counts=True)
+        return pa.table({"cell": cell, "n": n.astype(np.int64),
+                         "_bucket": _cell_bucket(cell.view(np.uint64),
+                                                 np.zeros(len(cell), np.int64),
+                                                 num_buckets)})
+
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return group.group_by("cell").aggregate([("n", "sum")])
+
+    counts = group_apply(
+        celled.map_batches(count, batch_format="pyarrow",
+                           batch_size=left_batch_size),
+        "_bucket", per_bucket, batch_format="pyarrow").to_pandas()
+    salts = {}
+    if len(counts):   # to_pandas drops the schema of an all-empty Dataset
+        salts = plan_salts(pd.DataFrame({
+            "cell": counts["cell"].to_numpy().view(np.uint64),
+            "n": counts["n_sum"].to_numpy()}), rows_per_task)
+    salts_ref = ray.put(salts)
+
+    def key_left(batch: pa.Table) -> pa.Table:
+        cells = batch["_cell"].to_numpy().view(np.uint64)
+        salt_map = state.get_broadcast(salts_ref, key_extra=("salts",))
+        # deterministic spread of each hot cell's rows
+        salt = batch["_pos"].to_numpy() % _salt_factors(cells, salt_map)
+        return _append_keys(batch.drop_columns(["_cell", "_pos"]), cells,
+                            salt, 0, num_buckets)
 
     def explode_zones(batch: pa.Table) -> pa.Table:
         geoms = batch[zone_geom_col].to_pylist()
@@ -1688,18 +1753,28 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
         return _append_keys(batch.take(pa.array(np.repeat(rws, fac))),
                             np.repeat(cls, fac), salt, 1, num_buckets)
 
-    left_keyed = left_ds.map_batches(key_left, batch_format="pyarrow",
-                                     batch_size=left_batch_size)
+    left_keyed = celled.map_batches(key_left, batch_format="pyarrow",
+                                    batch_size=left_batch_size)
     right_keyed = zones_ds.map_batches(explode_zones, batch_format="pyarrow",
                                        batch_size=4096)
+    # the one schema peek left: a pandas-backed zone Dataset carries no
+    # Arrow types until its first block is built
+    rschema = _arrow_schema(right_keyed)
+    target = _join_schema(cschema, rschema or _arrow_schema(zones_ds),
+                          zone_geom_col)
+    if rschema is None:
+        return rd.from_arrow(target.empty_table())   # no zone row
+    left_cols = _join_schema(cschema, None, zone_geom_col).names
+    zone_attr_cols = target.names[len(left_cols):]
+    lschema = pa.schema([f for f in cschema if f.name != "_pos"]
+                        + [pa.field("_bucket", pa.int64()),
+                           pa.field("_side", pa.int8())])
     # schema-harmonized union: both sides emit ONE column order (left
     # columns, zone columns, then the keys) with no schema metadata,
     # and each side's missing columns are null-filled with the OTHER
     # side's declared type — untyped pa.nulls() would null-type the
     # column and lose its int64 (the round-1 spjoin_rect_shuffle
     # hash-fail, VERDICT #1)
-    lschema = getattr(left_keyed.schema(), "base_schema", left_keyed.schema())
-    rschema = getattr(right_keyed.schema(), "base_schema", right_keyed.schema())
     keys = ["_cell", "_bucket", "_side"]
     union_cols = [c for c in lschema.names if c not in keys]
     union_cols += [c for c in rschema.names
@@ -1729,7 +1804,6 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
         ckpt.write_partitioned(both.map_batches(add_key, batch_format="pyarrow"),
                                checkpoint_dir, key_col="_ckpt_key",
                                num_partitions=num_buckets, resume=True)
-        import ray.data as rd
 
         def strip_ckpt_cols(b: pa.Table) -> pa.Table:
             # drops _ckpt_key and the hive ``part`` column; a dir written
@@ -1738,11 +1812,6 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
 
         both = rd.read_parquet(checkpoint_dir) \
             .map_batches(strip_ckpt_cols, batch_format="pyarrow")
-
-    zone_attr_cols = [c for c in zones_ds.schema().names if c != zone_geom_col]
-    left_cols = list(left_ds.schema().names)
-    target = pa.schema([lschema.field(c) for c in left_cols]
-                       + [rschema.field(c) for c in zone_attr_cols])
 
     def refine(group: pa.Table) -> pa.Table:
         side = group["_side"].to_numpy()
@@ -1756,14 +1825,18 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
         order = np.argsort(lcell, kind="stable")
         lcell_s = lcell[order]
         zcell = cell[zrows]
-        # one refine per UNIQUE zone: parse once, gather the left rows
-        # of all its cover cells in this bucket, test vectorized, and
-        # keep only the (left row, zone row) index pairs
-        geo_first: dict[bytes, list[int]] = {}
-        for i, gb in enumerate(group[zone_geom_col].take(zrows).to_pylist()):
-            geo_first.setdefault(gb, []).append(i)
+        # one refine per UNIQUE zone (dictionary order = first
+        # appearance): parse once, gather the left rows of all its
+        # cover cells in this bucket, test vectorized, and keep only
+        # the (left row, zone row) index pairs
+        zgeom = pc.dictionary_encode(
+            group[zone_geom_col].take(zrows).combine_chunks())
+        zidx = zgeom.indices.to_numpy()
+        zorder = np.argsort(zidx, kind="stable")
+        zsplit = np.flatnonzero(np.diff(zidx[zorder])) + 1
         lpos, zpos = [], []
-        for gb, rows_idx in geo_first.items():
+        for gb, rows_idx in zip(zgeom.dictionary.to_pylist(),
+                                np.split(zorder, zsplit)):
             zcells = np.unique(zcell[rows_idx])
             s0 = np.searchsorted(lcell_s, zcells, "left")
             s1 = np.searchsorted(lcell_s, zcells, "right")
@@ -1831,10 +1904,11 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
     geometry joins need the zone side in the object store; this path
     shuffles both).
 
-    Phase 0 probes left COVER-cell counts → salt plan. Phase 1
-    explodes left bbox covers (one row per (feature, cover cell),
-    salted on hot cells) and zone covers (replicated across salts).
-    Phase 2 co-locates with one ``group_apply(bucket)``; inside a
+    Phase 0 explodes the left's bbox covers (one row per (feature,
+    cover cell)) once, materializes them, and counts them per cell →
+    salt plan. Phase 1 keys those cover rows (salted on hot cells) and
+    the zone covers (replicated across salts). Phase 2 co-locates with
+    one ``group_apply(bucket)``; inside a
     bucket each unique zone relates against its candidate cohort via the
     batched flat kernels (polyline relate for lines; the
     vertex/edge/probe polygon tests for polygons).
@@ -1925,9 +1999,10 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
                          checkpoint_dir: str | None = None):
     """Two-phase shuffle spatial join for large×large inputs.
 
-    Phase 0 probes left-side cell counts → salt plan for hot cells.
-    Phase 1 keys left points by hash(cell, salt) bucket and explodes
-    zone cell covers (replicated across salts for hot cells).
+    Phase 0 cells the left points once, materializes them, and counts
+    them per cell → salt plan for hot cells. Phase 1 keys those rows by
+    hash(cell, salt) bucket and explodes zone cell covers (replicated
+    across salts for hot cells).
     Phase 2 co-locates with one ``group_apply(bucket)`` and refines each
     bucket vectorized (sort-merge on cell inside the bucket).
 

@@ -540,15 +540,11 @@ def test_lines_shuffle_matches_broadcast(ray_session):
         assert len(got) == len(b)       # exactly-once emission
 
 
-def test_polygons_shuffle_matches_broadcast(ray_session):
-    """Polygon-left big×big shuffle join == broadcast polygon join
-    for intersects and overlaps."""
-    import ray.data as rd
-
+def _random_boxes(seed: int, n: int, nz: int):
+    """``n`` random left boxes (``pid``) and ``nz`` zone boxes."""
     from pythongis_ray.geom import wkb
 
-    rng = np.random.default_rng(13)
-    n = 300
+    rng = np.random.default_rng(seed)
     px = rng.uniform(-60, 60, n).round(2)
     py = rng.uniform(-40, 40, n).round(2)
     pw = rng.uniform(1, 12, n).round(2)
@@ -558,27 +554,110 @@ def test_polygons_shuffle_matches_broadcast(ray_session):
         "geometry": [wkb.encode_polygon([np.array(
             [[x, y], [x + w, y], [x + w, y + h], [x, y + h], [x, y]])])
             for x, y, w, h in zip(px, py, pw, ph)]})
-    zx = rng.uniform(-60, 60, 25).round(2)
-    zy = rng.uniform(-40, 40, 25).round(2)
+    zx = rng.uniform(-60, 60, nz).round(2)
+    zy = rng.uniform(-40, 40, nz).round(2)
     zones = pd.DataFrame({
-        "zone_id": np.arange(25, dtype=np.int64),
+        "zone_id": np.arange(nz, dtype=np.int64),
         "geometry": [wkb.encode_polygon([np.array(
             [[x, y], [x + 9, y], [x + 9, y + 7], [x, y + 7], [x, y]])])
             for x, y in zip(zx, zy)]})
+    return polys, zones
+
+
+def test_polygons_shuffle_matches_broadcast(ray_session, monkeypatch):
+    """Polygon-left big×big shuffle join == broadcast polygon join
+    for intersects and overlaps, and its salt plan is ``plan_salts``
+    over the cover-cell counts of the whole left, also when a cell is
+    hot only once the per-block counts are summed."""
+    import ray.data as rd
+
+    polys, zones = _random_boxes(13, 300, 25)
     assert _cover_salt_plan(polys.geometry, 3)  # salted branch runs
-    for pred in ("intersects", "overlaps"):
-        want = spatial.spatial_join_polygons(
-            rd.from_pandas(polys), zones, predicate=pred) \
-            .to_pandas()[["pid", "zone_id"]]
-        got = spatial.spatial_join_polygons_shuffle(
-            rd.from_pandas(polys), rd.from_pandas(zones), predicate=pred,
-            num_buckets=16, rows_per_task=3) \
-            .to_pandas()[["pid", "zone_id"]]
-        a = set(map(tuple, want.to_numpy()))
-        b = set(map(tuple, got.to_numpy()))
-        assert a == b, (pred, len(a), len(b),
-                        list(a - b)[:5], list(b - a)[:5])
-        assert len(got) == len(b)
+    # two nearly equal big boxes, one per block: each of their ~5,000
+    # shared cover cells holds one left row per block, so at
+    # rows_per_task=1 it is hot in the whole left and in no block
+    big = [_square(-70.0, -40.0, 100.0), _square(-69.5, -39.5, 100.0)]
+    blocks = [pd.DataFrame({"pid": np.array([1000 + i], np.int64),
+                            "geometry": [g]}) for i, g in enumerate(big)]
+    assert not _cover_salt_plan(big[:1], 1)
+    assert not _cover_salt_plan(big[1:], 1)
+    assert len(_cover_salt_plan(big, 1)) > 4000
+    plans = []
+    plan_salts = spatial.plan_salts
+
+    def spy(*args):
+        plans.append(plan_salts(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(spatial, "plan_salts", spy)
+    for left, geoms, rows_per_task in ((polys, polys.geometry, 3),
+                                       (blocks, big, 1)):
+        for pred in ("intersects", "overlaps"):
+            want = spatial.spatial_join_polygons(
+                rd.from_pandas(left), zones, predicate=pred) \
+                .to_pandas()[["pid", "zone_id"]]
+            got = spatial.spatial_join_polygons_shuffle(
+                rd.from_pandas(left), rd.from_pandas(zones), predicate=pred,
+                num_buckets=16, rows_per_task=rows_per_task) \
+                .to_pandas()[["pid", "zone_id"]]
+            assert plans[-1] == _cover_salt_plan(geoms, rows_per_task), pred
+            a = set(map(tuple, want.to_numpy()))
+            b = set(map(tuple, got.to_numpy()))
+            assert a == b, (pred, len(a), len(b),
+                            list(a - b)[:5], list(b - a)[:5])
+            assert len(got) == len(b)
+    assert len(b) > 0
+
+
+def test_shuffle_joins_run_left_lineage_once(ray_session, zones, tmp_path):
+    """A point- and a polygon-left shuffle join with a salt plan run the
+    left's lineage once: a UDF over the left input sees each of its rows
+    exactly once (no re-run for the cell counts, the keying or a
+    schema peek)."""
+    import uuid
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pythongis_ray import grid
+
+    def recorded(frame, id_col):
+        """``frame`` in three blocks behind a UDF that saves the ids of
+        each batch it sees to its own file."""
+        out = tmp_path / uuid.uuid4().hex
+        out.mkdir()
+
+        def record(batch: pa.Table) -> pa.Table:
+            np.save(out / f"{uuid.uuid4().hex}.npy", batch[id_col].to_numpy())
+            return batch
+
+        k = -(-len(frame) // 3)
+        ds = rd.from_pandas([frame.iloc[i:i + k]
+                             for i in range(0, len(frame), k)]).map_batches(
+            record, batch_format="pyarrow")
+        return ds, lambda: np.sort(np.concatenate(
+            [np.load(f) for f in out.glob("*.npy")]))
+
+    pts = make_points(1500)
+    _, n = np.unique(grid.point_to_cell(pts.lon.to_numpy(), pts.lat.to_numpy(),
+                                        spatial.DEFAULT_INDEX_RES),
+                     return_counts=True)
+    assert n.max() > 20   # salted
+    left, seen = recorded(pts, "pid")
+    out = spatial.spatial_join_shuffle(
+        left, rd.from_pandas(zones), predicate="within",
+        rows_per_task=20).to_pandas()
+    assert len(out) > 100
+    np.testing.assert_array_equal(seen(), np.sort(pts.pid.to_numpy()))
+
+    polys, pzones = _random_boxes(13, 300, 25)
+    assert _cover_salt_plan(polys.geometry, 3)
+    left, seen = recorded(polys, "pid")
+    out = spatial.spatial_join_polygons_shuffle(
+        left, rd.from_pandas(pzones), num_buckets=16,
+        rows_per_task=3).to_pandas()
+    assert len(out) > 0
+    np.testing.assert_array_equal(seen(), polys.pid.to_numpy())
 
 
 def test_radius_join_geoms_matches_bruteforce(ray_session):
@@ -1080,8 +1159,9 @@ def test_shuffle_join_declared_types(ray_session):
     """Point-, line- and polygon-left shuffle joins with int64 left and
     zone attributes emit exactly the declared schema (no float64
     promotion of the null-padded ids, VERDICT #1) in every block, also
-    when some buckets hold only left rows or only zone rows and when
-    the join matches nothing."""
+    when some buckets hold only left rows or only zone rows, when the
+    join matches nothing, and when the left or zone input has no rows
+    (Arrow-backed, or pandas-backed with no object column kept)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -1115,15 +1195,18 @@ def test_shuffle_join_declared_types(ray_session):
                _buckets(_cover_cells(polys.geometry), nb)):
         assert lb - zb and zb - lb and lb & zb   # left-only, zone-only, both
 
-    def join(kind, left, z):
-        zds = rd.from_pandas(z)
+    def join(kind, left, zds):
         if kind == "points":
             return spatial.spatial_join_shuffle(
-                rd.from_pandas(left), zds, lon_col="lon", lat_col="lat",
-                num_buckets=nb)
+                left, zds, lon_col="lon", lat_col="lat", num_buckets=nb)
         fn = (spatial.spatial_join_lines_shuffle if kind == "lines"
               else spatial.spatial_join_polygons_shuffle)
-        return fn(rd.from_pandas(left), zds, num_buckets=nb)
+        return fn(left, zds, num_buckets=nb)
+
+    def arrow(frame, rows=None):
+        """An Arrow-backed Dataset of ``frame``'s first ``rows`` rows."""
+        return rd.from_arrow(pa.Table.from_pandas(frame, preserve_index=False)
+                             .slice(0, rows).replace_schema_metadata())
 
     for kind, left in (("points", points), ("lines", lines),
                        ("polygons", polys)):
@@ -1132,8 +1215,16 @@ def test_shuffle_join_declared_types(ray_session):
                          + [pa.field("zone_id", pa.int64()),
                             pa.field("pop", pa.int64())])
         assert want.field("lid").type == pa.int64()
-        for z, n_hits in ((zones, 6), (zones.iloc[1:], 0)):
-            blocks = _blocks(join(kind, left, z))
+        cases = [(rd.from_pandas(left), rd.from_pandas(zones), 6),
+                 (rd.from_pandas(left), rd.from_pandas(zones.iloc[1:]), 0),
+                 (rd.from_pandas(left), rd.from_pandas(zones.iloc[:0]), 0),
+                 (arrow(left, 0), arrow(zones), 0),
+                 (arrow(left), arrow(zones, 0), 0)]
+        if kind == "points":   # an empty pandas object column has no type
+            cases.append((rd.from_pandas(left.iloc[:0]),
+                          rd.from_pandas(zones), 0))
+        for lds, zds, n_hits in cases:
+            blocks = _blocks(join(kind, lds, zds))
             assert blocks, kind
             for b in blocks:
                 assert b.schema == want, (kind, b.schema)
