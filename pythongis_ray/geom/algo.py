@@ -170,6 +170,12 @@ def points_to_ring_distance(px, py, ring):
 
 # -------------------------------------------------------- segment algebra
 
+def _on(d, sx, sy, ex, ey, qx, qy):
+    """Collinear (orientation ``d == 0``) q inside segment s→e's bbox."""
+    return (d == 0) & (qx >= np.minimum(sx, ex)) & (qx <= np.maximum(sx, ex)) \
+        & (qy >= np.minimum(sy, ey)) & (qy <= np.maximum(sy, ey))
+
+
 def segments_intersect(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y):
     """Vectorized proper-or-touching segment intersection (broadcast
     (n,1) vs (1,m) shaped inputs)."""
@@ -179,11 +185,8 @@ def segments_intersect(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y):
     d4 = (b1x - b0x) * (a1y - b0y) - (b1y - b0y) * (a1x - b0x)
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
     # collinear / endpoint touches
-    def on(d, sx, sy, ex, ey, qx, qy):
-        return (d == 0) & (qx >= np.minimum(sx, ex)) & (qx <= np.maximum(sx, ex)) \
-            & (qy >= np.minimum(sy, ey)) & (qy <= np.maximum(sy, ey))
-    touch = (on(d1, a0x, a0y, a1x, a1y, b0x, b0y) | on(d2, a0x, a0y, a1x, a1y, b1x, b1y)
-             | on(d3, b0x, b0y, b1x, b1y, a0x, a0y) | on(d4, b0x, b0y, b1x, b1y, a1x, a1y))
+    touch = (_on(d1, a0x, a0y, a1x, a1y, b0x, b0y) | _on(d2, a0x, a0y, a1x, a1y, b1x, b1y)
+             | _on(d3, b0x, b0y, b1x, b1y, a0x, a0y) | _on(d4, b0x, b0y, b1x, b1y, a1x, a1y))
     return proper | touch
 
 
@@ -335,17 +338,11 @@ def _segments_vs_ring_accum(sa, sb, ring, touch_seg, proper_seg,
         d4 = (b1x - b0x) * (a1y - b0y) - (b1y - b0y) * (a1x - b0x)
         proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) \
             & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-
-        def on(d, sx, sy, ex, ey, qx, qy):
-            return (d == 0) & (qx >= np.minimum(sx, ex)) \
-                & (qx <= np.maximum(sx, ex)) \
-                & (qy >= np.minimum(sy, ey)) & (qy <= np.maximum(sy, ey))
-
         touch = proper \
-            | on(d1, a0x, a0y, a1x, a1y, b0x, b0y) \
-            | on(d2, a0x, a0y, a1x, a1y, b1x, b1y) \
-            | on(d3, b0x, b0y, b1x, b1y, a0x, a0y) \
-            | on(d4, b0x, b0y, b1x, b1y, a1x, a1y)
+            | _on(d1, a0x, a0y, a1x, a1y, b0x, b0y) \
+            | _on(d2, a0x, a0y, a1x, a1y, b1x, b1y) \
+            | _on(d3, b0x, b0y, b1x, b1y, a0x, a0y) \
+            | _on(d4, b0x, b0y, b1x, b1y, a1x, a1y)
         touch_seg[sl] |= touch.any(axis=1)
         proper_seg[sl] |= proper.any(axis=1)
 

@@ -31,6 +31,7 @@ the top row.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 RES_SHIFT = 58
 IY_SHIFT = 29
@@ -187,3 +188,21 @@ def bboxes_to_cells(
     gx = np.mod(np.repeat(ix0, counts) + local % ncols_r, nx)
     gy = np.repeat(iy0, counts) + local // ncols_r
     return row_idx, pack(res, gx, gy)
+
+
+# Lattice cells of the fixtures' (ix, iy) points (fixtures.UNITS = 1024
+# units per degree): the ``map_batches`` kernels of the raster-grid
+# queries, (ix, iy) → (cx, cy) per point.
+def cellify_1deg(batch: pa.Table) -> pa.Table:
+    ix = batch["ix"].to_numpy(zero_copy_only=False)
+    iy = batch["iy"].to_numpy(zero_copy_only=False)
+    return pa.table({"cx": pa.array(ix // 1024), "cy": pa.array(iy // 1024)})
+
+
+# 8° cells (8192 units): dense enough at sf0.001 that interior
+# cells have all four neighbors (a 1° stencil grid is empty there)
+def cellify_8deg(batch: pa.Table) -> pa.Table:
+    ix = batch["ix"].to_numpy(zero_copy_only=False)
+    iy = batch["iy"].to_numpy(zero_copy_only=False)
+    return pa.table({"cx": pa.array(ix // 8192),
+                     "cy": pa.array(iy // 8192)})

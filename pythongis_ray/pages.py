@@ -139,21 +139,27 @@ def geocode_pages(batch: pa.Table, res: int = grid.DEFAULT_RES) -> pa.Table:
     return batch.append_column("cell", pa.array(cell.view(np.int64)))
 
 
+def read_sf_table(sf_dir: str, table: str, columns: list[str] | None = None):
+    """``{sf_dir}/{table}.parquet`` as a Dataset (all columns, or
+    ``columns`` in that order), read with the file's column types but
+    without its ``pandas`` schema metadata: a schema carrying that dict
+    is unhashable, and Ray then unifies the schemas on every concat of
+    the read blocks. The one Dataset reader of the sf tables."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    path = f"{sf_dir}/{table}.parquet"
+    schema = pq.read_schema(path)
+    names = schema.names if columns is None else columns
+    return rd.read_parquet(path, columns=columns,
+                           schema=pa.schema([schema.field(c) for c in names]))
+
+
 def pages_dataset(sf_dir: str, replicate: int = 1, geocode: bool = True,
                   columns: list[str] | None = None, links: bool = False,
                   images: bool = False, nest: bool = False):
     """read documents.parquet → pages Dataset (lazy, streaming)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    # read with the file's column types but without its ``pandas``
-    # schema metadata: a schema carrying that dict is unhashable, and
-    # Ray then unifies the schemas on every concat of the read blocks
-    path = f"{sf_dir}/documents.parquet"
-    cols = ["doc_id", "text", "lang"]
-    schema = pq.read_schema(path)
-    ds = rd.read_parquet(path, columns=cols,
-                         schema=pa.schema([schema.field(c) for c in cols]))
+    ds = read_sf_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     # keep output blocks bounded: a replicate-R synthesis multiplies
     # rows AND bytes by R, so the input batch shrinks by R (wide-row
     # memory rule — html ~1 KB/row must not produce GB-sized blocks)

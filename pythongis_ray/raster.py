@@ -1325,19 +1325,26 @@ def upscale(ds, t: int = TILE):
                                 num_buckets=16)
 
 
+def _tag_source(b: pd.DataFrame, i: int) -> pd.DataFrame:
+    b = b.copy()
+    b["_src"] = np.int64(i)
+    return b
+
+
+def _union_tagged(datasets):
+    """The union of the rasters' tiles, each row tagged with the index
+    of its raster in ``_src``."""
+    u = None
+    for i, d in enumerate(datasets):
+        t = d.map_batches(_tag_source, fn_kwargs={"i": i}, batch_format="pandas")
+        u = t if u is None else u.union(t)
+    return u
+
+
 def mosaic(datasets, rule: str = "first"):
     """Paste rasters; overlapping tiles resolved first/last by a source
     priority column (reference mosaic, raster/manager.py:23-63)."""
-    tagged = []
-    for i, d in enumerate(datasets):
-        def tag(b, i=i):
-            b = b.copy()
-            b["_src"] = np.int64(i)
-            return b
-        tagged.append(d.map_batches(tag, batch_format="pandas"))
-    u = tagged[0]
-    for d in tagged[1:]:
-        u = u.union(d)
+    u = _union_tagged(datasets)
 
     # vectorized per-bucket pick (sort + keyed drop_duplicates) — the
     # sort-based groupby().map_groups iterates cells in Python and is
@@ -2392,16 +2399,7 @@ def raster_algebra(datasets, fn, t: int = TILE):
     with one groupby, apply ``fn(list_of_arrays) -> array``. User
     expressions are CALLABLES, not eval'd strings — no string eval on
     workers (SURVEY.md §2.7 sandboxing note)."""
-    tagged = []
-    for i, d in enumerate(datasets):
-        def tag(b, i=i):
-            b = b.copy()
-            b["_src"] = np.int64(i)
-            return b
-        tagged.append(d.map_batches(tag, batch_format="pandas"))
-    u = tagged[0]
-    for d in tagged[1:]:
-        u = u.union(d)
+    u = _union_tagged(datasets)
     n = len(datasets)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data.context import ShuffleStrategy
 
@@ -385,9 +386,12 @@ def _two_sided_buckets(left_ds, right_ds, keys: list[str], rkeep: list[str],
     columns into the left's namespace, pad each side with the other's
     columns and union them, so ONE :func:`bucketed_group_apply` on
     ``keys`` (left-namespace names) co-locates every key's rows from
-    both inputs. Integer keys (object-typed ones included) are cast to
-    int64 on both sides first: ``hash_pandas_object`` hashes a negative
-    int32, or an object-typed int, differently from the same int64.
+    both inputs. Integer keys are cast to int64 on both sides first
+    (object-typed ints of a pandas-backed side arrive as int64):
+    ``hash_pandas_object`` hashes a negative int32 differently from the
+    same int64. Both sides are Arrow tables in ONE column order (left
+    columns, right-only columns, ``_side``) without schema metadata, so
+    the union's blocks share one hashable schema.
     Returns (unioned_ds, lcols, rcols_renamed)."""
     lschema, rschema = left_ds.schema(), right_ds.schema()
     lcols = list(lschema.names)
@@ -397,39 +401,41 @@ def _two_sided_buckets(left_ds, right_ds, keys: list[str], rkeep: list[str],
     if clash:
         raise ValueError(f"right columns collide with left: {clash}")
 
-    def pad_value(t):
-        # a None pad turns an integer or bool column into an object
-        # column where the union's blocks concatenate (slow to move,
-        # and it leaks into the output); a typed zero keeps its dtype
-        if isinstance(t, pa.DataType) and (pa.types.is_integer(t)
-                                           or pa.types.is_boolean(t)):
-            return np.zeros(1, t.to_pandas_dtype())[0]
-        return None
+    def pad(t, n: int):
+        # a null pad turns an integer or bool column into a float or
+        # object column in the buckets' pandas frames (slow to move,
+        # and it leaks into the output); a typed zero keeps its dtype.
+        # A pandas-backed side's schema has no Arrow type for its
+        # object columns: those pads are null-typed.
+        if not isinstance(t, pa.DataType):
+            return pa.nulls(n)
+        if pa.types.is_integer(t) or pa.types.is_boolean(t):
+            return pa.array(np.zeros(n, t.to_pandas_dtype()), t)
+        return pa.nulls(n, t)
 
     rtypes = dict(zip(rschema.names, rschema.types))
-    lpad = {rename.get(c, c): pad_value(rtypes[c]) for c in rkeep
+    lpad = {rename.get(c, c): rtypes[c] for c in rkeep
             if rename.get(c, c) not in lcols}
-    rpad = {c: pad_value(t) for c, t in zip(lcols, lschema.types)
-            if c not in rcols}
+    rpad = {c: t for c, t in zip(lcols, lschema.types) if c not in rcols}
+    order = lcols + list(lpad) + ["_side"]
 
-    def key_side(side: int, keep: list[str] | None, pad: dict):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+    def key_side(side: int, keep: list[str] | None, pads: dict):
+        def fn(batch: pa.Table) -> pa.Table:
             if keep is not None:
-                batch = batch[keep].rename(columns=rename)
-            else:
-                batch = batch.copy()
+                batch = batch.select(keep).rename_columns(rcols)
+            cols = dict(zip(batch.column_names, batch.columns))
             for k in keys:
-                col = batch[k].infer_objects()
-                batch[k] = col.astype(np.int64) if col.dtype.kind == "i" \
-                    else col
-            batch["_side"] = np.int8(side)
-            for m, v in pad.items():
-                batch[m] = v
-            return batch
+                if pa.types.is_signed_integer(cols[k].type):
+                    cols[k] = pc.cast(cols[k], pa.int64())
+            n = batch.num_rows
+            cols["_side"] = pa.array(np.full(n, side, np.int8))
+            for c, t in pads.items():
+                cols[c] = pad(t, n)
+            return pa.table([cols[c] for c in order], names=order)
         return fn
 
-    l = left_ds.map_batches(key_side(0, None, lpad), batch_format="pandas")
-    r = right_ds.map_batches(key_side(1, rkeep, rpad), batch_format="pandas")
+    l = left_ds.map_batches(key_side(0, None, lpad), batch_format="pyarrow")
+    r = right_ds.map_batches(key_side(1, rkeep, rpad), batch_format="pyarrow")
     return l.union(r), lcols, rcols
 
 

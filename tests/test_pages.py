@@ -150,3 +150,62 @@ def test_nested_pages_text_byte_identical():
     assert t == ["alpha beta", "", "g&mma"]
     d = pages.tag_depth(nested).to_pandas().sort_values("page_id")
     assert d.depth.tolist() == [3 + i % 7 for i in (0, 5, 13)]
+
+
+def test_read_sf_table_drops_pandas_metadata(ray_session, tmp_path):
+    """The sf-table reader keeps the file's Arrow types, carries no
+    ``pandas`` schema metadata (a schema with that dict is unhashable,
+    so Ray unifies schemas on every concat) and converts to the same
+    pandas frame as ``pd.read_parquet``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    n = 50
+    df = pd.DataFrame({
+        "k": np.arange(n, dtype=np.int32),
+        "ts": (np.datetime64("2024-01-01", "s")
+               + np.arange(n).astype("timedelta64[s]")),
+        "s": [f"row{i}" for i in range(n)],
+        "v": [np.arange(i % 4, dtype=np.float32) for i in range(n)],
+    })
+    df.to_parquet(tmp_path / "t.parquet")
+    schema = pq.read_schema(tmp_path / "t.parquet")
+    assert b"pandas" in schema.metadata
+    assert schema.field("v").type == pa.list_(pa.float32())
+    for cols in (None, ["v", "k", "ts"]):
+        ds = pages.read_sf_table(str(tmp_path), "t", columns=cols)
+        names = cols or list(df.columns)
+        blocks = ray.get(ds.materialize().to_arrow_refs())
+        for b in blocks:
+            assert b.schema.metadata is None
+            assert b.schema == pa.schema([schema.field(c) for c in names])
+        got = ds.to_pandas()
+        exp = pd.read_parquet(tmp_path / "t.parquet", columns=names)
+        assert list(got.dtypes) == list(exp.dtypes)
+        for c in names:
+            assert [np.asarray(x).tolist() for x in got[c]] == \
+                [np.asarray(x).tolist() for x in exp[c]], c
+
+
+def test_one_sf_table_reader():
+    """Every Dataset read in queries.py and pages.py goes through
+    ``pages.read_sf_table``; the one other ``read_parquet`` reads a
+    query's own partition files (``q_indexed_search``). Driver-side
+    ``pd.read_parquet`` calls are not Dataset reads."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(pages.__file__).parent
+    found = []
+    for name in ("queries.py", "pages.py"):
+        tree = ast.parse((root / name).read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "read_parquet" \
+                        and ast.unparse(node.func.value) != "pd":
+                    found.append(f"{name}:{getattr(top, 'name', '?')}")
+    assert sorted(found) == ["pages.py:read_sf_table",
+                             "queries.py:q_indexed_search"], found

@@ -122,6 +122,7 @@ def test_hash_join_broadcast(ray_session):
 
 
 def test_join_large_matches_broadcast(ray_session):
+    import ray
     import ray.data as rd
 
     orders = rd.read_parquet(f"{SF}/orders.parquet")
@@ -183,6 +184,14 @@ def test_join_large_matches_broadcast(ray_session):
         canon = lambda d: d[cols].astype(np.float64) \
             .sort_values(cols).reset_index(drop=True)
         pd.testing.assert_frame_equal(canon(got), canon(exp))
+
+    # the joins' union: both sides' blocks in one column order, with no
+    # pandas schema metadata (Ray warns on a union whose blocks differ)
+    u, _, _ = rel._two_sided_buckets(rd.from_pandas(left), rd.from_pandas(right),
+                                     ["k"], ["k", "y"], {})
+    blocks = ray.get(u.materialize().to_arrow_refs())
+    assert {tuple(b.column_names) for b in blocks} == {("k", "k2", "x", "y", "_side")}
+    assert all(b.schema.metadata is None for b in blocks)
 
 
 def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
@@ -336,6 +345,44 @@ def test_one_grouped_shuffle_entry_point():
     assert len(found["map_groups"]) == 1, found["map_groups"]
     assert found["map_groups"][0].startswith("relational.py:")
     assert found["_one="] == [] and found["repartition(1)"] == []
+
+
+def test_no_duplicate_nested_kernels():
+    """No two closure-free nested functions inside the package's
+    module-level functions are AST-identical (names aside) within a
+    module: a kernel several functions share is one module-level
+    function. Closures over the enclosing function's locals differ per
+    caller and are not compared."""
+    import ast
+    import pathlib
+    import symtable
+
+    import pythongis_ray
+
+    root = pathlib.Path(pythongis_ray.__file__).parent
+    dups = []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text()
+        frees, tables = {}, [symtable.symtable(src, str(path), "exec")]
+        while tables:
+            for t in tables.pop().get_children():
+                if t.get_type() == "function":
+                    frees[(t.get_lineno(), t.get_name())] = t.get_frees()
+                tables.append(t)
+        seen = {}
+        for top in ast.parse(src).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for fn in ast.walk(top):
+                if fn is top or not isinstance(fn, ast.FunctionDef) \
+                        or frees.get((fn.lineno, fn.name)):
+                    continue
+                key = ast.dump(fn).replace(f"name='{fn.name}'", "", 1)
+                here = f"{path.relative_to(root)}:{fn.lineno} {top.name}.{fn.name}"
+                if key in seen:
+                    dups.append(f"{here} == {seen[key]}")
+                seen.setdefault(key, here)
+    assert dups == [], dups
 
 
 def test_dedup(ray_session):

@@ -4,15 +4,24 @@ Runs each registry entry at a given sf, converts both results to pandas,
 sorts columns by name and rows by all columns, and compares row count,
 column names and exact values. Usage:
 
-    python tools/check_oracle.py [sf_dir] [query ...]
+    python tools/check_oracle.py [sf_dir] [query ...] [--snapshot PATH]
+
+``--snapshot PATH`` also writes one JSON line per query that returned a
+result: its columns and dtypes as returned (``canon`` casts every int
+to int64, so a dtype change would pass the comparison unseen), its row
+count and the sha256 of its canonical values. Two snapshots of the same
+sf directory ``diff`` empty when no query's output changed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 
 def to_pandas(obj):
@@ -45,10 +54,32 @@ def canon(df):
     return df
 
 
+def snapshot_line(name, res) -> str:
+    """One query's snapshot record (see the module docstring)."""
+    try:
+        c = canon(res)
+    except (TypeError, ValueError):  # cells that do not sort (arrays)
+        c = res[sorted(res.columns)].reset_index(drop=True)
+
+    def plain(v):
+        return v.tolist() if hasattr(v, "tolist") else str(v)
+
+    values = json.dumps(c.to_dict("split")["data"], default=plain)
+    return json.dumps({"query": name, "columns": list(res.columns),
+                       "dtypes": [str(t) for t in res.dtypes],
+                       "rows": len(res),
+                       "sha256": hashlib.sha256(values.encode()).hexdigest()})
+
+
 def main():
     import duckdb
     import ray
 
+    snap = None
+    if "--snapshot" in sys.argv:
+        i = sys.argv.index("--snapshot")
+        snap = open(sys.argv[i + 1], "w")
+        del sys.argv[i:i + 2]
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
@@ -79,6 +110,8 @@ def main():
             print(f"[FAIL-ray ] {name}: {e}")
             continue
         t_ray = time.time() - t0
+        if snap:
+            print(snapshot_line(name, res), file=snap, flush=True)
         if name not in sqls:
             print(f"[rows-only] {name}: {len(res)} rows ({t_ray:.1f}s)")
             continue
@@ -114,6 +147,8 @@ def main():
         else:
             print(f"[OK       ] {name}: {len(a)} rows ({t_ray:.1f}s)")
     ray.shutdown()
+    if snap:
+        snap.close()
     print(f"\n{len(failures)} failures")
     for n, m in failures:
         print(" -", n, ":", m[:200])
