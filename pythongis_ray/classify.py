@@ -73,6 +73,27 @@ def headtail(values, k: int) -> list[float]:
     return sorted(set(br))
 
 
+def _jenks_back(v: np.ndarray, k: int) -> np.ndarray:
+    """Fisher–Jenks DP over sorted ``v``: ``back[i, j]`` is where the
+    last of ``j`` classes starts in the best split of ``v[:i]`` (cost =
+    summed within-class squared deviation, from prefix sums)."""
+    n = len(v)
+    csum = np.concatenate(([0.0], np.cumsum(v)))
+    csq = np.concatenate(([0.0], np.cumsum(v * v)))
+    cost = np.full((n + 1, k + 1), np.inf)
+    back = np.zeros((n + 1, k + 1), dtype=np.int64)
+    cost[0, 0] = 0.0
+    for j in range(1, k + 1):
+        for i in range(j, n + 1):
+            for m in range(j - 1, i):
+                s = csum[i] - csum[m]
+                c = cost[m, j - 1] + (csq[i] - csq[m]) - s * s / (i - m)
+                if c < cost[i, j]:
+                    cost[i, j] = c
+                    back[i, j] = m
+    return back
+
+
 def jenks_sample(values, k: int, sample: int = 1000, seed: int = 42) -> list[float]:
     """Natural breaks (Fisher-Jenks) on a bounded sample — mirrors the
     reference's sampling strategy for large inputs
@@ -86,25 +107,7 @@ def jenks_sample(values, k: int, sample: int = 1000, seed: int = 42) -> list[flo
     n = len(v)
     if k >= n:
         return [float(x) for x in np.unique(v)]
-    # DP over prefix sums
-    csum = np.concatenate(([0.0], np.cumsum(v)))
-    csq = np.concatenate(([0.0], np.cumsum(v * v)))
-
-    def sse(i, j):  # variance cost of v[i:j]
-        cnt = j - i
-        s = csum[j] - csum[i]
-        return (csq[j] - csq[i]) - s * s / cnt
-
-    cost = np.full((n + 1, k + 1), np.inf)
-    back = np.zeros((n + 1, k + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
-    for j in range(1, k + 1):
-        for i in range(j, n + 1):
-            for m in range(j - 1, i):
-                c = cost[m, j - 1] + sse(m, i)
-                if c < cost[i, j]:
-                    cost[i, j] = c
-                    back[i, j] = m
+    back = _jenks_back(v, k)
     # recover break positions
     breaks = [float(v[-1])]
     i = n
@@ -187,24 +190,7 @@ def _jenks_exact(v: np.ndarray, k: int) -> list[float]:
     in the reference's convention: break i = LAST value of class i
     (classypie getbreaks, breaks.py:294-345). O(n²·k)."""
     n = len(v)
-    csum = np.concatenate(([0.0], np.cumsum(v)))
-    csq = np.concatenate(([0.0], np.cumsum(v * v)))
-
-    def sse(i, j):
-        cnt = j - i
-        s = csum[j] - csum[i]
-        return (csq[j] - csq[i]) - s * s / cnt
-
-    cost = np.full((n + 1, k + 1), np.inf)
-    back = np.zeros((n + 1, k + 1), dtype=np.int64)
-    cost[0, 0] = 0.0
-    for j in range(1, k + 1):
-        for i in range(j, n + 1):
-            for m in range(j - 1, i):
-                c = cost[m, j - 1] + sse(m, i)
-                if c < cost[i, j]:
-                    cost[i, j] = c
-                    back[i, j] = m
+    back = _jenks_back(v, k)
     breaks = [0.0] * (k + 1)
     breaks[k] = float(v[-1])
     breaks[0] = float(v[0])

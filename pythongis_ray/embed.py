@@ -326,6 +326,27 @@ def neardup_pairs(ds, threshold: int, id_col: str = "vec_id",
                                  emb_col=emb_col, scale=scale)
 
 
+def _replicate_to_block_tasks(batch: pa.Table, B: int, id_col: str,
+                              emb_col: str) -> pd.DataFrame:
+    """1-Bucket-Theta replication: a row in block b (id hash % B) joins
+    every block-pair task (min(b, j), max(b, j)), j < B."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    blk = ((ids.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)
+           ).astype(np.int64) % B
+    j = np.arange(B, dtype=np.int64)
+    lo = np.minimum(blk[:, None], j[None, :])
+    hi = np.maximum(blk[:, None], j[None, :])
+    task = (lo * B + hi).ravel()
+    rep = np.repeat(np.arange(len(ids)), B)
+    emb = batch[emb_col].take(pa.array(rep))
+    return pd.DataFrame({
+        "task": task,
+        "_blk": np.repeat(blk, B),
+        id_col: np.repeat(ids, B),
+        emb_col: emb.to_pandas(),
+    })
+
+
 def neardup_pairs_blocked(ds, threshold: int, id_col: str = "vec_id",
                           emb_col: str = "embedding", scale: int = 1000,
                           n_blocks: int = 8):
@@ -346,24 +367,6 @@ def neardup_pairs_blocked(ds, threshold: int, id_col: str = "vec_id",
     instead (recall < 1). Replaces the round-2 broadcast version that
     pulled the whole corpus to the driver."""
     B = int(n_blocks)
-
-    def replicate(batch: pa.Table) -> pd.DataFrame:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        blk = ((ids.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)
-               ).astype(np.int64) % B
-        # row in block b joins tasks (min(b,j), max(b,j)) for all j
-        j = np.arange(B, dtype=np.int64)
-        lo = np.minimum(blk[:, None], j[None, :])
-        hi = np.maximum(blk[:, None], j[None, :])
-        task = (lo * B + hi).ravel()
-        rep = np.repeat(np.arange(len(ids)), B)
-        emb = batch[emb_col].take(pa.array(rep))
-        return pd.DataFrame({
-            "task": task,
-            "_blk": np.repeat(blk, B),
-            id_col: np.repeat(ids, B),
-            emb_col: emb.to_pandas(),
-        })
 
     def pairs_in_task(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"id_a": np.array([], np.int64),
@@ -393,7 +396,9 @@ def neardup_pairs_blocked(ds, threshold: int, id_col: str = "vec_id",
         return pd.DataFrame({"id_a": lo, "id_b": hi,
                              "score": scores[ai, bj]})
 
-    rep = ds.map_batches(replicate, batch_format="pyarrow", batch_size=4096)
+    rep = ds.map_batches(_replicate_to_block_tasks, batch_format="pyarrow",
+                         batch_size=4096,
+                         fn_kwargs={"B": B, "id_col": id_col, "emb_col": emb_col})
     return rel.group_apply(rep, "task", pairs_in_task)
 
 
@@ -656,23 +661,6 @@ def mutual_nn_blocked(ds, id_col: str = "vec_id",
     is the inherent exact O(n²) spread over B(B+1)/2 tasks."""
     B = int(n_blocks)
 
-    def replicate(batch: pa.Table) -> pd.DataFrame:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        blk = ((ids.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(7)
-               ).astype(np.int64) % B
-        j = np.arange(B, dtype=np.int64)
-        lo = np.minimum(blk[:, None], j[None, :])
-        hi = np.maximum(blk[:, None], j[None, :])
-        task = (lo * B + hi).ravel()
-        rep = np.repeat(np.arange(len(ids)), B)
-        emb = batch[emb_col].take(pa.array(rep))
-        return pd.DataFrame({
-            "task": task,
-            "_blk": np.repeat(blk, B),
-            id_col: np.repeat(ids, B),
-            emb_col: emb.to_pandas(),
-        })
-
     def best_in_task(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"id": np.array([], np.int64),
                               "partner": np.array([], np.int64),
@@ -703,8 +691,9 @@ def mutual_nn_blocked(ds, id_col: str = "vec_id",
             "score": np.concatenate([sc[np.arange(int(ma.sum())), ba],
                                      sc[bb, np.arange(int(mb.sum()))]])})
 
-    rep = ds.map_batches(replicate, batch_format="pyarrow",
-                         batch_size=4096)
+    rep = ds.map_batches(_replicate_to_block_tasks, batch_format="pyarrow",
+                         batch_size=4096,
+                         fn_kwargs={"B": B, "id_col": id_col, "emb_col": emb_col})
     parts = rel.group_apply(rep, "task", best_in_task)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:

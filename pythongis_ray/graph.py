@@ -1341,6 +1341,22 @@ def _truss_support(e):
         [("u", pa.int64()), ("v", pa.int64()), ("support", pa.int64())]))
 
 
+def _undirected_edges(edges, src: str, dst: str):
+    """Distinct undirected edges (u < v, self-loops dropped) of a
+    directed edge Dataset, materialized."""
+    def canon(batch: pa.Table) -> pa.Table:
+        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = u != v
+        u, v = u[keep], v[keep]
+        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
+
+    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
+    e = rel.dedup(e, ["u", "v"])
+    return rel.with_empty_schema(e, pa.schema(
+        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+
+
 def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
            max_rounds: int = 4):
     """k-truss of the undirected distinct-edge graph (Cohen 2008):
@@ -1356,17 +1372,7 @@ def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
     Each round is two hash-partitioned joins + one bucketed count —
     the per-round state is only the narrow surviving edge list,
     re-materialized so the peeling loop never re-executes lineage."""
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
-    e = rel.dedup(e, ["u", "v"])
-    e = rel.with_empty_schema(e, pa.schema(
-        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+    e = _undirected_edges(edges, src, dst)
     n_edges = e.count()
 
     thresh = k - 2
@@ -1399,17 +1405,7 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
     counts toward all three corners; degrees come from the doubled
     distinct edge list. Both per-node tables are node-bounded; they
     meet in ONE bucketed combine via union-all partials (no join)."""
-    def canon(batch: pa.Table) -> pa.Table:
-        u = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
-
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
-    e = rel.dedup(e, ["u", "v"])
-    e = rel.with_empty_schema(e, pa.schema(
-        [("u", pa.int64()), ("v", pa.int64())])).materialize()
+    e = _undirected_edges(edges, src, dst)
 
     supp = _truss_support(e)   # reuse: emits (u,v,support) per EDGE
 

@@ -148,7 +148,16 @@ def groupby_aggregate(ds, keys, specs, order_col: str | list[str] | None = None)
     ordering first/last/concat within each group (a multi-column list
     avoids deriving a combined sort key, which risks int64 overflow).
     Missing values are dropped per-stat (reference sql.py:103-118).
-    Returns a Ray Dataset.
+    Returns a Ray Dataset of pandas blocks, columns ``keys`` then each
+    spec's ``out`` in spec order.
+
+    The algebraic stats (count/sum/min/max/mean) run two phases: a
+    per-batch partial, then one bucketed combine (one sort shuffle).
+    The partial is this function's own, so callers pass ROW-LEVEL
+    frames (a derive ``map_batches``), never hand-folded partials.
+    Contract: ``sum``/``min``/``max`` of an int64 column stay int64,
+    ``count`` is int64, and rows whose key is null form ONE group
+    (``dropna=False``; pandas' default ``groupby`` drops them).
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     specs = _normalize(specs)

@@ -886,6 +886,20 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     return _verify_pairs_batches(cand, threshold)
 
 
+def _doc_shingles(batch: pa.Table, id_col: str,
+                  text_col: str) -> pd.DataFrame:
+    """Distinct (shingle hash, doc id) rows of one batch: the
+    inverted-index explode of the exact n-gram pair joins."""
+    col = batch[text_col]
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    th, tok_offs = _batch_token_hashes(arr)
+    sh, sh_offs = _batch_shingles(th, tok_offs)
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    doc_of = np.repeat(np.arange(len(ids)), np.diff(sh_offs))
+    df = pd.DataFrame({"sh": sh.view(np.int64), id_col: ids[doc_of]})
+    return df.drop_duplicates()
+
+
 def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         threshold: float = 0.5):
     """EXACT n-gram (5-token shingle) Jaccard near-dup pairs — full
@@ -897,17 +911,9 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     so run exact dedup first on heavy-duplicate corpora."""
     from pythongis_ray import relational as rel
 
-    def explode(batch: pa.Table) -> pd.DataFrame:
-        col = batch[text_col]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        th, tok_offs = _batch_token_hashes(arr)
-        sh, sh_offs = _batch_shingles(th, tok_offs)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        doc_of = np.repeat(np.arange(len(ids)), np.diff(sh_offs))
-        df = pd.DataFrame({"sh": sh.view(np.int64), id_col: ids[doc_of]})
-        return df.drop_duplicates()
-
-    bands = ds.map_batches(explode, batch_format="pyarrow", batch_size=4096)
+    bands = ds.map_batches(_doc_shingles, batch_format="pyarrow",
+                           batch_size=4096,
+                           fn_kwargs={"id_col": id_col, "text_col": text_col})
 
     def bucket_pairs(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b.duplicated(subset=["sh"], keep=False)]
@@ -2140,6 +2146,36 @@ def gopher_rules(batch: pa.Table, id_col: str = "doc_id",
         "ok_ttr": pa.array(ok_ttr)})
 
 
+def _kmv_partial(batch: pa.Table, key_col: str, text_col: str,
+                 k: int) -> pa.Table:
+    """One batch's per-group KMV partial: the ``k`` smallest distinct
+    mixed token hashes of each ``key_col`` group, as (key, h) rows."""
+    col = batch[text_col]
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    th, offs = _batch_token_hashes(arr)
+    with np.errstate(over="ignore"):
+        th = th * KMV_MIX
+    keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    lens = offs[1:] - offs[:-1]
+    g = np.repeat(keys, lens)
+    if len(g) == 0:
+        return pa.table({key_col: pa.array([], pa.int64()),
+                         "h": pa.array([], pa.int64())})
+    o = np.lexsort((th, g))
+    g2, t2 = g[o], th[o]
+    new = np.concatenate(
+        ([True], (g2[1:] != g2[:-1]) | (t2[1:] != t2[:-1])))
+    g2, t2 = g2[new], t2[new]
+    # rank within group over the (sorted) distinct run
+    starts = np.concatenate(([True], g2[1:] != g2[:-1]))
+    sidx = np.nonzero(starts)[0]
+    rank = np.arange(len(g2)) - np.repeat(
+        sidx, np.diff(np.concatenate((sidx, [len(g2)]))))
+    m = rank < k
+    return pa.table({key_col: pa.array(g2[m]),
+                     "h": pa.array(t2[m].view(np.int64))})
+
+
 def kmv_distinct_by(ds, key_col: str, text_col: str = "text",
                     k: int = 256):
     """Per-GROUP approximate distinct-token counts via mergeable KMV
@@ -2152,36 +2188,10 @@ def kmv_distinct_by(ds, key_col: str, text_col: str = "text",
     hashes report the exact count with kth_hash = -1."""
     from pythongis_ray.relational import bucketed_group_apply
 
-    def partial(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-            else col
-        th, offs = _batch_token_hashes(arr)
-        with np.errstate(over="ignore"):
-            th = th * KMV_MIX
-        keys = batch[key_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        lens = offs[1:] - offs[:-1]
-        g = np.repeat(keys, lens)
-        if len(g) == 0:
-            return pa.table({key_col: pa.array([], pa.int64()),
-                             "h": pa.array([], pa.int64())})
-        o = np.lexsort((th, g))
-        g2, t2 = g[o], th[o]
-        new = np.concatenate(
-            ([True], (g2[1:] != g2[:-1]) | (t2[1:] != t2[:-1])))
-        g2, t2 = g2[new], t2[new]
-        # rank within group over the (sorted) distinct run
-        starts = np.concatenate(([True], g2[1:] != g2[:-1]))
-        sidx = np.nonzero(starts)[0]
-        rank = np.arange(len(g2)) - np.repeat(
-            sidx, np.diff(np.concatenate((sidx, [len(g2)]))))
-        m = rank < k
-        return pa.table({key_col: pa.array(g2[m]),
-                         "h": pa.array(t2[m].view(np.int64))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=8192)
+    parts = ds.map_batches(_kmv_partial, batch_format="pyarrow",
+                           batch_size=8192,
+                           fn_kwargs={"key_col": key_col,
+                                      "text_col": text_col, "k": k})
 
     def combine(b: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -2572,35 +2582,10 @@ def kmv_sketch_by(ds, key_col: str, text_col: str = "text", k: int = 16):
     O(groups × k) regardless of corpus size."""
     from pythongis_ray.relational import bucketed_group_apply
 
-    def partial(batch: pa.Table) -> pa.Table:
-        col = batch[text_col]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-            else col
-        th, offs = _batch_token_hashes(arr)
-        with np.errstate(over="ignore"):
-            th = th * KMV_MIX
-        keys = batch[key_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        lens = offs[1:] - offs[:-1]
-        g = np.repeat(keys, lens)
-        if len(g) == 0:
-            return pa.table({key_col: pa.array([], pa.int64()),
-                             "h": pa.array([], pa.int64())})
-        o = np.lexsort((th, g))
-        g2, t2 = g[o], th[o]
-        new = np.concatenate(
-            ([True], (g2[1:] != g2[:-1]) | (t2[1:] != t2[:-1])))
-        g2, t2 = g2[new], t2[new]
-        starts = np.concatenate(([True], g2[1:] != g2[:-1]))
-        sidx = np.nonzero(starts)[0]
-        rank = np.arange(len(g2)) - np.repeat(
-            sidx, np.diff(np.concatenate((sidx, [len(g2)]))))
-        m = rank < k
-        return pa.table({key_col: pa.array(g2[m]),
-                         "h": pa.array(t2[m].view(np.int64))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=8192)
+    parts = ds.map_batches(_kmv_partial, batch_format="pyarrow",
+                           batch_size=8192,
+                           fn_kwargs={"key_col": key_col,
+                                      "text_col": text_col, "k": k})
 
     def combine(b: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -3089,17 +3074,9 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     integer containment in ppm."""
     from pythongis_ray import relational as rel
 
-    def explode(batch: pa.Table) -> pd.DataFrame:
-        col = batch[text_col]
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        th, tok_offs = _batch_token_hashes(arr)
-        sh, sh_offs = _batch_shingles(th, tok_offs)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        doc_of = np.repeat(np.arange(len(ids)), np.diff(sh_offs))
-        df = pd.DataFrame({"sh": sh.view(np.int64), id_col: ids[doc_of]})
-        return df.drop_duplicates()
-
-    bands = ds.map_batches(explode, batch_format="pyarrow", batch_size=4096)
+    bands = ds.map_batches(_doc_shingles, batch_format="pyarrow",
+                           batch_size=4096,
+                           fn_kwargs={"id_col": id_col, "text_col": text_col})
 
     def bucket_pairs(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b.duplicated(subset=["sh"], keep=False)]

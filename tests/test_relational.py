@@ -33,6 +33,22 @@ def test_groupby_aggregate_algebraic(ray_session, lineitem):
     pd.testing.assert_frame_equal(
         out[exp.columns.tolist()].astype({"cnt": np.int64}), exp.astype({"cnt": np.int64}))
 
+    # the contract queries rely on: int64 values stay int64 across the
+    # per-block partial and the combine, and null keys form one group
+    import ray.data as rd
+
+    blocks = [pa.table({"k": pa.array(k, pa.int64()), "v": pa.array(v, pa.int64())})
+              for k, v in (([1, None, 2], [5, 7, 1]), ([None, 1], [3, 9]),
+                           ([2, 2, None], [4, 6, 2]))]
+    got = rel.groupby_aggregate(
+        rd.from_arrow(blocks), ["k"],
+        [("s", "v", "sum"), ("mn", "v", "min"), ("mx", "v", "max"),
+         ("n", None, "count")]).to_pandas()
+    assert got[["s", "mn", "mx", "n"]].dtypes.tolist() == [np.dtype(np.int64)] * 4
+    null = got[got["k"].isna()]
+    assert len(got) == 3 and len(null) == 1
+    assert null[["s", "mn", "mx", "n"]].iloc[0].tolist() == [12, 2, 7, 3]
+
 
 def test_groupby_aggregate_holistic(ray_session):
     import ray.data as rd
@@ -347,12 +363,115 @@ def test_one_grouped_shuffle_entry_point():
     assert found["_one="] == [] and found["repartition(1)"] == []
 
 
+def test_keyed_reaggregation_uses_groupby_aggregate():
+    """No kernel that ``queries.py`` passes to ``bucketed_group_apply``
+    only re-aggregates its bucket by that call's keys with
+    sum/min/max/size (or an ``agg`` of those): such a combine is
+    ``rel.groupby_aggregate`` over a row-level derive map, whose
+    per-batch partial and bucketed combine are the engine's own."""
+    import ast
+    import pathlib
+
+    import pythongis_ray
+
+    # sums over one column per embedding dimension: the column names
+    # are known only from the data, so no spec list can name them
+    kept = {"q_label_compact"}
+    reductions = {"sum", "min", "max", "size"}
+
+    def keys_of(node, env):
+        node = env.get(node.id, node) if isinstance(node, ast.Name) else node
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        if isinstance(node, (ast.List, ast.Tuple)) and all(
+                isinstance(e, ast.Constant) for e in node.elts):
+            return [e.value for e in node.elts]
+        return None
+
+    def reaggregates(fn, keys, env):
+        # every groupby is the bucket frame's own, by the bucket keys,
+        # and the frame is used for nothing else
+        param = fn.args.args[0].arg
+        uses = [n for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and n.id == param]
+        grouped, names = [], set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "groupby":
+                if not (n.args and keys_of(n.args[0], env) == keys
+                        and isinstance(n.func.value, ast.Name)
+                        and n.func.value.id == param):
+                    return False
+                grouped.append(n)
+            elif isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name):
+                v = n.value
+                while isinstance(v, ast.Subscript):
+                    v = v.value
+                if isinstance(v, ast.Call) and getattr(v.func, "attr", "") == "groupby":
+                    names.add(n.targets[0].id)
+        if not grouped or len(uses) != len(grouped):
+            return False
+
+        def on_group(v):
+            while isinstance(v, ast.Subscript):
+                v = v.value
+            return any(v is g for g in grouped) or (
+                isinstance(v, ast.Name) and v.id in names)
+
+        stats = []
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and on_group(n.func.value):
+                if n.func.attr not in ("agg", "aggregate"):
+                    stats.append(n.func.attr)
+                    continue
+                for v in n.args + [k.value for k in n.keywords]:
+                    if isinstance(v, ast.Tuple) and len(v.elts) == 2:
+                        v = v.elts[1]
+                    stats.append(v.value if isinstance(v, ast.Constant) else None)
+        return bool(stats) and set(stats) <= reductions
+
+    path = pathlib.Path(pythongis_ray.__file__).parent / "queries.py"
+    body = ast.parse(path.read_text()).body
+    module_fns = {n.name: n for n in body if isinstance(n, ast.FunctionDef)}
+    found = []
+    for top in body:
+        if not isinstance(top, ast.FunctionDef) or top.name in kept:
+            continue
+        defs = dict(module_fns)
+        for n in ast.walk(top):
+            if isinstance(n, ast.FunctionDef) and n is not top:
+                defs[n.name] = n
+            elif isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda) \
+                    and isinstance(n.targets[0], ast.Name):
+                defs[n.targets[0].id] = n.value
+        for c in ast.walk(top):
+            if not (isinstance(c, ast.Call) and len(c.args) >= 3 and getattr(
+                    c.func, "attr", getattr(c.func, "id", "")) == "bucketed_group_apply"):
+                continue
+            fn, env = c.args[2], {}
+            if isinstance(fn, ast.Call) and getattr(fn.func, "id", "") in defs:
+                # a kernel factory: bind its arguments, scan what it returns
+                factory = defs[fn.func.id]
+                env = {a.arg: v for a, v in zip(factory.args.args, fn.args)}
+                fn = next((n for n in factory.body
+                           if isinstance(n, ast.FunctionDef)), None)
+            elif isinstance(fn, ast.Name):
+                fn = defs.get(fn.id)
+            elif not isinstance(fn, ast.Lambda):
+                fn = None
+            keys = keys_of(c.args[1], {})
+            if keys and fn is not None and reaggregates(fn, keys, env):
+                found.append(f"queries.py:{c.lineno} {top.name}")
+    assert found == [], found
+
+
 def test_no_duplicate_nested_kernels():
-    """No two closure-free nested functions inside the package's
-    module-level functions are AST-identical (names aside) within a
-    module: a kernel several functions share is one module-level
-    function. Closures over the enclosing function's locals differ per
-    caller and are not compared."""
+    """No two nested functions inside the package's module-level
+    functions are AST-identical (names aside) within a module: a kernel
+    several functions share is one module-level function. A closure
+    counts as a copy of another when its code is identical and it
+    closes over the same names: the closed-over values become
+    arguments of the shared kernel."""
     import ast
     import pathlib
     import symtable
@@ -374,10 +493,10 @@ def test_no_duplicate_nested_kernels():
             if not isinstance(top, ast.FunctionDef):
                 continue
             for fn in ast.walk(top):
-                if fn is top or not isinstance(fn, ast.FunctionDef) \
-                        or frees.get((fn.lineno, fn.name)):
+                if fn is top or not isinstance(fn, ast.FunctionDef):
                     continue
-                key = ast.dump(fn).replace(f"name='{fn.name}'", "", 1)
+                key = ast.dump(fn).replace(f"name='{fn.name}'", "", 1) \
+                    + repr(sorted(frees.get((fn.lineno, fn.name), ())))
                 here = f"{path.relative_to(root)}:{fn.lineno} {top.name}.{fn.name}"
                 if key in seen:
                     dups.append(f"{here} == {seen[key]}")

@@ -4,15 +4,14 @@ import pyarrow as pa
 import pytest
 
 from pythongis_ray import embed, text
+from pythongis_ray.pages import read_sf_table
 
 SF = "/root/testdata/sf0.001"
 
 
 @pytest.fixture(scope="module")
 def docs(ray_session):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{SF}/documents.parquet")
+    return read_sf_table(SF, "documents")
 
 
 def test_token_count_matches_split(ray_session, docs):
@@ -189,9 +188,7 @@ def test_langid(ray_session):
 # ----------------------------------------------------------- embeddings
 
 def test_ann_topk_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     queries = pdf[pdf.vec_id < 3]
     out = embed.ann_topk(emb, queries, k=4)
@@ -207,9 +204,7 @@ def test_ann_topk_matches_bruteforce(ray_session):
 
 
 def test_ann_lsh_recall(ray_session):
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     queries = pdf[pdf.vec_id < 5]
     exact = embed.ann_topk(emb, queries, k=3)
@@ -222,9 +217,7 @@ def test_ann_lsh_recall(ray_session):
 
 
 def test_label_centroids(ray_session):
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     out = embed.label_centroids(emb).to_pandas().sort_values("label")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     mat = embed.quantize(np.vstack(pdf.embedding.to_numpy()))
@@ -255,10 +248,8 @@ def test_neardup_pairs_exact(ray_session):
 def test_neardup_pairs_blocked_matches_broadcast(ray_session):
     """The distributed 1-Bucket-Theta self-join emits exactly the
     broadcast baseline's pair set (each unordered pair met once)."""
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = read_sf_table(SF, "embeddings",
+                        columns=["vec_id", "embedding"])
     want = embed.neardup_pairs(emb, threshold=400_000).to_pandas()
     for nb in (1, 3, 8):
         got = embed.neardup_pairs_blocked(
@@ -270,9 +261,7 @@ def test_neardup_pairs_blocked_matches_broadcast(ray_session):
 
 
 def test_ann_ivf_recall_and_exactness_at_full_probe(ray_session):
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     queries = pdf[pdf.vec_id < 4]
     exact = embed.ann_topk(emb, queries, k=3)
@@ -391,9 +380,7 @@ def test_ann_ivf_int_full_probe_exact_and_deterministic(ray_session):
     """Integer-lattice IVF: probing every list reproduces the exact
     top-k, and two runs produce identical output (bit-reproducible
     training — no RNG, integer partials)."""
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     queries = pdf[pdf.vec_id < 4]
     exact = embed.ann_topk(emb, queries, k=3)
@@ -1295,9 +1282,7 @@ def test_minhash_bucket_cap_bounds_template_cluster(ray_session):
 
 
 def test_hard_negatives_matches_bruteforce(ray_session):
-    import ray.data as rd
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
+    emb = read_sf_table(SF, "embeddings")
     pdf = pd.read_parquet(f"{SF}/embeddings.parquet")
     queries = pdf[pdf.vec_id < 4]
     out = embed.hard_negatives(emb, queries, k=2)

@@ -7,9 +7,11 @@ Run after adding queries:  python tools/registry_index.py
 """
 from __future__ import annotations
 
+import pathlib
 import sys
 
-sys.path.insert(0, "/root/repo")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 
 def build() -> str:
@@ -40,6 +42,6 @@ def build() -> str:
 
 if __name__ == "__main__":
     out = build()
-    with open("/root/repo/docs/REGISTRY.md", "w") as f:
+    with open(ROOT / "docs" / "REGISTRY.md", "w") as f:
         f.write(out)
     print(out.splitlines()[2])

@@ -9,10 +9,11 @@ Usage: python tools/skew_torture.py [n_docs]
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
 
 def make_corpus(n: int, cluster: int):
