@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from pythongis_ray.relational import group_apply
+from pythongis_ray.relational import group_apply, map_arrow
 
 
 def partition_of(values: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -99,7 +99,7 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
             batch = batch.filter(pa.array(keep))
         return batch
 
-    keyed = ds.map_batches(add_part, batch_format="pyarrow", batch_size=65536)
+    keyed = map_arrow(ds, add_part)
 
     def sink(group: pa.Table) -> pa.Table:
         table = group.drop_columns(["_part"]).replace_schema_metadata()

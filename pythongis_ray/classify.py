@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from pythongis_ray.relational import map_pandas
+
 
 # ------------------------------------------------------------ breaks
 
@@ -276,7 +278,7 @@ def apply_classes(ds, col: str, breaks, out_col: str = "class"):
         batch[out_col] = find_class(batch[col].to_numpy(), breaks)
         return batch
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=65536)
+    return map_pandas(ds, fn)
 
 
 def rescale(ds, col: str, to: tuple[float, float], out_col: str | None = None):
@@ -294,4 +296,4 @@ def rescale(ds, col: str, to: tuple[float, float], out_col: str | None = None):
         batch[out_col] = (batch[col].to_numpy(np.float64) - lo) / span * (b - a) + a
         return batch
 
-    return ds.map_batches(fn, batch_format="pandas", batch_size=65536)
+    return map_pandas(ds, fn)

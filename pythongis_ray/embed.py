@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 
 from pythongis_ray import relational as rel, state
+from pythongis_ray.relational import map_pandas
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -711,8 +712,7 @@ def mutual_nn_blocked(ds, id_col: str = "vec_id",
                              "hi": np.maximum(i, p),
                              "id": i, "score": b["score"].to_numpy(np.int64)})
 
-    keyed = nn.map_batches(pair_key, batch_format="pandas",
-                           batch_size=65536)
+    keyed = map_pandas(nn, pair_key)
 
     def mutual(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby(["lo", "hi"], sort=False).agg(

@@ -59,6 +59,7 @@ import ray
 import ray.data as rd
 
 from pythongis_ray import relational as rel
+from pythongis_ray.relational import map_arrow
 
 _NO_LABEL = np.iinfo(np.int64).min
 
@@ -111,8 +112,7 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
     # materialize the compact (src, dst) pairs ONCE: upstream lineage
     # (html synthesis + link extraction) would otherwise re-execute for
     # the outdeg aggregate, the join probe AND the node scan below
-    e = edges.map_batches(as_edges, batch_format="pyarrow",
-                          batch_size=65536).materialize()
+    e = map_arrow(edges, as_edges).materialize()
 
     # outdeg per source (multiplicity), partial-agg + bucketed combine
     od = rel.groupby_aggregate(e, "key", [("od", "other", "count")])
@@ -124,12 +124,11 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
         b = batch["other"].to_numpy(zero_copy_only=False)
         return pa.table({"node": pa.array(np.unique(np.concatenate([a, b])))})
 
-    nodes = rel.dedup(e.map_batches(to_nodes, batch_format="pyarrow",
-                                    batch_size=65536), ["node"])
-    mass = nodes.map_batches(
-        lambda b: b.append_column(
-            "mass", pa.array(np.full(b.num_rows, init_mass, np.int64))),
-        batch_format="pyarrow", batch_size=65536).materialize()
+    nodes = rel.dedup(map_arrow(e, to_nodes), ["node"])
+    mass = map_arrow(
+        nodes, lambda b: b.append_column(
+            "mass", pa.array(np.full(b.num_rows, init_mass, np.int64)))
+    ).materialize()
 
     def scatter(bucket: pd.DataFrame) -> pd.DataFrame:
         """Bucket holds this key-range's edges (other != _NO_LABEL)
@@ -155,18 +154,14 @@ def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
 
     trace = [mass]
     for _ in range(iters):
-        mass_rows = mass.map_batches(
-            lambda b: pa.table({
-                "key": b["node"],
-                "other": pa.array(np.full(b.num_rows, _NO_LABEL)),
-                "od": pa.array(np.zeros(b.num_rows, np.int64)),
-                "mass": b["mass"]}),
-            batch_format="pyarrow", batch_size=65536)
-        edge_rows = e_od.map_batches(
-            lambda b: pa.table({
-                "key": b["key"], "other": b["other"], "od": b["od"],
-                "mass": pa.array(np.full(b.num_rows, _NO_LABEL))}),
-            batch_format="pyarrow", batch_size=65536)
+        mass_rows = map_arrow(mass, lambda b: pa.table({
+            "key": b["node"],
+            "other": pa.array(np.full(b.num_rows, _NO_LABEL)),
+            "od": pa.array(np.zeros(b.num_rows, np.int64)),
+            "mass": b["mass"]}))
+        edge_rows = map_arrow(e_od, lambda b: pa.table({
+            "key": b["key"], "other": b["other"], "od": b["od"],
+            "mass": pa.array(np.full(b.num_rows, _NO_LABEL))}))
         msgs = rel.bucketed_group_apply(edge_rows.union(mass_rows),
                                         ["key"], scatter)
         mass = rel.bucketed_group_apply(msgs, ["node"],
@@ -204,13 +199,12 @@ def triangle_count(edges, src: str = "src", dst: str = "dst"):
             "u": pc.cast(batch[src], pa.int64()),
             "w": pc.cast(batch[dst], pa.int64())})
 
-    e_uv = edges.map_batches(as_uv, batch_format="pyarrow", batch_size=65536)
-    e_vw = edges.map_batches(as_vw, batch_format="pyarrow", batch_size=65536)
-    e_uw = edges.map_batches(as_uw, batch_format="pyarrow", batch_size=65536)
+    e_uv = map_arrow(edges, as_uv)
+    e_vw = map_arrow(edges, as_vw)
+    e_uw = map_arrow(edges, as_uw)
     wedges = rel.join_large(e_uv, e_vw, on="v", num_buckets=16)
     closed = rel.join_large(
-        wedges.map_batches(lambda b: b.select(["u", "w"]),
-                           batch_format="pyarrow", batch_size=65536),
+        map_arrow(wedges, lambda b: b.select(["u", "w"])),
         e_uw, on=["u", "w"], num_buckets=16)
     n = closed.count()
     return pa.table({"n_triangles": pa.array([n], pa.int64())})
@@ -1307,16 +1301,12 @@ def _truss_support(e):
     (u, v, support). Both joins are bucketed hash joins
     (``rel.join_large``): task-based shuffles with no per-call actor
     pool, cheap enough to rerun every round of the peeling loop."""
-    ab = e.map_batches(lambda b: pa.table({"a": b["u"], "b": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
-    bc = e.map_batches(lambda b: pa.table({"b": b["u"], "c": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
-    ac = e.map_batches(lambda b: pa.table({"a": b["u"], "c": b["v"]}),
-                       batch_format="pyarrow", batch_size=65536)
+    ab = map_arrow(e, lambda b: pa.table({"a": b["u"], "b": b["v"]}))
+    bc = map_arrow(e, lambda b: pa.table({"b": b["u"], "c": b["v"]}))
+    ac = map_arrow(e, lambda b: pa.table({"a": b["u"], "c": b["v"]}))
     wedges = rel.join_large(ab, bc, on="b", num_buckets=16)
     tri = rel.join_large(
-        wedges.map_batches(lambda b: b.select(["a", "b", "c"]),
-                           batch_format="pyarrow", batch_size=65536),
+        map_arrow(wedges, lambda b: b.select(["a", "b", "c"])),
         ac, on=["a", "c"], num_buckets=16)
 
     def emit_roles(batch: pa.Table) -> pa.Table:
@@ -1327,8 +1317,7 @@ def _truss_support(e):
             "u": np.concatenate([a, b, a]).astype(np.int64),
             "v": np.concatenate([b, c, c]).astype(np.int64)})
 
-    roles = tri.map_batches(emit_roles, batch_format="pyarrow",
-                            batch_size=65536)
+    roles = map_arrow(tri, emit_roles)
 
     def count(g: pd.DataFrame) -> pd.DataFrame:
         c = g.groupby(["u", "v"], sort=False).size()
@@ -1351,7 +1340,7 @@ def _undirected_edges(edges, src: str, dst: str):
         u, v = u[keep], v[keep]
         return pa.table({"u": np.minimum(u, v), "v": np.maximum(u, v)})
 
-    e = edges.map_batches(canon, batch_format="pyarrow", batch_size=65536)
+    e = map_arrow(edges, canon)
     e = rel.dedup(e, ["u", "v"])
     return rel.with_empty_schema(e, pa.schema(
         [("u", pa.int64()), ("v", pa.int64())])).materialize()
@@ -1378,10 +1367,8 @@ def ktruss(edges, src: str = "src", dst: str = "dst", k: int = 4,
     thresh = k - 2
     for _ in range(max_rounds):
         supp = _truss_support(e)
-        e = supp.map_batches(
-            lambda b: b.filter(pc.greater_equal(b["support"], thresh))
-            .select(["u", "v"]),
-            batch_format="pyarrow", batch_size=65536).materialize()
+        e = map_arrow(supp, lambda b: b.filter(pc.greater_equal(
+            b["support"], thresh)).select(["u", "v"])).materialize()
         n_new = e.count()
         if n_new == 0:
             # all later rounds (and the final support pass) are empty
@@ -1429,10 +1416,8 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
             "tri2": np.zeros(n, np.int64),
             "deg": np.ones(n, np.int64)})
 
-    tri_parts = supp.map_batches(node_tri, batch_format="pyarrow",
-                                 batch_size=65536)
-    deg_parts = e.map_batches(node_deg, batch_format="pyarrow",
-                              batch_size=65536)
+    tri_parts = map_arrow(supp, node_tri)
+    deg_parts = map_arrow(e, node_deg)
     parts = tri_parts.union(deg_parts)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pythongis_ray import fixtures, grid
+from pythongis_ray.relational import map_arrow
 
 EPOCH_2024 = 1704067200_000000  # 2024-01-01 in microseconds
 N_SITES = 50
@@ -383,5 +384,4 @@ def host_edges(edges):
         return pa.table({"src": pa.array(s % N_SITES),
                          "dst": pa.array(d % N_SITES)})
 
-    return edges.map_batches(to_hosts, batch_format="pyarrow",
-                             batch_size=65536)
+    return map_arrow(edges, to_hosts)

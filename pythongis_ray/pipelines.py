@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pythongis_ray import fixtures, pages, spatial  # noqa: F401
+from pythongis_ray.relational import map_arrow
 
 
 def load_zones(sf_dir: str) -> pd.DataFrame:
@@ -188,9 +189,7 @@ def corpus_build(docs_ds):
                                      degree_cap=64).materialize()
     comp = graph.connected_components(
         pairs.select_columns(["id_a", "id_b"]))
-    comp = comp.map_batches(
-        lambda b: b.rename_columns(["doc_id", "component"]),
-        batch_format="pyarrow", batch_size=65536)
+    comp = map_arrow(comp, lambda b: b.rename_columns(["doc_id", "component"]))
     # comp is legitimately EMPTY on a corpus with no near-dups: guard
     # its schema, which the bucketed join reads to pad its union (see
     # rel.with_empty_schema)

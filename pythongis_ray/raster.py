@@ -28,6 +28,7 @@ import ray
 
 from pythongis_ray import grid, state
 from pythongis_ray.geom import algo, wkb
+from pythongis_ray.relational import map_arrow, map_pandas
 
 TILE = 64  # tile edge in pixels
 NODATA = -9999.0
@@ -1386,7 +1387,7 @@ def rasterize_points(points_ds, res: int, t: int = TILE,
             w = np.bincount(inv, weights=vals)
         return pd.DataFrame({"pix": u, "w": w})
 
-    parts = points_ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    parts = map_arrow(points_ds, partial)
     from pythongis_ray.relational import bucketed_group_apply
 
     def combine_bucket(b: pd.DataFrame) -> pd.DataFrame:
@@ -1751,8 +1752,7 @@ def resample_to_res(ds, src_res: int, dst_res: int, t: int = TILE):
         batch["dcell"] = batch["pix"] // (t * t)
         return batch
 
-    keyed = scattered.map_batches(add_cell_key, batch_format="pandas",
-                                  batch_size=65536)
+    keyed = map_pandas(scattered, add_cell_key)
     return bucketed_group_apply(keyed, ["dcell"],
                                 lambda b: assemble(b.drop(columns=["dcell"])),
                                 num_buckets=32)

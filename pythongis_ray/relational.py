@@ -22,6 +22,11 @@ Determinism notes (these define the oracle contract):
   string-typed save path that would poison Arrow column types; the
   deviation is deliberate and matched by the DuckDB oracles.
 
+Map stages: :func:`map_arrow` and :func:`map_pandas` are the package's
+map stage, ``map_batches`` over Arrow or pandas batches of
+``MAP_BATCH_SIZE`` rows; a stage that sets another batch size states
+its reason beside it.
+
 Scale pattern: :func:`group_apply` is the package's one grouped
 shuffle (pinned to the sort shuffle; ``key=None`` gathers one group).
 Every hash-partitioned operator is one call of
@@ -56,6 +61,27 @@ HOLISTIC = {"first", "last", "majority", "minority", "concat", "median",
 
 NUM_BUCKETS = 64
 BUCKET_BATCH_SIZE = 8192
+# Rows per batch of every map stage (map_arrow / map_pandas): one
+# setting for the package instead of one per call. A batch is one UDF
+# call, so a large batch spreads the per-call Python and Arrow/pandas
+# conversion cost over many rows. 65536 is the size these stages were
+# written, verified and benchmarked at; no measurement has tuned it
+# yet. A stage that needs another size passes it to ``map_batches``
+# with its reason beside it (see BUCKET_BATCH_SIZE in
+# bucketed_group_apply).
+MAP_BATCH_SIZE = 65536
+
+
+def map_arrow(ds, fn):
+    """A map stage over ``pa.Table`` batches of MAP_BATCH_SIZE rows."""
+    return ds.map_batches(fn, batch_format="pyarrow",
+                          batch_size=MAP_BATCH_SIZE)
+
+
+def map_pandas(ds, fn):
+    """A map stage over ``pd.DataFrame`` batches of MAP_BATCH_SIZE rows."""
+    return ds.map_batches(fn, batch_format="pandas",
+                          batch_size=MAP_BATCH_SIZE)
 
 
 def group_apply(ds, key: str | None, fn, batch_format: str = "pandas"):
@@ -211,7 +237,7 @@ def _aggregate_partial(ds, keys: list[str], specs: list[Agg]):
                 cols[pc] = g[nsrc].max()
         return pd.DataFrame(cols).reset_index()
 
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
+    partials = map_pandas(ds, partial)
     combine_ops = {}
     for pc, src, kind in need:
         combine_ops[pc] = {"count": "sum", "sum": "sum_min1",
@@ -362,7 +388,7 @@ def hash_join(left_ds, right: pd.DataFrame, on, how: str = "inner",
         drop = [c for c in r.columns if c in batch.columns and c not in on]
         return batch.merge(r.drop(columns=drop), on=on, how=how)
 
-    return left_ds.map_batches(fn, batch_format="pandas", batch_size=65536)
+    return map_pandas(left_ds, fn)
 
 
 def join_large(left_ds, right_ds, on, num_buckets: int = 32, how: str = "inner"):
@@ -741,7 +767,7 @@ def add_global_rank(ds, sort_cols, out_col: str = "rank",
                                        side="right").astype(np.int64)
         return batch
 
-    tagged = ds.map_batches(assign, batch_format="pandas", batch_size=65536)
+    tagged = map_pandas(ds, assign)
 
     def pcount(b: pd.DataFrame) -> pd.DataFrame:
         u, c = np.unique(b["_rb"].to_numpy(), return_counts=True)
@@ -790,7 +816,7 @@ def hopping_window(ds, group_key, ts_col: str, size: int, hop: int, specs,
         out = batch.take(pa.array(idx))
         return out.append_column(win_col, pa.array(win))
 
-    rep = ds.map_batches(replicate, batch_format="pyarrow", batch_size=65536)
+    rep = map_arrow(ds, replicate)
     return groupby_aggregate(rep, group_key + [win_col], specs)
 
 
@@ -900,8 +926,6 @@ def driver_safe(ds, schema: pa.Schema):
     Dataset — zero extra cost beyond the count. Use in queries()
     wrappers, not inside operators (tests chain .to_pandas on
     operator Datasets)."""
-    if not hasattr(ds, "count"):          # already a pandas frame
-        return ds
     ds = ds.materialize()
     if ds.count() == 0:
         return schema.empty_table().to_pandas()
@@ -967,8 +991,7 @@ def bloom_build(ds, key_col: str, nhash: int = 4,
         return pa.table({"pos": pa.array(pos, pa.int64())})
 
     bits = np.zeros(1 << max(log2_bits - 3, 0), np.uint8)
-    stream = ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=65536)
+    stream = map_arrow(ds, partial)
     for b in stream.iter_batches(batch_format="pyarrow"):
         p = b["pos"].to_numpy()
         np.bitwise_or.at(bits, p >> 3,
@@ -1012,8 +1035,7 @@ def bloom_semi_join(big, small, key: str, small_key: str | None = None,
         col = batch[skc].cast(pa.int64())
         return pa.table({key: col})
 
-    keys_ds = small.map_batches(project, batch_format="pyarrow",
-                                batch_size=65536)
+    keys_ds = map_arrow(small, project)
     # the verify join needs unique build keys (inner join == semi only
     # then); dedup is bucket-local + tiny
     keys_ds = bucketed_group_apply(
@@ -1064,8 +1086,7 @@ def windowed_distinct(ds, group_key, ts_col: str, size: int, hop: int,
         return pa.table(cols).group_by(
             keys + [win_col, user_col]).aggregate([])
 
-    rep = ds.map_batches(replicate, batch_format="pyarrow",
-                         batch_size=65536)
+    rep = map_arrow(ds, replicate)
 
     def per_bucket(b: pd.DataFrame) -> pd.DataFrame:
         g = (b.drop_duplicates(keys + [win_col, user_col])
@@ -1114,6 +1135,5 @@ def skyline(ds, xc: str, yc: str):
     candidates in ONE group. The corpus streams once; nothing
     corpus-sized is materialized. Custom operator (no Ray Data
     counterpart); oracle = NOT EXISTS dominance anti-join."""
-    local = ds.map_batches(lambda b: pareto_front_frame(b, xc, yc),
-                           batch_format="pandas", batch_size=65536)
+    local = map_pandas(ds, lambda b: pareto_front_frame(b, xc, yc))
     return group_apply(local, None, lambda g: pareto_front_frame(g, xc, yc))

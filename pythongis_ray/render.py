@@ -37,6 +37,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from pythongis_ray.relational import map_arrow
+
 # a small categorical palette (ColorBrewer Set1-like, public values)
 PALETTE = [(228, 26, 28), (55, 126, 184), (77, 175, 74),
            (152, 78, 163), (255, 127, 0), (255, 255, 51),
@@ -517,8 +519,7 @@ class MapCanvas:
             if kind == "points_sparse":
                 from pythongis_ray.relational import bucketed_group_apply
 
-                parts = ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=65536)
+                parts = map_arrow(ds, partial)
                 agg = "sum" if op == "sum" else "max"
 
                 def combine(b: pd.DataFrame, _agg=agg) -> pd.DataFrame:

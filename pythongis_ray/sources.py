@@ -33,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 
 from pythongis_ray.geom import algo, wkb
+from pythongis_ray.relational import map_arrow
 
 
 # ------------------------------------------------------------- GeoJSON
@@ -870,7 +871,7 @@ def read_points_csv(path: str, xfield: str, yfield: str):
         geoms = wkb.encode_points(lon, lat)
         return batch.append_column("geometry", pa.array(list(geoms), pa.binary()))
 
-    return ds.map_batches(add_geom, batch_format="pyarrow", batch_size=65536)
+    return map_arrow(ds, add_geom)
 
 
 def write_csv_with_geometry(ds, dir_path: str, geometry_col: str = "geometry"):

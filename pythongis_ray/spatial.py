@@ -46,6 +46,7 @@ import ray
 
 from pythongis_ray import grid, state
 from pythongis_ray.geom import algo, wkb
+from pythongis_ray.relational import map_arrow
 
 
 def _full_cover(bb, res: int):
@@ -311,7 +312,7 @@ def spatial_where(points_ds, zones, predicate: str = "intersects", **kw):
         keep[pidx] = True
         return batch.take(pa.array(np.flatnonzero(keep)))
 
-    return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=65536)
+    return map_arrow(points_ds, fn)
 
 
 # ------------------------------------------------ partial-agg spatial stats
@@ -378,8 +379,7 @@ def spatial_agg(points_ds, zones: pd.DataFrame, value_col: str,
             key_extra=("zonalp", value_col, predicate, lon_col, lat_col))
         return st(batch)
 
-    partials = points_ds.map_batches(partial_fn, batch_format="pyarrow",
-                                     batch_size=65536)
+    partials = map_arrow(points_ds, partial_fn)
     # two-level aggregate: bounded (batches × zones) table → one
     # vectorized driver reduce (exact int sums are order-free)
     pdf = partials.to_pandas()
@@ -2117,8 +2117,7 @@ def dwithin_self_pairs(points_ds, id_col: str = "pk", ix_col: str = "ix",
             out[c] = np.tile(v, reps)
         return pd.DataFrame(out)
 
-    routed = points_ds.map_batches(route, batch_format="pyarrow",
-                                   batch_size=65536)
+    routed = map_arrow(points_ds, route)
     # the bucketed combine parallelism follows the SORT's output
     # partitioning, which follows INPUT block count — a single-row-
     # group parquet source reaches here as 2 fat blocks and the

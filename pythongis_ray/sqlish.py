@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 
 from pythongis_ray import relational as rel
+from pythongis_ray.relational import map_pandas
 
 CROSS_JOIN_LIMIT = 100_000  # max rows on the broadcast side of a cartesian
 
@@ -38,8 +39,7 @@ class Query:
         def fn(batch: pd.DataFrame) -> pd.DataFrame:
             return batch[np.asarray(predicate(batch), bool)]
 
-        return Query(self.ds.map_batches(fn, batch_format="pandas",
-                                         batch_size=65536))
+        return Query(map_pandas(self.ds, fn))
 
     def select(self, **exprs):
         """Keep/compute columns: name=str keeps a column, name=callable
@@ -51,8 +51,7 @@ class Query:
                 out[name] = batch[e] if isinstance(e, str) else e(batch)
             return pd.DataFrame(out)
 
-        return Query(self.ds.map_batches(fn, batch_format="pandas",
-                                         batch_size=65536))
+        return Query(map_pandas(self.ds, fn))
 
     def cross(self, other_df: pd.DataFrame, suffix: str = "_r"):
         """Cartesian product with a SMALL broadcast side — the

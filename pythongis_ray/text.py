@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pythongis_ray.relational import map_arrow
+
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "on", "for", "with")
 
 # MinHash parameters: 32 bands x 2 rows -> P(candidate | jaccard J) =
@@ -1992,8 +1994,7 @@ def bigram_model(pairs_ds, scale: int = LM_SCALE):
             .aggregate([([], "count_all")])
         return t.rename_columns(["w1", "w2", "pcnt"])
 
-    parts = pairs_ds.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=65536)
+    parts = map_arrow(pairs_ds, partial)
 
     def per_bucket(b: pd.DataFrame) -> pd.DataFrame:
         g = (b.groupby(["w1", "w2"], sort=False)["pcnt"].sum()
@@ -2208,13 +2209,11 @@ def kmv_distinct_by(ds, key_col: str, text_col: str = "text",
                                           "n_seen"])
 
     res = bucketed_group_apply(parts, [key_col], combine)
-    return res.map_batches(
-        lambda b: pa.table({
-            key_col: pc.cast(b[key_col], pa.int64()),
-            "est": pc.cast(b["est"], pa.float64()),
-            "kth_hash": pc.cast(b["kth_hash"], pa.int64()),
-            "n_seen": pc.cast(b["n_seen"], pa.int64())}),
-        batch_format="pyarrow", batch_size=65536)
+    return map_arrow(res, lambda b: pa.table({
+        key_col: pc.cast(b[key_col], pa.int64()),
+        "est": pc.cast(b["est"], pa.float64()),
+        "kth_hash": pc.cast(b["kth_hash"], pa.int64()),
+        "n_seen": pc.cast(b["n_seen"], pa.int64())}))
 
 # ----------------------------------------------------- phrase search
 
@@ -2401,12 +2400,10 @@ def hll_distinct_by(ds, key_col: str, text_col: str = "text"):
         return pd.DataFrame(out, columns=[key_col, "est", "n_regs"])
 
     res = bucketed_group_apply(parts, [key_col], finalize)
-    return res.map_batches(
-        lambda b: pa.table({
-            key_col: pc.cast(b[key_col], pa.int64()),
-            "est": pc.cast(b["est"], pa.int64()),
-            "n_regs": pc.cast(b["n_regs"], pa.int64())}),
-        batch_format="pyarrow", batch_size=65536)
+    return map_arrow(res, lambda b: pa.table({
+        key_col: pc.cast(b[key_col], pa.int64()),
+        "est": pc.cast(b["est"], pa.int64()),
+        "n_regs": pc.cast(b["n_regs"], pa.int64())}))
 
 
 # --------------------------------------------------- edit-distance-1 join
@@ -2569,8 +2566,7 @@ def edit1_pairs(ds, str_col: str):
         keep = pa.array(lev1_mask(a, b))
         return pa.table({"a": a.filter(keep), "b": b.filter(keep)})
 
-    return pairs.map_batches(verify, batch_format="pyarrow",
-                             batch_size=65536)
+    return map_arrow(pairs, verify)
 
 
 def kmv_sketch_by(ds, key_col: str, text_col: str = "text", k: int = 16):

@@ -31,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 
 from pythongis_ray.geom import algo, geodesy, wkb
+from pythongis_ray.relational import map_arrow, map_pandas
 
 EARTH_R = 6378137.0  # WebMercator sphere radius
 
@@ -550,8 +551,7 @@ def reproject(ds, direction: str = "to_webmercator",
                          "from_albers", "from_lcc", "from_moll",
                          "from_robin"):
         raise ValueError(f"unsupported direction {direction!r}")
-    return ds.map_batches(fwd if direction.startswith("to_") else inv,
-                          batch_format="pyarrow", batch_size=65536)
+    return map_arrow(ds, fwd if direction.startswith("to_") else inv)
 
 
 # ------------------------------------------------------------- connect
@@ -651,7 +651,7 @@ def crop(ds, bbox: tuple, geometry_col: str | None = None,
         return batch.filter(pa.array(keep))
 
     if geometry_col is None:
-        return ds.map_batches(pts, batch_format="pyarrow", batch_size=65536)
+        return map_arrow(ds, pts)
 
     rect = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
 
@@ -703,8 +703,7 @@ def describe(ds, columns: list[str] | None = None) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=["column", "n", "missing", "psum",
                                            "pmin", "pmax", "pcnt"])
 
-    parts = ds.map_batches(partial, batch_format="pandas",
-                           batch_size=65536).to_pandas()
+    parts = map_pandas(ds, partial).to_pandas()
     g = parts.groupby("column", sort=True)
     out = pd.DataFrame({
         "n": g["n"].sum(),

@@ -504,6 +504,55 @@ def test_no_duplicate_nested_kernels():
     assert dups == [], dups
 
 
+def test_one_map_batch_size():
+    """A map stage at the package's batch size goes through
+    ``rel.map_arrow``/``rel.map_pandas``: no ``map_batches`` call passes
+    the literal 65536, and ``MAP_BATCH_SIZE`` is read only inside those
+    two functions."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(rel.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                where = f"{path.relative_to(root)}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "attr", "") == "map_batches" \
+                        and any(isinstance(v, ast.Constant) and v.value == 65536
+                                for v in node.args + [k.value for k in node.keywords]):
+                    found.append(where)
+                elif ((isinstance(node, ast.Name) and node.id == "MAP_BATCH_SIZE"
+                       and isinstance(node.ctx, ast.Load))
+                      or (isinstance(node, ast.Attribute)
+                          and node.attr == "MAP_BATCH_SIZE")) \
+                        and getattr(top, "name", None) not in ("map_arrow", "map_pandas"):
+                    found.append(f"{where} reads MAP_BATCH_SIZE")
+    assert found == [], (len(found), found)
+
+
+def test_map_stage_batches(ray_session):
+    """``map_arrow``'s ``fn`` sees ``pa.Table`` batches and
+    ``map_pandas``'s sees ``pd.DataFrame`` batches, none longer than
+    ``MAP_BATCH_SIZE`` rows, and every row comes through once."""
+    import ray.data as rd
+
+    n = 150_000
+    ds = rd.from_arrow([pa.table({"x": pa.array(np.arange(lo, lo + 50_000))})
+                        for lo in range(0, n, 50_000)])
+    for stage, kind in ((rel.map_arrow, pa.Table), (rel.map_pandas, pd.DataFrame)):
+        def fn(b, kind=kind):
+            assert isinstance(b, kind), type(b)
+            if kind is pa.Table:
+                return b.append_column("rows", pa.array(np.full(len(b), len(b))))
+            return b.assign(rows=len(b))
+
+        out = stage(ds, fn).to_pandas()
+        assert out["rows"].max() <= rel.MAP_BATCH_SIZE
+        assert sorted(out["x"]) == list(range(n))
+
+
 def test_dedup(ray_session):
     import ray.data as rd
 
