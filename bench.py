@@ -256,12 +256,9 @@ def run_benchmarks() -> dict:
         from pythongis_ray import graph, pages
 
         R = 64
-        ds = pages.pages_dataset(SF_DIR, replicate=R, geocode=False,
-                                 links=True, columns=["page_id", "html"])
-        e = ds.map_batches(pages.extract_links, batch_format="pyarrow",
-                           batch_size=4096)
-        return graph.pagerank_actors(e, src="src_page", dst="dst_page",
-                                     iters=5).count()
+        e = pages.link_edges(SF_DIR, replicate=R)
+        return graph.pagerank(e, src="src_page", dst="dst_page",
+                              iters=5).count()
 
     pr_nodes = timed("pagerank_960k_edges", pagerank_bench)
     extras["pagerank_nodes"] = pr_nodes

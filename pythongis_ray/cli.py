@@ -85,14 +85,10 @@ def main(argv=None) -> int:
         from pythongis_ray import graph, pages
 
         t0 = time.monotonic()
-        ds = pages.pages_dataset(args.sf_dir, replicate=args.replicate,
-                                 geocode=False, links=True,
-                                 columns=["page_id", "html"])
-        edges = ds.map_batches(pages.extract_links, batch_format="pyarrow",
-                               batch_size=4096)
-        pr = graph.pagerank_actors(edges, src="src_page", dst="dst_page",
-                                   iters=args.iters,
-                                   checkpoint_dir=args.checkpoint_dir)
+        edges = pages.link_edges(args.sf_dir, replicate=args.replicate)
+        pr = graph.pagerank(edges, src="src_page", dst="dst_page",
+                            iters=args.iters,
+                            checkpoint_dir=args.checkpoint_dir)
         if args.out:
             from pythongis_ray import checkpoint
 

@@ -315,18 +315,6 @@ def ann_ivf_int(ds, queries: pd.DataFrame, k: int = 5,
                     scale=scale)
 
 
-def neardup_pairs(ds, threshold: int, id_col: str = "vec_id",
-                  emb_col: str = "embedding", scale: int = 1000):
-    """Exact embedding near-duplicate pairs: all (a < b) with quantized
-    dot ≥ threshold. Delegates to the distributed 1-Bucket-Theta
-    blocked plan (``neardup_pairs_blocked``) — the former whole-corpus
-    ``to_pandas`` broadcast formulation is gone: a driver-side corpus
-    materialization has no place at 100 TB, and the blocked plan is
-    bit-identical. Emits (id_a, id_b, score)."""
-    return neardup_pairs_blocked(ds, threshold, id_col=id_col,
-                                 emb_col=emb_col, scale=scale)
-
-
 def _replicate_to_block_tasks(batch: pa.Table, B: int, id_col: str,
                               emb_col: str) -> pd.DataFrame:
     """1-Bucket-Theta replication: a row in block b (id hash % B) joins

@@ -38,9 +38,9 @@ round sends labels across every edge and keeps the min, converging
 in O(diameter) rounds. The reference has no graph ops (its dedup is
 exact keep-first); this is the web-corpus extension.
 
-The Dataset-only operators (``pagerank`` with its per-round trace,
-``triangle_count``, ``ktruss``, ``clustering_coefficient``) are
-hash-partitioned joins and shuffles with nothing resident.
+The Dataset-only operators (``triangle_count``, ``ktruss``,
+``clustering_coefficient``) are hash-partitioned joins and shuffles
+with nothing resident.
 """
 
 from __future__ import annotations
@@ -60,116 +60,6 @@ import ray.data as rd
 
 from pythongis_ray import relational as rel
 from pythongis_ray.relational import map_arrow
-
-_NO_LABEL = np.iinfo(np.int64).min
-
-
-def pagerank(edges, src: str = "src", dst: str = "dst", iters: int = 5,
-             init_mass: int = 1_000_000, base_mass: int = 150_000,
-             d_num: int = 85, d_den: int = 100,
-             return_trace: bool = False):
-    """Deterministic INTEGER PageRank over an edge Dataset — host/page
-    authority scoring for a crawled web graph (the classic corpus-
-    quality signal; the reference has no graph ops at all).
-
-    Works in integer "mass" units so the result is bit-exact and
-    replayable in SQL (the float power iteration is order-dependent
-    and can't be hash-checked):
-
-        mass_0(v)     = init_mass
-        mass_{k+1}(v) = base_mass
-                        + sum over edges (u,v) of
-                          (d_num * mass_k(u)) // (d_den * outdeg(u))
-
-    Multi-edges count with multiplicity; dangling-node mass is dropped
-    (both choices mirror exactly in SQL). All arithmetic is int64:
-    with d_num/d_den = 0.85 total mass stays O(nodes * init_mass), so
-    85*mass fits int64 up to ~10^11 nodes.
-
-    ``return_trace=True`` additionally returns the per-round (node,
-    mass) Datasets (already materialized by the loop — no extra cost)
-    for convergence diagnostics.
-
-    Structure per iteration (the Pregel round as TWO hash-bucketed
-    shuffles, the scatter/gather shape of the resident-shard engine):
-    edge rows (+ pre-joined outdeg) union mass rows, grouped by source
-    node — each edge meets its source's mass and emits a contribution
-    to its destination; then contributions grouped by destination and
-    sum-combined. The edge table with outdeg attached is built ONCE
-    and materialized (static across rounds); only the small (node,
-    mass) table changes per round. At cluster scale the edge table
-    would additionally be pre-partitioned by source bucket so rounds
-    reuse the partitioning.
-    """
-    d_num = np.int64(d_num)
-    d_den = np.int64(d_den)
-
-    def as_edges(batch: pa.Table) -> pa.Table:
-        a = batch[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"key": pa.array(a), "other": pa.array(b)})
-
-    # materialize the compact (src, dst) pairs ONCE: upstream lineage
-    # (html synthesis + link extraction) would otherwise re-execute for
-    # the outdeg aggregate, the join probe AND the node scan below
-    e = map_arrow(edges, as_edges).materialize()
-
-    # outdeg per source (multiplicity), partial-agg + bucketed combine
-    od = rel.groupby_aggregate(e, "key", [("od", "other", "count")])
-    # attach outdeg to every edge once; static across rounds
-    e_od = rel.join_large(e, od, on="key", num_buckets=16).materialize()
-
-    def to_nodes(batch: pa.Table) -> pa.Table:
-        a = batch["key"].to_numpy(zero_copy_only=False)
-        b = batch["other"].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(np.unique(np.concatenate([a, b])))})
-
-    nodes = rel.dedup(map_arrow(e, to_nodes), ["node"])
-    mass = map_arrow(
-        nodes, lambda b: b.append_column(
-            "mass", pa.array(np.full(b.num_rows, init_mass, np.int64)))
-    ).materialize()
-
-    def scatter(bucket: pd.DataFrame) -> pd.DataFrame:
-        """Bucket holds this key-range's edges (other != _NO_LABEL)
-        plus its nodes' mass rows. Each edge emits its contribution to
-        `other`; each node emits a 0-contribution self row so nodes
-        with no in-edges still surface in the gather (base mass)."""
-        is_mass = bucket["other"].to_numpy() == _NO_LABEL
-        mrows = bucket[is_mass]
-        erows = bucket[~is_mass].drop(columns=["mass"])
-        m = erows.merge(mrows[["key", "mass"]], on="key", how="left")
-        contrib = (d_num * m["mass"].to_numpy(np.int64)) \
-            // (d_den * m["od"].to_numpy(np.int64))
-        out = pd.DataFrame({"node": m["other"].to_numpy(np.int64),
-                            "contrib": contrib})
-        selfr = pd.DataFrame({"node": mrows["key"].to_numpy(np.int64),
-                              "contrib": np.zeros(len(mrows), np.int64)})
-        return pd.concat([out, selfr], ignore_index=True)
-
-    def gather(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.groupby("node", sort=False)["contrib"].sum().reset_index()
-        g["mass"] = g["contrib"].to_numpy(np.int64) + np.int64(base_mass)
-        return g[["node", "mass"]]
-
-    trace = [mass]
-    for _ in range(iters):
-        mass_rows = map_arrow(mass, lambda b: pa.table({
-            "key": b["node"],
-            "other": pa.array(np.full(b.num_rows, _NO_LABEL)),
-            "od": pa.array(np.zeros(b.num_rows, np.int64)),
-            "mass": b["mass"]}))
-        edge_rows = map_arrow(e_od, lambda b: pa.table({
-            "key": b["key"], "other": b["other"], "od": b["od"],
-            "mass": pa.array(np.full(b.num_rows, _NO_LABEL))}))
-        msgs = rel.bucketed_group_apply(edge_rows.union(mass_rows),
-                                        ["key"], scatter)
-        mass = rel.bucketed_group_apply(msgs, ["node"],
-                                        gather).materialize()
-        trace.append(mass)
-    if return_trace:
-        return mass, trace
-    return mass
 
 
 def triangle_count(edges, src: str = "src", dst: str = "dst"):
@@ -258,10 +148,10 @@ class _Shard:
     that hash here (same hash → a node's edges and its state are
     co-resident, so a round reads state locally and ships only
     pre-combined messages). The edge layout stays RESIDENT across
-    rounds — re-shuffling it every round (the union+groupby
-    formulation of ``pagerank``) moves O(E) per round where messages
-    are only O(nodes-touched). ``_run`` keeps a shard's attributes in
-    the object store and runs each method as one stateless task.
+    rounds — re-shuffling it every round (a union+groupby round)
+    would move O(E) per round where messages are only
+    O(nodes-touched). ``_run`` keeps a shard's attributes in the
+    object store and runs each method as one stateless task.
 
     Edges arrive as kind-tagged parts: ``"f"`` is the layout keyed by
     src (or by both endpoints, for undirected algorithms) and ``"r"``
@@ -629,24 +519,42 @@ class _PregelShard(_Shard):
         return len(self.mass)
 
 
-def pagerank_actors(edges, src: str = "src", dst: str = "dst",
-                    iters: int = 5, init_mass: int = 1_000_000,
-                    base_mass: int = 150_000, d_num: int = 85,
-                    d_den: int = 100, num_shards: int | None = None,
-                    checkpoint_dir: str | None = None,
-                    seed_mod: int | None = None):
-    """Integer PageRank on the resident-shard engine (same exact
-    semantics as ``pagerank``; see its docstring for the arithmetic
-    contract). Edge blocks are split straight into per-shard parts
-    (the load IS the shuffle — no sort) and built once into each
-    shard's layout, then each round is a pure message exchange: every
-    shard task pushes O(distinct dsts) pre-combined int64 sums to its
-    peers via ``num_returns`` object refs, so the caller only routes
-    refs and the static O(E) edge arrays are never written again.
-    This is the Pregel/GraphX layout; the Dataset formulation in
-    ``pagerank`` re-shuffles edges every round and is kept as the
-    shuffle-only reference. ``checkpoint_dir``
-    makes a killed run resume at its newest complete round."""
+def pagerank(edges, src: str = "src", dst: str = "dst",
+             iters: int = 5, init_mass: int = 1_000_000,
+             base_mass: int = 150_000, d_num: int = 85,
+             d_den: int = 100, num_shards: int | None = None,
+             checkpoint_dir: str | None = None,
+             seed_mod: int | None = None):
+    """Deterministic INTEGER PageRank over an edge Dataset — host/page
+    authority scoring for a crawled web graph (the classic corpus-
+    quality signal; the reference has no graph ops at all).
+
+    Works in integer "mass" units so the result is bit-exact and
+    replayable in SQL (the float power iteration is order-dependent
+    and can't be hash-checked):
+
+        mass_0(v)     = init_mass
+        mass_{k+1}(v) = base_mass
+                        + sum over edges (u,v) of
+                          (d_num * mass_k(u)) // (d_den * outdeg(u))
+
+    Multi-edges count with multiplicity; dangling-node mass is dropped
+    (both choices mirror exactly in SQL). All arithmetic is int64:
+    with d_num/d_den = 0.85 total mass stays O(nodes * init_mass), so
+    85*mass fits int64 up to ~10^11 nodes. ``iters=0`` runs no round
+    and returns mass_0, so a per-round trace is one call per round
+    count. ``seed_mod`` puts base/init mass only on the seed set
+    {node % seed_mod == 0} (TrustRank).
+
+    Runs on the resident-shard engine: edge blocks are split straight
+    into per-shard parts (the load IS the shuffle — no sort) and
+    built once into each shard's layout, then each round is a pure
+    message exchange: every shard task pushes O(distinct dsts)
+    pre-combined int64 sums to its peers via ``num_returns`` object
+    refs, so the caller only routes refs and the static O(E) edge
+    arrays are never written again (the Pregel/GraphX layout).
+    ``checkpoint_dir`` makes a killed run resume at its newest
+    complete round."""
     meta = {"d_num": int(d_num), "d_den": int(d_den),
             "init_mass": init_mass, "base_mass": base_mass,
             "seed_mod": seed_mod}
@@ -753,9 +661,9 @@ class _HitsShard(_Shard):
         return len(self.owned)
 
 
-def hits_actors(edges, src: str = "src", dst: str = "dst",
-                iters: int = 5, scale: int = 1_000_000,
-                num_shards: int | None = None):
+def hits(edges, src: str = "src", dst: str = "dst",
+         iters: int = 5, scale: int = 1_000_000,
+         num_shards: int | None = None):
     """Integer HITS on the resident-shard engine: per round, authority =
     per-node sum of in-neighbor hub scores normalized by the global
     divisor max(1, max_raw // scale), then hub = sum of out-neighbor
@@ -836,11 +744,11 @@ class _BfsShard(_Shard):
                                                np.minimum))
 
 
-def bfs_actors(edges, src: str = "src", dst: str = "dst",
-               seed_mod: int = 97, iters: int = 8,
-               num_shards: int | None = None,
-               weight_mod: int | None = None,
-               temporal_mod: int | None = None):
+def bfs(edges, src: str = "src", dst: str = "dst",
+        seed_mod: int = 97, iters: int = 8,
+        num_shards: int | None = None,
+        weight_mod: int | None = None,
+        temporal_mod: int | None = None):
     """Hop distance from the seed set {node : node % seed_mod == 0}
     following edge direction, capped at ``iters`` rounds (nodes
     farther than that — or unreachable — keep the BFS_INF sentinel).
@@ -906,9 +814,9 @@ class _MultiBfsShard(_BfsShard):
         return pa.table(cols)
 
 
-def multi_bfs_actors(edges, src: str = "src", dst: str = "dst",
-                     seed_mod: int = 97, n_landmarks: int = 3,
-                     iters: int = 8, num_shards: int | None = None):
+def multi_bfs(edges, src: str = "src", dst: str = "dst",
+              seed_mod: int = 97, n_landmarks: int = 3,
+              iters: int = 8, num_shards: int | None = None):
     """Simultaneous hop distances from ``n_landmarks`` seed sets
     ({node % seed_mod == l}) in ONE resident-shard run — the landmark
     distance-feature / harmonic-centrality prep. Edges route once;
@@ -1267,9 +1175,9 @@ class _SccShard(_Shard):
                          "scc": pa.array(self.scc)})
 
 
-def scc_actors(edges, src: str = "src", dst: str = "dst",
-               outer: int = 4, inner: int = 8,
-               num_shards: int | None = None):
+def scc(edges, src: str = "src", dst: str = "dst",
+        outer: int = 4, inner: int = 8,
+        num_shards: int | None = None):
     """Strongly connected components (web bow-tie structure, spam
     rings): ``outer`` coloring rounds of ``inner``-capped forward
     min-color propagation + backward same-color anchoring on the

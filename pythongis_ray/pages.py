@@ -265,8 +265,10 @@ def extract_links(batch: pa.Table, html_col: str = "html",
     """html → outlink edge table ``(src_page, dst_page, dst_url)``.
 
     The link-graph construction step of a web-corpus pipeline (the
-    reference has no graph surface; this feeds graph.pagerank /
-    graph.connected_components). Fully vectorized: ONE
+    reference has no graph surface). This is the batch kernel; the
+    Dataset read is :func:`link_edges`, which the link-graph queries
+    feed to the ``graph`` engines (pagerank, hits, bfs, scc, ...).
+    Fully vectorized: ONE
     ``split_pattern('href="')`` kernel explodes every doc into
     href-delimited pieces, numpy offset arithmetic drops each doc's
     pre-href prefix and maps pieces back to their source row, and ONE
@@ -314,6 +316,22 @@ def extract_links(batch: pa.Table, html_col: str = "html",
         "dst_page": pc.cast(dst, pa.int64()),
         "dst_url": urls,
     })
+
+
+def link_edges(sf_dir: str, replicate: int = 1):
+    """The link graph of the synthesized pages: a lazy Dataset of
+    ``(src_page, dst_page, dst_url)`` edges, one row per href (multi-
+    edges kept), read through :func:`extract_links`. Every link-graph
+    query and the graph CLI/bench stages start here."""
+    ds = pages_dataset(sf_dir, replicate=replicate, geocode=False,
+                       links=True, columns=["page_id", "html"])
+    # 4096 html rows (~1 KB each) per extract batch: no larger than the
+    # synthesis batch at replicate=1 (8192), so Ray's fused
+    # read→synthesize→extract task keeps the synthesis bundling (a
+    # chain bundles inputs to its LARGEST batch size), and one batch's
+    # split_pattern explode stays a few MB
+    return ds.map_batches(extract_links, batch_format="pyarrow",
+                          batch_size=4096)
 
 
 def extract_image_refs(batch: pa.Table, html_col: str = "html",

@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pythongis_ray import fixtures, pages, spatial  # noqa: F401
-from pythongis_ray.relational import map_arrow
+from pythongis_ray.relational import bucketed_group_apply, map_arrow
 
 
 def load_zones(sf_dir: str) -> pd.DataFrame:
@@ -89,8 +89,6 @@ def flagship(sf_dir: str, replicate: int = 1):
     # proportional to task count ever lands on the driver — at 10^6
     # tasks × 10^4 keys the old driver-side to_pandas reduce was a
     # 10^10-row table.
-    from pythongis_ray.relational import bucketed_group_apply
-
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return (g.groupby(["zone_idx", "lang"], sort=False)[["pp", "pt"]]
                 .sum().reset_index())

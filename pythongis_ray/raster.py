@@ -28,7 +28,8 @@ import ray
 
 from pythongis_ray import grid, state
 from pythongis_ray.geom import algo, wkb
-from pythongis_ray.relational import map_arrow, map_pandas
+from pythongis_ray.relational import (bucketed_group_apply, map_arrow,
+                                    map_pandas)
 
 TILE = 64  # tile edge in pixels
 NODATA = -9999.0
@@ -1171,8 +1172,6 @@ def _paired_tile_combine(ds_a, ds_b, pixfn, t: int = TILE,
     which iterates keys in Python (minutes at 10^5 tiles — the Ray
     2.49 gotcha measured on mosaic). Nodata mask union per the
     reference rule (raster/data.py:318-346)."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     def tag(side):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
@@ -1321,7 +1320,6 @@ def upscale(ds, t: int = TILE):
                              "tile": [tile_to_bytes(x) for x in full],
                              "nodata": ndk})
 
-    from pythongis_ray.relational import bucketed_group_apply
     return bucketed_group_apply(halves, ["cell_id", "band"], assemble,
                                 num_buckets=16)
 
@@ -1356,7 +1354,6 @@ def mosaic(datasets, rule: str = "first"):
         return srt.drop_duplicates(subset=["cell_id", "band"],
                                    keep=keep).drop(columns=["_src"])
 
-    from pythongis_ray.relational import bucketed_group_apply
     return bucketed_group_apply(u, ["cell_id", "band"], pick)
 
 
@@ -1388,7 +1385,6 @@ def rasterize_points(points_ds, res: int, t: int = TILE,
         return pd.DataFrame({"pix": u, "w": w})
 
     parts = map_arrow(points_ds, partial)
-    from pythongis_ray.relational import bucketed_group_apply
 
     def combine_bucket(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby("pix", sort=False)["w"].sum().reset_index()
@@ -1731,8 +1727,6 @@ def resample_to_res(ds, src_res: int, dst_res: int, t: int = TILE):
 
     scattered = ds.map_batches(scatter, batch_format="pandas", batch_size=64)
 
-    from pythongis_ray.relational import bucketed_group_apply
-
     def assemble(bucket: pd.DataFrame) -> pd.DataFrame:
         bucket = bucket.sort_values(["pix", "band", "d2", "v"], kind="stable") \
             .drop_duplicates(subset=["pix", "band"], keep="first")
@@ -1822,8 +1816,6 @@ def resample_bilinear(ds, src_res: int, dst_res: int, t: int = TILE,
             rows.append({"cell_id": int(dc), "band": band,
                          "tile": tile_to_bytes(out), "nodata": nd})
         return pd.DataFrame(rows, columns=["cell_id", "band", "tile", "nodata"])
-
-    from pythongis_ray.relational import bucketed_group_apply
 
     return bucketed_group_apply(scattered, ["dcell"], per_dst, num_buckets=32)
 
@@ -1984,8 +1976,6 @@ def warp_to_mercator(ds, src_res: int, zoom: int = 3, t: int = TILE,
                          "tile": tile_to_bytes(out), "nodata": nd})
         return pd.DataFrame(rows, columns=["mcell", "band", "tile", "nodata"])
 
-    from pythongis_ray.relational import bucketed_group_apply
-
     return bucketed_group_apply(scattered, ["mcell"], per_dst, num_buckets=32)
 
 
@@ -2125,8 +2115,6 @@ def warp_to_projection(ds, src_res: int, crs: str, x_min: float,
         return pd.DataFrame(rows, columns=["dcell", "band", "tile",
                                            "nodata"])
 
-    from pythongis_ray.relational import bucketed_group_apply
-
     return bucketed_group_apply(scattered, ["dcell"], per_dst,
                                 num_buckets=32)
 
@@ -2265,7 +2253,6 @@ def morphology(ds, op: str = "dilate", t: int = TILE):
                              "tile": [tile_to_bytes(x) for x in out],
                              "nodata": ndk})
 
-    from pythongis_ray.relational import bucketed_group_apply
     return bucketed_group_apply(halos, ["cell_id", "band"], stencil,
                                 num_buckets=16)
 
@@ -2442,7 +2429,6 @@ def raster_algebra(datasets, fn, t: int = TILE):
                              "tile": [tile_to_bytes(x) for x in r],
                              "nodata": ndk})
 
-    from pythongis_ray.relational import bucketed_group_apply
     return bucketed_group_apply(u, ["cell_id", "band"], combine,
                                 num_buckets=16)
 

@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from pythongis_ray.relational import map_arrow
+from pythongis_ray.relational import bucketed_group_apply, map_arrow
 
 # a small categorical palette (ColorBrewer Set1-like, public values)
 PALETTE = [(228, 26, 28), (55, 126, 184), (77, 175, 74),
@@ -517,8 +517,6 @@ class MapCanvas:
         img[:] = np.asarray(self.background, np.uint8)
         for kind, ds, partial, op, mode, color, breaks in self._layers:
             if kind == "points_sparse":
-                from pythongis_ray.relational import bucketed_group_apply
-
                 parts = map_arrow(ds, partial)
                 agg = "sum" if op == "sum" else "max"
 

@@ -46,7 +46,8 @@ import ray
 
 from pythongis_ray import grid, state
 from pythongis_ray.geom import algo, wkb
-from pythongis_ray.relational import map_arrow
+from pythongis_ray.relational import (bucketed_group_apply, group_apply,
+                                    map_arrow)
 
 
 def _full_cover(bb, res: int):
@@ -1689,8 +1690,6 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
     """
     import ray.data as rd
 
-    from pythongis_ray.relational import group_apply
-
     def with_cells(batch: pa.Table) -> pa.Table:
         rows, cells = cells_of(batch)
         if rows is not None:
@@ -2217,5 +2216,4 @@ def dwithin_self_pairs(points_ds, id_col: str = "pk", ix_col: str = "ix",
             return empty.copy()
         return pd.concat(outs, ignore_index=True)
 
-    from pythongis_ray.relational import bucketed_group_apply
     return bucketed_group_apply(routed, ["tx", "ty"], per_bucket)

@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pythongis_ray.relational import map_arrow
+from pythongis_ray.relational import bucketed_group_apply, map_arrow
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "on", "for", "with")
 
@@ -93,8 +93,6 @@ def word_frequency(ds, text_col: str = "text", top_k: int | None = None):
     combine (word cardinality is high — Ray's sort-aggregate iterates
     keys in Python, so the combine goes through the vectorized bucket
     path). Ties in top-k broken alphabetically (deterministic)."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     parts = words_exploded(ds, text_col)
     freq = bucketed_group_apply(
         parts, ["word"],
@@ -153,7 +151,6 @@ def lm_surprisal(ds, vocab_size: int = 4096, text_col: str = "text",
     import ray
 
     from pythongis_ray import state
-    from pythongis_ray.relational import bucketed_group_apply
 
     parts = words_exploded(ds, text_col)
     freq = bucketed_group_apply(
@@ -531,8 +528,6 @@ def winnow_stats(ds, k: int = MH_SHINGLE_K, w: int = 4,
     order — identical to the HUGEINT mod-2^64 order the SQL oracle
     replays)."""
     import pandas as pd
-
-    from pythongis_ray.relational import bucketed_group_apply
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_id": np.array([], np.int64),
@@ -1522,9 +1517,9 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
     wins = ds.map_batches(explode, batch_format="pyarrow", batch_size=8192)
     # all-empty output batches are dropped by Ray, losing the schema —
     # guard BOTH join sides (see rel.with_empty_schema)
-    from pythongis_ray.relational import with_empty_schema as _wes
-    wins = _wes(wins, pa.schema([("h", pa.int64()), (id_col, pa.int64()),
-                                 ("pos", pa.int64()), ("ntok", pa.int64())]))
+    wins = rel.with_empty_schema(
+        wins, pa.schema([("h", pa.int64()), (id_col, pa.int64()),
+                         ("pos", pa.int64()), ("ntok", pa.int64())]))
 
     def count_keep_dups(bucket: pd.DataFrame) -> pd.DataFrame:
         c = bucket.groupby("h", sort=False).size()
@@ -1666,8 +1661,6 @@ def dedup_incremental(new_ds, old_ds, text_col: str = "text",
     kills the group, else the min-id representative survives with its
     copy count. Emits (doc_id, n_copies).
     """
-    from pythongis_ray.relational import bucketed_group_apply
-
     def old_rows(batch: pa.Table) -> pa.Table:
         b = fingerprint(batch, text_col=text_col)
         n = b.num_rows
@@ -1729,8 +1722,6 @@ def cms_sketch(ds, text_col: str = "text"):
     streaming combiner at corpus scale: state is depth*width cells
     regardless of vocabulary size, and no shuffle ever carries more
     than depth*width rows per block."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     def partial(batch: pa.Table) -> pa.Table:
         arr = batch[text_col]
         arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
@@ -1913,8 +1904,6 @@ def cdc_shared_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
     distinct-doc count AND the per-doc partials come out of the same
     pass), then one small per-doc combine — never a corpus
     cross-product."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     chunks = ds.map_batches(cdc_chunk_table, batch_format="pyarrow",
                             batch_size=4096,
                             fn_kwargs={"id_col": id_col,
@@ -1987,8 +1976,6 @@ def bigram_model(pairs_ds, scale: int = LM_SCALE):
     hash-bucketed combine keyed by w1 — the denominator is a
     groupby-transform inside the bucket, so no second shuffle or join
     is needed (all rows sharing w1 land in one bucket)."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["w1", "w2"]).group_by(["w1", "w2"]) \
             .aggregate([([], "count_all")])
@@ -2024,8 +2011,6 @@ def lm_score(ds, text_col: str = "text", id_col: str = "doc_id",
     partials; docs with <2 tokens union in as (0, 0). Scale note:
     r ≤ scale=10^6 and scores are per-doc sums, so int64 holds to
     ~10^12 pairs per doc."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     def doc_pairs(batch: pa.Table) -> pa.Table:
         t = _explode_bigrams(batch, text_col, id_col)
         g = t.group_by([id_col, "w1", "w2"]).aggregate(
@@ -2187,8 +2172,6 @@ def kmv_distinct_by(ds, key_col: str, text_col: str = "text",
     them. Same hash/mix/estimator contract as :func:`kmv_distinct`
     (exactly SQL-replayable); groups with fewer than k distinct
     hashes report the exact count with kth_hash = -1."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     parts = ds.map_batches(_kmv_partial, batch_format="pyarrow",
                            batch_size=8192,
                            fn_kwargs={"key_col": key_col,
@@ -2347,8 +2330,6 @@ def hll_distinct_by(ds, key_col: str, text_col: str = "text"):
     the bit-exact SQL replay): accurate to ~13% for n ≳ 3m distinct
     values, biased high below that; use kmv_distinct_by when groups
     can be tiny."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     m = 1 << HLL_LOG2M
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2517,8 +2498,6 @@ def edit1_pairs(ds, str_col: str):
     lev<=1 kernel. Strings ride the key rows — right for SHORT keys
     like URLs/words (<= ~100B); for long payloads re-attach by id via
     _attach_pair_texts instead. Returns (a, b) string pairs."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     def explode(batch: pa.Table) -> pd.DataFrame:
         arr = batch[str_col]
         arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
@@ -2576,8 +2555,6 @@ def kmv_sketch_by(ds, key_col: str, text_col: str = "text", k: int = 16):
     SQL-replayable). Set algebra on sketches (union / intersection /
     Jaccard between groups) composes from these rows; the table is
     O(groups × k) regardless of corpus size."""
-    from pythongis_ray.relational import bucketed_group_apply
-
     parts = ds.map_batches(_kmv_partial, batch_format="pyarrow",
                            batch_size=8192,
                            fn_kwargs={"key_col": key_col,
@@ -2775,8 +2752,6 @@ def dup_shingle_stats(ds, k: int = MH_SHINGLE_K, id_col: str = "doc_id",
     driver. Shingle identity is the 64-bit rolling hash of token
     hashes (collision odds ~n^2/2^65)."""
     import pandas as pd
-
-    from pythongis_ray.relational import bucketed_group_apply
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         if batch.num_rows == 0:

@@ -88,7 +88,7 @@ def _hits_reference(src, dst, iters, scale):
 
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [(3, 40, 60), (11, 500, 2000)])
 def test_hits_matches_serial_replay(ray_session, seed, n_nodes, n_edges):
-    """hits_actors is bit-identical to a serial numpy replay of the
+    """graph.hits is bit-identical to a serial numpy replay of the
     integer HITS recurrence for any sharding (global divisor is
     injected by the driver, so partitioning cannot change results)."""
     import ray.data as rd
@@ -99,8 +99,8 @@ def test_hits_matches_serial_replay(ray_session, seed, n_nodes, n_edges):
     src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     edges = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-    out = graph.hits_actors(rd.from_arrow(edges), iters=3,
-                            scale=10_000, num_shards=3).to_pandas()
+    out = graph.hits(rd.from_arrow(edges), iters=3,
+                     scale=10_000, num_shards=3).to_pandas()
     out = out.sort_values("node").reset_index(drop=True)
     nodes, h, a = _hits_reference(src, dst, 3, 10_000)
     assert out["node"].to_numpy().tolist() == nodes.tolist()
@@ -117,9 +117,9 @@ def test_hits_hub_authority_split(ray_session):
 
     src = np.array([0, 0, 0, 0], np.int64)
     dst = np.array([1, 2, 3, 4], np.int64)
-    out = graph.hits_actors(
+    out = graph.hits(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         iters=2, scale=1000, num_shards=2).to_pandas()
     row0 = out[out["node"] == 0].iloc[0]
     assert row0["auth"] == 0 and row0["hub"] == out["hub"].max()
@@ -144,7 +144,7 @@ def _bfs_reference(src, dst, seed_mod, iters):
                          [(5, 60, 90, 4), (13, 400, 1200, 8)])
 def test_bfs_matches_serial_replay(ray_session, seed, n_nodes,
                                    n_edges, iters):
-    """bfs_actors distances are bit-identical to a serial min-plus
+    """graph.bfs distances are bit-identical to a serial min-plus
     replay with the same fixed round cap, for any sharding."""
     import ray.data as rd
 
@@ -153,9 +153,9 @@ def test_bfs_matches_serial_replay(ray_session, seed, n_nodes,
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    out = graph.bfs_actors(
+    out = graph.bfs(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         seed_mod=7, iters=iters, num_shards=3).to_pandas()
     out = out.sort_values("node").reset_index(drop=True)
     nodes, dist = _bfs_reference(src, dst, 7, iters)
@@ -173,8 +173,8 @@ def test_bfs_chain_directed(ray_session):
     n = 6
     edges = pa.table({"src": pa.array(np.arange(n - 1)),
                       "dst": pa.array(np.arange(1, n))})
-    out = graph.bfs_actors(rd.from_arrow(edges), seed_mod=1000,
-                           iters=3, num_shards=2).to_pandas()
+    out = graph.bfs(rd.from_arrow(edges), seed_mod=1000,
+                    iters=3, num_shards=2).to_pandas()
     got = dict(zip(out["node"], out["dist"]))
     assert got[0] == 0 and got[1] == 1 and got[2] == 2 and got[3] == 3
     assert got[4] == int(graph.BFS_INF) and got[5] == int(graph.BFS_INF)
@@ -232,9 +232,9 @@ def test_trustrank_personalized_teleport(ray_session):
     # 0 (seed, via seed_mod=5) → 1 → 2 ; isolated pair 3 → 4
     src = np.array([0, 1, 3], np.int64)
     dst = np.array([1, 2, 4], np.int64)
-    out = graph.pagerank_actors(
+    out = graph.pagerank(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         iters=3, seed_mod=5, num_shards=2).to_pandas()
     got = dict(zip(out["node"], out["mass"]))
 
@@ -386,13 +386,13 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
                                        "dst": pa.array(dst)}))
 
     ops = {
-        "pagerank": lambda e, nb: graph.pagerank_actors(
+        "pagerank": lambda e, nb: graph.pagerank(
             e, iters=3, num_shards=nb),
-        "trustrank": lambda e, nb: graph.pagerank_actors(
+        "trustrank": lambda e, nb: graph.pagerank(
             e, iters=3, seed_mod=7, num_shards=nb),
-        "hits": lambda e, nb: graph.hits_actors(
+        "hits": lambda e, nb: graph.hits(
             e, iters=2, scale=10_000, num_shards=nb),
-        "bfs": lambda e, nb: graph.bfs_actors(
+        "bfs": lambda e, nb: graph.bfs(
             e, seed_mod=11, iters=5, num_shards=nb),
         "walks": lambda e, nb: graph.random_walks(
             e, length=3, num_shards=nb),
@@ -402,9 +402,9 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
             e, rounds=3, num_shards=nb),
         "cc": lambda e, nb: graph.connected_components(
             e, src="src", dst="dst", num_shards=nb),
-        "scc": lambda e, nb: graph.scc_actors(
+        "scc": lambda e, nb: graph.scc(
             e, outer=3, inner=4, num_shards=nb),
-        "multi_bfs": lambda e, nb: graph.multi_bfs_actors(
+        "multi_bfs": lambda e, nb: graph.multi_bfs(
             e, seed_mod=11, n_landmarks=3, iters=5, num_shards=nb),
     }
     for name, fn in ops.items():
@@ -417,17 +417,20 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
         assert frames[0].equals(frames[1]), name
 
 
+# The keys are the pytest ids. They keep the op names from before the
+# ``_actors`` suffix was dropped (``pagerank_actors`` runs
+# ``graph.pagerank``), so a test keeps its id across that rename.
 _SHARD_OPS = {
-    "pagerank_actors": lambda g, e: g.pagerank_actors(e, iters=2),
+    "pagerank_actors": lambda g, e: g.pagerank(e, iters=2),
     "connected_components": lambda g, e: g.connected_components(
         e, src="src", dst="dst"),
-    "hits_actors": lambda g, e: g.hits_actors(e, iters=2),
-    "bfs_actors": lambda g, e: g.bfs_actors(e, iters=2),
-    "multi_bfs_actors": lambda g, e: g.multi_bfs_actors(e, iters=2),
+    "hits_actors": lambda g, e: g.hits(e, iters=2),
+    "bfs_actors": lambda g, e: g.bfs(e, iters=2),
+    "multi_bfs_actors": lambda g, e: g.multi_bfs(e, iters=2),
     "random_walks": lambda g, e: g.random_walks(e, length=2),
     "kcore": lambda g, e: g.kcore(e, max_rounds=2),
     "label_propagation": lambda g, e: g.label_propagation(e, rounds=2),
-    "scc_actors": lambda g, e: g.scc_actors(e, outer=2, inner=2),
+    "scc_actors": lambda g, e: g.scc(e, outer=2, inner=2),
 }
 
 
@@ -483,9 +486,9 @@ def test_graph_ops_start_no_actors(ray_session, op):
 
 # op -> (rounds of the full run, run(graph, edges, rounds, cdir)):
 # the ops with round-level resume; each is still short of its fixed
-# point after 2 rounds
+# point after 2 rounds (ids as in ``_SHARD_OPS``)
 _RESUME_OPS = {
-    "pagerank_actors": (5, lambda g, e, r, d: g.pagerank_actors(
+    "pagerank_actors": (5, lambda g, e, r, d: g.pagerank(
         e, iters=r, checkpoint_dir=d)),
     "connected_components": (60, lambda g, e, r, d: g.connected_components(
         e, src="src", dst="dst", max_iters=r, checkpoint_dir=d)),
@@ -625,9 +628,9 @@ def test_weighted_bfs_matches_serial_replay(ray_session, seed, n_nodes,
     src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     wmod = 5
-    out = graph.bfs_actors(
+    out = graph.bfs(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         seed_mod=7, iters=iters, num_shards=3, weight_mod=wmod) \
         .to_pandas().sort_values("node").reset_index(drop=True)
 
@@ -712,9 +715,9 @@ def test_scc_matches_tarjan(ray_session, seed, n_nodes, n_edges):
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    out = graph.scc_actors(
+    out = graph.scc(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         outer=n_nodes, inner=n_nodes, num_shards=3).to_pandas()
     got = dict(zip(out["node"], out["scc"]))
     exp = _tarjan_min_labels(src, dst)
@@ -733,9 +736,9 @@ def test_scc_capped_groups_are_strongly_connected(ray_session):
     n = 20
     src = np.r_[np.arange(n), [25]].astype(np.int64)
     dst = np.r_[(np.arange(n) + 1) % n, [0]].astype(np.int64)
-    out = graph.scc_actors(
+    out = graph.scc(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         outer=2, inner=4, num_shards=2).to_pandas()
     exp = _tarjan_min_labels(src, dst)
     for _, row in out.iterrows():
@@ -836,8 +839,8 @@ def test_multi_bfs_matches_single_runs(ray_session):
     dst = rng.integers(0, 40, 200)
     t = pa.table({"src": pa.array(src, pa.int64()),
                   "dst": pa.array(dst, pa.int64())})
-    multi = graph.multi_bfs_actors(rd.from_arrow(t), seed_mod=7,
-                                   n_landmarks=3, iters=6).to_pandas() \
+    multi = graph.multi_bfs(rd.from_arrow(t), seed_mod=7,
+                            n_landmarks=3, iters=6).to_pandas() \
         .set_index("node").sort_index()
     # brute force per landmark
     adj = {}
@@ -929,7 +932,7 @@ def test_good_turing_bruteforce(ray_session):
 
 
 def _temporal_reference(src, dst, seed_mod, tmod, iters):
-    """Serial earliest-arrival replay of bfs_actors temporal mode."""
+    """Serial earliest-arrival replay of graph.bfs temporal mode."""
     nodes = np.unique(np.concatenate([src, dst]))
     idx = {int(n): i for i, n in enumerate(nodes)}
     ea = np.where(nodes % seed_mod == 0, np.int64(0),
@@ -959,9 +962,9 @@ def test_temporal_bfs_matches_serial(ray_session, seed, n_nodes,
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
     dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    out = graph.bfs_actors(
+    out = graph.bfs(
         rd.from_arrow(pa.table({"src": pa.array(src),
-                                "dst": pa.array(dst)})),
+                         "dst": pa.array(dst)})),
         seed_mod=7, iters=iters, num_shards=3,
         temporal_mod=16).to_pandas()
     out = out.sort_values("node").reset_index(drop=True)
@@ -981,33 +984,29 @@ def test_temporal_bfs_respects_time_order(ray_session):
 
     edges = pa.table({"src": pa.array(np.array([0, 1], np.int64)),
                       "dst": pa.array(np.array([1, 2], np.int64))})
-    out = graph.bfs_actors(rd.from_arrow(edges), seed_mod=1000,
-                           iters=4, num_shards=2,
-                           temporal_mod=16).to_pandas()
+    out = graph.bfs(rd.from_arrow(edges), seed_mod=1000,
+                    iters=4, num_shards=2,
+                    temporal_mod=16).to_pandas()
     got = dict(zip(out["node"], out["dist"]))
     assert got[0] == 0 and got[1] == 1 and got[2] == 3
 
 
 def test_pagerank_trace(ray_session):
-    import numpy as np
+    """The per-round mass tables of a PageRank trace are runs of
+    ``graph.pagerank`` with 0, 1, ... rounds: ``iters=0`` is the
+    initial mass, and ``iters=1`` matches a hand replay of round 1."""
     import pandas as pd
-    import pyarrow as pa
     import ray.data as rd
     from pythongis_ray import graph
 
     e = pd.DataFrame({"src": [0, 1, 2, 2], "dst": [1, 2, 0, 1]})
-    final, trace = graph.pagerank(rd.from_pandas(e), iters=3,
-                                  return_trace=True)
-    assert len(trace) == 4                      # m0..m3
-    m0 = trace[0].to_pandas()
+    m0 = graph.pagerank(rd.from_pandas(e), iters=0).to_pandas()
+    assert sorted(m0["node"]) == [0, 1, 2]
     assert (m0["mass"] == 1_000_000).all()
-    # final is the last trace entry
-    f = final.to_pandas().sort_values("node").reset_index(drop=True)
-    t = trace[-1].to_pandas().sort_values("node").reset_index(drop=True)
-    assert f.equals(t)
     # replay round 1 by hand: contributions (85*m)//(100*od)
     od = e.groupby("src").size()
-    m1 = trace[1].to_pandas().set_index("node")["mass"]
+    m1 = graph.pagerank(rd.from_pandas(e), iters=1).to_pandas() \
+        .set_index("node")["mass"]
     for v in (0, 1, 2):
         contrib = sum((85 * 1_000_000) // (100 * od[u])
                       for u, w in zip(e.src, e.dst) if w == v)

@@ -37,6 +37,33 @@ def test_extract_links_matches_arithmetic(ray_session):
     row = e.iloc[0]
     assert row.dst_url == (
         f"https://site{row.dst_page % 50}.example/{row.dst_page}")
+    # the one link-graph reader gives the same edge multiset
+    le = pages.link_edges(SF).to_pandas()
+    assert list(le.columns) == ["src_page", "dst_page", "dst_url"]
+    assert sorted(zip(le.src_page, le.dst_page, le.dst_url)) \
+        == sorted(zip(e.src_page, e.dst_page, e.dst_url))
+
+
+def test_one_link_edge_reader():
+    """Every link-graph read in the package and ``bench.py`` goes
+    through ``pages.link_edges``: it is the only function that hands
+    ``extract_links`` to a Dataset stage."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(pages.__file__).parent
+    files = sorted(root.rglob("*.py")) + [root.parent / "bench.py"]
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and any(
+                        ast.unparse(a).split(".")[-1] == "extract_links"
+                        for a in node.args + [k.value
+                                              for k in node.keywords]):
+                    found.append(f"{path.name}:{getattr(top, 'name', '?')}")
+    assert found == ["pages.py:link_edges"], found
 
 
 def test_extract_links_linkless_html(ray_session):
@@ -65,11 +92,21 @@ def _pagerank_reference(edge_list, iters, init=1_000_000, base=150_000):
     return mass
 
 
-@pytest.mark.parametrize("iters", [1, 4])
-def test_pagerank_tiny_graph(ray_session, iters):
+_TINY = [(1, 2), (1, 3), (2, 3), (3, 1), (3, 1), (4, 3), (5, 5)]
+# the tree p -> p >> 1 overlaid with p -> 7p mod 11: mixed
+# out-degrees and self-loops (0, 11, 22, 33)
+_TREE_RING = [(p, p >> 1) for p in range(1, 40)] \
+    + [(p, (p * 7) % 11) for p in range(40)]
+
+
+@pytest.mark.parametrize("iters,edge_list", [
+    pytest.param(1, _TINY, id="1"),
+    pytest.param(4, _TINY, id="4"),
+    pytest.param(3, _TREE_RING, id="tree_ring"),
+])
+def test_pagerank_tiny_graph(ray_session, iters, edge_list):
     import ray.data as rd
 
-    edge_list = [(1, 2), (1, 3), (2, 3), (3, 1), (3, 1), (4, 3), (5, 5)]
     edges = rd.from_pandas(pd.DataFrame(edge_list, columns=["src", "dst"]))
     got = graph.pagerank(edges, iters=iters).to_pandas() \
         .set_index("node")["mass"].to_dict()
@@ -116,23 +153,6 @@ def test_pagerank_hosts_small_graph(ray_session):
     assert got == _pagerank_reference(host_edges, 2)
 
 
-def test_pagerank_actors_matches_dataset_engine(ray_session):
-    """Both engines (resident-shard Pregel vs shuffle-per-round
-    Dataset) produce the identical integer mass table."""
-    import ray.data as rd
-
-    edge_list = [(p, p >> 1) for p in range(1, 40)] \
-        + [(p, (p * 7) % 11) for p in range(40)]
-    ref = _pagerank_reference(edge_list, 3)
-    edges = rd.from_pandas(pd.DataFrame(edge_list, columns=["src", "dst"]))
-    a = graph.pagerank_actors(edges, iters=3).to_pandas() \
-        .set_index("node")["mass"].to_dict()
-    b = graph.pagerank(edges, iters=3).to_pandas() \
-        .set_index("node")["mass"].to_dict()
-    assert a == ref
-    assert b == ref
-
-
 def test_pagerank_checkpoint_resume(ray_session, tmp_path):
     """Kill-after-round-2 resume: a fresh call with the same
     checkpoint_dir restores round 2 and completes to the identical
@@ -146,14 +166,14 @@ def test_pagerank_checkpoint_resume(ray_session, tmp_path):
     cdir = str(tmp_path / "pr_ckpt")
 
     # "crashed" run: only 2 of 5 rounds
-    graph.pagerank_actors(edges, iters=2, checkpoint_dir=cdir)
+    graph.pagerank(edges, iters=2, checkpoint_dir=cdir)
     assert os.path.exists(f"{cdir}/round_0002/_DONE")
     assert os.path.exists(f"{cdir}/round_0002/metrics.parquet")
 
     # resumed run completes rounds 3..5 from the snapshot
-    resumed = graph.pagerank_actors(edges, iters=5, checkpoint_dir=cdir) \
+    resumed = graph.pagerank(edges, iters=5, checkpoint_dir=cdir) \
         .to_pandas().set_index("node")["mass"].to_dict()
-    direct = graph.pagerank_actors(edges, iters=5).to_pandas() \
+    direct = graph.pagerank(edges, iters=5).to_pandas() \
         .set_index("node")["mass"].to_dict()
     assert resumed == direct == _pagerank_reference(edge_list, 5)
     # lineage: all 5 round snapshots + metrics present after resume
@@ -167,10 +187,10 @@ def test_pagerank_checkpoint_param_mismatch(ray_session, tmp_path):
     edges = rd.from_pandas(pd.DataFrame([(1, 2), (2, 1)],
                                         columns=["src", "dst"]))
     cdir = str(tmp_path / "pr_ckpt2")
-    graph.pagerank_actors(edges, iters=1, checkpoint_dir=cdir)
+    graph.pagerank(edges, iters=1, checkpoint_dir=cdir)
     with pytest.raises(ValueError, match="different parameters"):
-        graph.pagerank_actors(edges, iters=1, d_num=80,
-                              checkpoint_dir=cdir)
+        graph.pagerank(edges, iters=1, d_num=80,
+                       checkpoint_dir=cdir)
 
 
 def test_extract_links_null_html(ray_session):

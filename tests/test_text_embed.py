@@ -237,8 +237,8 @@ def test_neardup_pairs_exact(ray_session):
             rng.standard_normal(8), rng.standard_normal(8)]
     vecs = [(v / np.linalg.norm(v)).astype(np.float32) for v in vecs]
     df = pd.DataFrame({"vec_id": [0, 1, 2, 3], "embedding": [list(map(float, v)) for v in vecs]})
-    out = embed.neardup_pairs(rd.from_pandas(df), threshold=900_000) \
-        .to_pandas()
+    out = embed.neardup_pairs_blocked(rd.from_pandas(df),
+                                      threshold=900_000).to_pandas()
     assert set(zip(out.id_a, out.id_b)) == {(0, 1)}
     # score equals the brute-force quantized dot
     q = [np.rint(np.asarray(v, np.float64) * 1000).astype(np.int64) for v in vecs]
@@ -247,17 +247,25 @@ def test_neardup_pairs_exact(ray_session):
 
 def test_neardup_pairs_blocked_matches_broadcast(ray_session):
     """The distributed 1-Bucket-Theta self-join emits exactly the
-    broadcast baseline's pair set (each unordered pair met once)."""
+    brute-force pair set (every a < b with quantized dot >= the
+    threshold, each unordered pair once), for any block count."""
     emb = read_sf_table(SF, "embeddings",
                         columns=["vec_id", "embedding"])
-    want = embed.neardup_pairs(emb, threshold=400_000).to_pandas()
+    pdf = pd.read_parquet(f"{SF}/embeddings.parquet",
+                          columns=["vec_id", "embedding"])
+    ids = pdf.vec_id.to_numpy(np.int64)
+    mat = embed.quantize(np.vstack(pdf.embedding.to_numpy()))
+    scores = mat @ mat.T
+    ai, bj = np.nonzero((scores >= 400_000)
+                        & (ids[:, None] < ids[None, :]))
+    want = sorted(zip(ids[ai].tolist(), ids[bj].tolist(),
+                      scores[ai, bj].tolist()))
+    assert want                        # the check is not vacuous
     for nb in (1, 3, 8):
         got = embed.neardup_pairs_blocked(
             emb, threshold=400_000, n_blocks=nb).to_pandas()
-        a = want.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-        b = got[["id_a", "id_b", "score"]] \
-            .sort_values(["id_a", "id_b"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        assert sorted(zip(got.id_a.tolist(), got.id_b.tolist(),
+                          got.score.tolist())) == want
 
 
 def test_ann_ivf_recall_and_exactness_at_full_probe(ray_session):
