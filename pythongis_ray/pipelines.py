@@ -17,7 +17,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from pythongis_ray import fixtures, pages, spatial  # noqa: F401
+from pythongis_ray import (fixtures, pages, relational as rel,  # noqa: F401
+                           spatial)
 from pythongis_ray.relational import bucketed_group_apply, map_arrow
 
 
@@ -117,8 +118,6 @@ def flagship_wide_rejoin(sf_dir: str, replicate: int = 1):
     bucketed hash join — html/text never enter the join or any
     shuffle. Returns the joined pages WITH html/text re-attached
     (byte-identical; asserted in tests)."""
-    from pythongis_ray import relational as rel
-
     ds = pages.pages_dataset(sf_dir, replicate=replicate)
     slim = ds.select_columns(["page_id", "lon", "lat", "lang"])
     heavy = ds.select_columns(["page_id", "url", "warc_ts", "html", "text"])
@@ -155,7 +154,7 @@ def corpus_build(docs_ds):
          except the min-id representative;
       4. PII scrub of the surviving text (identity on clean text).
     """
-    from pythongis_ray import graph, relational as rel, text
+    from pythongis_ray import graph, text
 
     # 1. quality filter (integer predicate)
     def qual(batch: pa.Table) -> pa.Table:
@@ -183,16 +182,20 @@ def corpus_build(docs_ds):
     # min-id representative is preserved (see minhash_dedup_pairs),
     # and recall is exact while clusters stay <= 64 members — the
     # oracle-fixture regime (components there are 2-5 docs)
+    # (the edge table is projected BEFORE it is materialized: the
+    # shard load reads its schema, a limit=1 run of an unexecuted
+    # projection)
     pairs = text.minhash_dedup_pairs(survivors, threshold=0.5,
-                                     degree_cap=64).materialize()
-    comp = graph.connected_components(
-        pairs.select_columns(["id_a", "id_b"]))
+                                     degree_cap=64) \
+        .select_columns(["id_a", "id_b"]).materialize()
+    comp = graph.connected_components(pairs)
     comp = map_arrow(comp, lambda b: b.rename_columns(["doc_id", "component"]))
     # comp is legitimately EMPTY on a corpus with no near-dups: guard
     # its schema, which the bucketed join reads to pad its union (see
-    # rel.with_empty_schema)
+    # rel.with_empty_schema); materialized, so that read is free
+    # instead of a limit=1 run of the shard results
     comp = rel.with_empty_schema(comp, pa.schema([
-        ("doc_id", pa.int64()), ("component", pa.int64())]))
+        ("doc_id", pa.int64()), ("component", pa.int64())])).materialize()
     joined = rel.join_large(survivors, comp, on="doc_id", how="left")
 
     def keep_rep(batch: pa.Table) -> pa.Table:

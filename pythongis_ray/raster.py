@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from pythongis_ray import grid, state
+from pythongis_ray import grid, relational as rel, state
 from pythongis_ray.geom import algo, wkb
 from pythongis_ray.relational import (bucketed_group_apply, map_arrow,
                                     map_pandas)
@@ -1432,7 +1432,6 @@ def rasterize_vector(ds, value_col: str = "val", specs=None,
     Per-batch burns feed ONE grouped aggregate over (cx, cy) with the
     full aggreg stat vocabulary — the combine is bucketed, so the
     shuffle moves partial rows, not pixels."""
-    from pythongis_ray import relational as rel
     from pythongis_ray.geom import algo
 
     specs = specs or [("n", value_col, "count")]

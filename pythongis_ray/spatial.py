@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from pythongis_ray import grid, state
+from pythongis_ray import grid, relational as rel, state
 from pythongis_ray.geom import algo, wkb
 from pythongis_ray.relational import (bucketed_group_apply, group_apply,
                                     map_arrow)
@@ -649,8 +649,6 @@ def spatial_stats(points_ds, zones: pd.DataFrame, fieldmapping,
     to zones, then grouped aggregate per zone. Purely-algebraic
     fieldmappings should prefer :func:`spatial_agg` (fused partial
     combine, no joined-row materialization)."""
-    from pythongis_ray import relational as rel
-
     joined = spatial_join(points_ds, zones[[zone_id_col, "geometry"]],
                           predicate=predicate)
     return rel.groupby_aggregate(joined, zone_id_col, fieldmapping,
@@ -938,7 +936,6 @@ def dissolve(ds, keys, geometry_col: str = "geometry",
     mins / min of maxes); groups with empty intersection are dropped;
     emits Polygon + ``inter_area``.
     Groups co-locate through the bucketed hash shuffle."""
-    from pythongis_ray import relational as rel
     from pythongis_ray.geom import union as gunion
 
     if geomfunc not in ("union", "intersection"):

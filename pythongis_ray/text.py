@@ -18,6 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from pythongis_ray import relational as rel
 from pythongis_ray.relational import bucketed_group_apply, map_arrow
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "on", "for", "with")
@@ -390,10 +391,10 @@ def _poly_hash_segments(data: np.ndarray, starts: np.ndarray,
     if not nz.any():
         return out
     total = int(lens.sum())
-    rel = np.arange(total, dtype=np.int64) \
+    pos = np.arange(total, dtype=np.int64) \
         - np.repeat(np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    exp = np.repeat(lens, lens) - 1 - rel
-    src = np.repeat(starts, lens) + rel
+    exp = np.repeat(lens, lens) - 1 - pos
+    src = np.repeat(starts, lens) + pos
     pw = _fp_powers(int(lens.max()) + 1)
     vals = data[src].astype(np.uint64) * pw[exp]
     red_offs = np.concatenate(([0], np.cumsum(lens)[:-1]))[nz]
@@ -730,6 +731,49 @@ def _verify_pairs_batches(cand, threshold: float):
     return cand.map_batches(verify, batch_format="pyarrow", batch_size=4096)
 
 
+# Candidate-text bytes (``small.size_bytes()``) above which
+# _attach_pair_texts attaches the pair texts by two join_large shuffles
+# instead of one broadcast lookup. Sweep on a 1-CPU host: 2 KB random
+# documents, every one a candidate in about two chain pairs, one warm
+# Ray session per point, peak RSS of the driver and its Ray workers
+# sampled every 0.1 s:
+#   candidate text   broadcast lookup        two join_large shuffles
+#                    wall s  peak RSS MB     wall s  peak RSS MB
+#     1 MB            0.08      684           0.64      706
+#     4 MB            0.07      737           0.70      829
+#    16 MB            0.16      923           1.16    1,149
+#    64 MB            0.41    1,698           2.87    2,222
+#   256 MB            2.37    3,983          11.98    5,762
+# The broadcast is faster and lighter at every size on one worker. But
+# each worker process builds its own copy of the lookup, so W workers
+# hold W copies: 64 MB keeps that at 1 GB for 16 workers, where 256 MB
+# would take 4 GB.
+PAIR_TEXT_BROADCAST_BYTES = 64 << 20
+
+
+def _nonempty_blocks(ds) -> list:
+    """Block refs of a materialized Dataset without its 0-row blocks:
+    Ray 2.49's ``map_batches`` over a 0-row block emits a block with
+    no schema, which breaks a consumer that reads a column of it."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
+def _pair_text_lookup(refs, id_col: str, text_col: str):
+    """(ids, texts) of the candidate-text blocks ``refs``, sorted by
+    int64 id: built once per worker by :func:`state.get_broadcast`.
+    The ``take`` copies the texts out of the object store."""
+    import ray
+
+    tables = ray.get(refs)
+    ids = np.concatenate([t[id_col].to_numpy(zero_copy_only=False)
+                          .astype(np.int64) for t in tables])
+    texts = pa.concat_arrays([c for t in tables
+                              for c in t[text_col].chunks])
+    order = np.argsort(ids, kind="stable")
+    return ids[order], texts.take(order)
+
+
 def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     """Re-attach texts to a candidate-PAIR table (id_a, id_b): the
     candidate table is tiny by construction (LSH bands / shared
@@ -737,9 +781,22 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     SET, and make the re-attach ONE streaming semi-join filter over
     the corpus — texts of non-candidates never move (the naive shape
     bucket-shuffles the full wide corpus twice, ~8× this cost).
-    Returns the joined (id_a, id_b, text_a, text_b) Dataset, or None
-    when there are no candidates."""
-    from pythongis_ray import relational as rel
+
+    The filtered ``small`` (id, text) table is then read by every
+    attach task as one broadcast lookup (its block refs, fetched and
+    indexed once per worker through :func:`state.get_broadcast`), and
+    ONE map stage over the candidate blocks adds ``text_a`` and
+    ``text_b``: no shuffle, no schema peek. The rows are those of an
+    inner join on each id: a pair whose id is missing from ``ds`` is
+    dropped, an id that ``ds`` holds twice gives one row per match,
+    and signed integer ids come out int64. Above
+    ``PAIR_TEXT_BROADCAST_BYTES`` of candidate text the lookup would
+    be too large to copy into every worker, and two ``join_large``
+    shuffles (on ``id_a``, then ``id_b``) attach the texts instead.
+    Returns the (cand columns, text_a, text_b) Dataset, or None when
+    there are no candidates."""
+    import ray
+    import ray.data as rd
 
     cand = cand.materialize()
     cand_pd = cand.to_pandas()            # candidate pairs only
@@ -748,9 +805,7 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     need = np.unique(np.concatenate([
         cand_pd["id_a"].to_numpy(np.int64),
         cand_pd["id_b"].to_numpy(np.int64)]))
-    import ray as _ray
-
-    need_ref = _ray.put(need)
+    need_ref = ray.put(need)
 
     def filt(batch: pa.Table) -> pa.Table:
         from pythongis_ray import state
@@ -762,7 +817,46 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
 
     small = ds.map_batches(filt, batch_format="pyarrow",
                            batch_size=8192).materialize()
+    refs = _nonempty_blocks(small)
+    # (no candidate id found in ds: the join gives the empty answer)
+    if not refs or small.size_bytes() > PAIR_TEXT_BROADCAST_BYTES:
+        return _join_pair_texts(cand, small, id_col, text_col)
+    texts_ref = ray.put(refs)
 
+    def attach(batch: pa.Table) -> pa.Table:
+        from pythongis_ray import state
+        ids, texts = state.get_broadcast(
+            texts_ref,
+            lambda blocks: _pair_text_lookup(blocks, id_col, text_col),
+            key_extra=("pair_texts",))
+        cols = dict(zip(batch.column_names, batch.columns))
+        lo, n = {}, {}
+        for c in ("id_a", "id_b"):
+            if pa.types.is_signed_integer(cols[c].type):
+                cols[c] = pc.cast(cols[c], pa.int64())
+            v = cols[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            lo[c] = np.searchsorted(ids, v, "left")
+            n[c] = np.searchsorted(ids, v, "right") - lo[c]
+        # one row per (id_a match, id_b match) of each pair
+        per_pair = n["id_a"] * n["id_b"]
+        row = np.repeat(np.arange(batch.num_rows), per_pair)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(per_pair) - per_pair,
+                                            per_pair)
+        nb = n["id_b"][row]
+        out = {c: v.take(row) for c, v in cols.items()}
+        out["text_a"] = texts.take(lo["id_a"][row] + k // nb)
+        out["text_b"] = texts.take(lo["id_b"][row] + k % nb)
+        return pa.table(out)
+
+    # (from_arrow_refs also takes the pandas blocks of a grouped apply)
+    return map_arrow(rd.from_arrow_refs(_nonempty_blocks(cand)), attach)
+
+
+def _join_pair_texts(cand, small, id_col: str, text_col: str):
+    """The texts of ``small`` attached to ``cand`` by two
+    ``join_large`` shuffles, on ``id_a`` and then on ``id_b``: the
+    path of :func:`_attach_pair_texts` for a lookup too large to
+    broadcast."""
     def as_side(side: str):
         def fn(batch: pa.Table) -> pa.Table:
             return batch.select([id_col, text_col]).rename_columns(
@@ -785,9 +879,11 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
          candidate pairs (vectorized triu emission, ids only — text
          never enters the shuffle);
       3. bucketed dedup of (id_a, id_b) across bands;
-      4. texts re-attached to the candidate table by TWO hash joins
-         on doc id (no driver-side corpus materialization — the
-         candidate table is tiny relative to the corpus);
+      4. texts re-attached to the candidate table by ONE map stage
+         over a broadcast lookup of the candidates' texts
+         (:func:`_attach_pair_texts`; two hash joins on doc id above
+         ``PAIR_TEXT_BROADCAST_BYTES``) — no shuffle, no driver-side
+         corpus materialization;
       5. verify: exact shingle-set Jaccard ≥ threshold.
 
     Returns a Dataset of (id_a, id_b, jaccard) with id_a < id_b.
@@ -816,8 +912,6 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     those slots, a doc can lose its only verified edge and its cluster
     splits."""
     import logging
-
-    from pythongis_ray import relational as rel
 
     bands = minhash_bands(ds, id_col, text_col)
 
@@ -906,8 +1000,6 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     MinHash-LSH approximation (same verify, different candidate
     generator); candidate volume is Σ bucket² over shared shingles,
     so run exact dedup first on heavy-duplicate corpora."""
-    from pythongis_ray import relational as rel
-
     bands = ds.map_batches(_doc_shingles, batch_format="pyarrow",
                            batch_size=4096,
                            fn_kwargs={"id_col": id_col, "text_col": text_col})
@@ -1017,8 +1109,6 @@ def hash_neardup_pairs(ds, hash_col: str, id_col: str,
     banded-fingerprint trade (Manku et al. 2007 use the same scheme
     with more tables for higher guaranteed radius).
     Emits (id_a, id_b, hamming), id_a < id_b."""
-    from pythongis_ray import relational as rel
-
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         h = batch[hash_col].to_numpy(np.int64).view(np.uint64)
         n = len(h)
@@ -1313,8 +1403,6 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     exact dedup uses, at line granularity. No joins, no driver state.
     Lines are compared by 64-bit polynomial hash (equal lines always
     collide; a false merge needs a 2^-64 collision)."""
-    from pythongis_ray import relational as rel
-
     lines = ds.map_batches(
         lambda b: _batch_line_rows(b, id_col, text_col, line_len),
         batch_format="pyarrow", batch_size=8192)
@@ -1377,8 +1465,6 @@ def tfidf_topk(ds, id_col: str = "doc_id", text_col: str = "text",
     stream is consumed twice (df pass + join side) and recomputed from
     lineage rather than materialized — two corpus passes instead of an
     object-store-sized pin."""
-    from pythongis_ray import relational as rel
-
     n_docs = ds.count()
 
     def tf_batch(batch: pa.Table) -> pa.Table:
@@ -1490,8 +1576,6 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
     Windows compare by 64-bit rolling hash (equal windows always
     collide; a false dup needs a 2^-64 collision).
     """
-    from pythongis_ray import relational as rel
-
     def explode(batch: pa.Table) -> pa.Table:
         col = batch[text_col]
         arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
@@ -1578,8 +1662,6 @@ def pmi_bigrams(ds, text_col: str = "text", k: int = 20,
     driver merge (vocabulary-bounded, same shape as word_frequency).
     Returns a pandas DataFrame (w1, w2, n_ab, n_a, n_b, score, rank).
     """
-    from pythongis_ray import relational as rel
-
     def bigram_partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch[text_col], " ")
         flat = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) \
@@ -2416,9 +2498,9 @@ def edit1_keys(arr: pa.Array):
     total = int(lens.sum())
     row = np.repeat(np.arange(n, dtype=np.int64), lens)
     base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    rel = np.arange(total, dtype=np.int64) - np.repeat(base, lens)
-    exp = np.repeat(lens, lens) - 1 - rel
-    src = np.repeat(offs[:-1], lens) + rel
+    pos = np.arange(total, dtype=np.int64) - np.repeat(base, lens)
+    exp = np.repeat(lens, lens) - 1 - pos
+    src = np.repeat(offs[:-1], lens) + pos
     pw = _fp_powers(int(lens.max()) + 1)
     with np.errstate(over="ignore"):
         vals = buf[src].astype(np.uint64) * pw[exp]
@@ -2496,8 +2578,10 @@ def edit1_pairs(ds, str_col: str):
     candidate pairs within equal-key runs (canonical a < b string
     order), dedup pairs once, verify with the exact vectorized
     lev<=1 kernel. Strings ride the key rows — right for SHORT keys
-    like URLs/words (<= ~100B); for long payloads re-attach by id via
-    _attach_pair_texts instead. Returns (a, b) string pairs."""
+    like URLs/words (<= ~100B); for long payloads pair ids instead
+    and attach the payloads once, after the pair dedup, with
+    _attach_pair_texts (one broadcast lookup of the candidates'
+    payloads). Returns (a, b) string pairs."""
     def explode(batch: pa.Table) -> pd.DataFrame:
         arr = batch[str_col]
         arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
@@ -2916,8 +3000,6 @@ def common_span_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                          "id_b": pa.array(out_b, pa.int64()),
                          "lcs_run": pa.array(out_l, pa.int64())})
 
-    from pythongis_ray import relational as rel
-
     return rel.with_empty_schema(
         joined.map_batches(spans, batch_format="pyarrow",
                            batch_size=1024), schema)
@@ -2946,8 +3028,6 @@ def ppjoin_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     verify on the texts of the tiny candidate set. Nothing touches
     the driver except the candidate pairs.
     """
-    from pythongis_ray import relational as rel
-
     t_ppm = int(round(threshold * 1_000_000))
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -3043,8 +3123,6 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     any t > 0 since containment > 0 implies a shared shingle), but
     pairs are emitted in BOTH orders and verified against the exact
     integer containment in ppm."""
-    from pythongis_ray import relational as rel
-
     bands = ds.map_batches(_doc_shingles, batch_format="pyarrow",
                            batch_size=4096,
                            fn_kwargs={"id_col": id_col, "text_col": text_col})

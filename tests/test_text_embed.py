@@ -105,6 +105,52 @@ def test_minhash_dedup_pairs(ray_session):
     assert set(zip(pairs.id_a, pairs.id_b)) == {(1, 2)}
 
 
+def test_attach_pair_texts_broadcast_matches_join(ray_session,
+                                                 monkeypatch):
+    """The broadcast lookup of _attach_pair_texts gives the rows of
+    the two-join path it replaces below PAIR_TEXT_BROADCAST_BYTES:
+    int32 ids come out int64, an id that ds holds twice gives one row
+    per match, a pair with an id missing from ds is dropped, and the
+    0-row blocks of both inputs are skipped."""
+    import ray.data as rd
+
+    i32 = pa.int32()
+    ds = rd.from_arrow([
+        pa.table({"doc_id": pa.array([1, 2, 3], i32),
+                  "text": ["a b", "c d", "e f"]}),
+        pa.table({"doc_id": pa.array([], i32),
+                  "text": pa.array([], pa.string())}),
+        pa.table({"doc_id": pa.array([3, 4, 6], i32),
+                  "text": ["e f again", "g h", "not a candidate"]})])
+    cand = rd.from_arrow([
+        pa.table({"id_a": pa.array([1, 2, 1], i32),
+                  "id_b": pa.array([2, 3, 5], i32)}),
+        pa.table({"id_a": pa.array([], i32), "id_b": pa.array([], i32)}),
+        pa.table({"id_a": pa.array([3], i32), "id_b": pa.array([4], i32)})])
+
+    def attach():
+        out = text._attach_pair_texts(cand, ds, "doc_id", "text") \
+            .to_pandas()
+        return out.sort_values(list(out.columns)).reset_index(drop=True)
+
+    broadcast = attach()
+    monkeypatch.setattr(text, "PAIR_TEXT_BROADCAST_BYTES", 0)
+    joined = attach()
+    pd.testing.assert_frame_equal(broadcast, joined)
+    assert list(broadcast.columns) == ["id_a", "id_b", "text_a", "text_b"]
+    assert broadcast["id_a"].dtype == np.int64
+    assert broadcast["id_b"].dtype == np.int64
+    assert broadcast.values.tolist() == [
+        [1, 2, "a b", "c d"],
+        [2, 3, "c d", "e f"],
+        [2, 3, "c d", "e f again"],
+        [3, 4, "e f", "g h"],
+        [3, 4, "e f again", "g h"]]
+    empty = rd.from_arrow(pa.table({"id_a": pa.array([], i32),
+                                    "id_b": pa.array([], i32)}))
+    assert text._attach_pair_texts(empty, ds, "doc_id", "text") is None
+
+
 def test_jaccard_pairs_batch_matches_scalar():
     import pyarrow as pa
 

@@ -242,6 +242,55 @@ def test_corpus_build_removes_dups_and_clusters(ray_session):
     assert out["doc_id"].tolist() == [0]
 
 
+def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
+    """One corpus_build with near-dup pairs runs no ``limit=1`` schema
+    peek and at most 5 sort shuffles, counted from the plans the
+    streaming executor runs: the verify stage reads its pair texts
+    from one broadcast lookup instead of two join shuffles, and the
+    tables whose schemas are read are materialized first."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from pythongis_ray import pipelines
+
+    base = ("the quick brown fox jumps over the lazy dog and runs far "
+            "across the misty field of tall green grass today while a "
+            "small bird sings in the old oak tree").split()
+    docs = []
+    for i in range(6):                 # one near-dup cluster
+        t = list(base)
+        t[-3] = f"v{i}"
+        docs.append(" ".join(t))
+    docs += [" ".join(f"u{i}q{j}" if j % 4 else "the" for j in range(30))
+             for i in range(6)]
+    tbl = pa.table({"doc_id": pa.array(np.arange(len(docs)), pa.int64()),
+                    "text": pa.array(docs)})
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        ops, todo = {}, [dag]
+        while todo:
+            op = todo.pop()
+            ops[id(op)] = op
+            todo.extend(op.input_dependencies)
+        plans.append(list(ops.values()))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    out = pipelines.corpus_build(rd.from_arrow(tbl)).to_pandas()
+    assert sorted(out["doc_id"]) == [0, 6, 7, 8, 9, 10, 11]
+    peeks = sum(any(type(op).__name__ == "LimitOperator"
+                    and op._limit == 1 for op in ops) for ops in plans)
+    sorts = sum(type(op).__name__ == "AllToAllOperator"
+                and op.name.startswith("Sort")
+                for ops in plans for op in ops)
+    assert peeks == 0
+    assert sorts <= 5
+
+
 def test_dedup_incremental_reference(ray_session):
     """Engine vs plain-python reference on a corpus with cross-half
     duplicates."""
