@@ -32,12 +32,18 @@ _CACHE: dict[tuple, Any] = {}
 
 
 def get_broadcast(ref, builder: Callable[[Any], Any] | None = None,
-                  key_extra: tuple = ()) -> Any:
+                  key_extra: tuple = (), latest_only: bool = False) -> Any:
     """Fetch-and-cache a broadcast object on this worker process.
 
     ``ref``: ObjectRef (or the object itself for in-process use).
     ``builder``: optional one-time transform of the fetched payload
     (e.g. wrap arrays into a joiner instance).
+    ``latest_only``: before caching a new entry, drop every cached
+    entry with the same ``key_extra``. The cache never evicts
+    otherwise, so an operator that broadcasts a fresh ref on each call
+    sets it to keep one entry per worker instead of one per call. Two
+    calls' stages that run interleaved on one worker then rebuild on
+    every switch: still correct, only slower.
 
     Only ObjectRefs are cached: their hex id is globally unique for the
     session. A plain object passed directly is built-and-returned
@@ -50,6 +56,9 @@ def get_broadcast(ref, builder: Callable[[Any], Any] | None = None,
     key = (ref.hex(),) + key_extra
     obj = _CACHE.get(key)
     if obj is None:
+        if latest_only:
+            for k in [k for k in _CACHE if k[1:] == key_extra]:
+                del _CACHE[k]
         obj = ray.get(ref)
         if builder is not None:
             obj = builder(obj)

@@ -731,26 +731,6 @@ def _verify_pairs_batches(cand, threshold: float):
     return cand.map_batches(verify, batch_format="pyarrow", batch_size=4096)
 
 
-# Candidate-text bytes (``small.size_bytes()``) above which
-# _attach_pair_texts attaches the pair texts by two join_large shuffles
-# instead of one broadcast lookup. Sweep on a 1-CPU host: 2 KB random
-# documents, every one a candidate in about two chain pairs, one warm
-# Ray session per point, peak RSS of the driver and its Ray workers
-# sampled every 0.1 s:
-#   candidate text   broadcast lookup        two join_large shuffles
-#                    wall s  peak RSS MB     wall s  peak RSS MB
-#     1 MB            0.08      684           0.64      706
-#     4 MB            0.07      737           0.70      829
-#    16 MB            0.16      923           1.16    1,149
-#    64 MB            0.41    1,698           2.87    2,222
-#   256 MB            2.37    3,983          11.98    5,762
-# The broadcast is faster and lighter at every size on one worker. But
-# each worker process builds its own copy of the lookup, so W workers
-# hold W copies: 64 MB keeps that at 1 GB for 16 workers, where 256 MB
-# would take 4 GB.
-PAIR_TEXT_BROADCAST_BYTES = 64 << 20
-
-
 def _nonempty_blocks(ds) -> list:
     """Block refs of a materialized Dataset without its 0-row blocks:
     Ray 2.49's ``map_batches`` over a 0-row block emits a block with
@@ -762,10 +742,14 @@ def _nonempty_blocks(ds) -> list:
 def _pair_text_lookup(refs, id_col: str, text_col: str):
     """(ids, texts) of the candidate-text blocks ``refs``, sorted by
     int64 id: built once per worker by :func:`state.get_broadcast`.
-    The ``take`` copies the texts out of the object store."""
+    The ``take`` copies the texts out of the object store. No blocks
+    (no candidate id found in ``ds``) give an empty lookup, so every
+    pair is dropped."""
     import ray
 
     tables = ray.get(refs)
+    if not tables:
+        return np.empty(0, np.int64), pa.array([], pa.string())
     ids = np.concatenate([t[id_col].to_numpy(zero_copy_only=False)
                           .astype(np.int64) for t in tables])
     texts = pa.concat_arrays([c for t in tables
@@ -774,6 +758,20 @@ def _pair_text_lookup(refs, id_col: str, text_col: str):
     return ids[order], texts.take(order)
 
 
+# Why one broadcast lookup at every size, and not two join_large
+# shuffles or two rel.hash_join calls. Sweep on a 1-CPU host, 2 KB
+# random documents, every one a candidate in about two chain pairs,
+# one warm Ray session per point; wall s / peak RSS MB of the driver
+# and its Ray workers, sampled every 0.1 s:
+#   candidate text   this lookup    two join_large   two hash_join
+#     1 MB           0.08 /   684   0.61 /   706     0.09 /   685
+#    16 MB           0.15 /   924   1.18 / 1,151     0.23 / 1,056
+#    64 MB           0.37 / 1,699   3.07 / 2,221     0.64 / 2,246
+# hash_join is as fast on the benchmark's corpus_build (0.99 vs
+# 1.01 s a call), but it copies the texts to the driver and caches a
+# pandas copy per side in every worker. Its cache tag is shared by all
+# of its callers, so it could not drop the previous call's copy
+# without branching on its caller.
 def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     """Re-attach texts to a candidate-PAIR table (id_a, id_b): the
     candidate table is tiny by construction (LSH bands / shared
@@ -789,10 +787,8 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     ``text_b``: no shuffle, no schema peek. The rows are those of an
     inner join on each id: a pair whose id is missing from ``ds`` is
     dropped, an id that ``ds`` holds twice gives one row per match,
-    and signed integer ids come out int64. Above
-    ``PAIR_TEXT_BROADCAST_BYTES`` of candidate text the lookup would
-    be too large to copy into every worker, and two ``join_large``
-    shuffles (on ``id_a``, then ``id_b``) attach the texts instead.
+    and signed integer ids come out int64. Each worker holds one copy
+    of the candidates' texts; the next call's lookup replaces it.
     Returns the (cand columns, text_a, text_b) Dataset, or None when
     there are no candidates."""
     import ray
@@ -812,23 +808,19 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
         ids = batch[id_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         m = np.isin(ids, state.get_broadcast(
-            need_ref, key_extra=("pair_need",)))
+            need_ref, key_extra=("pair_need",), latest_only=True))
         return batch.select([id_col, text_col]).filter(pa.array(m))
 
     small = ds.map_batches(filt, batch_format="pyarrow",
                            batch_size=8192).materialize()
-    refs = _nonempty_blocks(small)
-    # (no candidate id found in ds: the join gives the empty answer)
-    if not refs or small.size_bytes() > PAIR_TEXT_BROADCAST_BYTES:
-        return _join_pair_texts(cand, small, id_col, text_col)
-    texts_ref = ray.put(refs)
+    texts_ref = ray.put(_nonempty_blocks(small))
 
     def attach(batch: pa.Table) -> pa.Table:
         from pythongis_ray import state
         ids, texts = state.get_broadcast(
             texts_ref,
             lambda blocks: _pair_text_lookup(blocks, id_col, text_col),
-            key_extra=("pair_texts",))
+            key_extra=("pair_texts",), latest_only=True)
         cols = dict(zip(batch.column_names, batch.columns))
         lo, n = {}, {}
         for c in ("id_a", "id_b"):
@@ -852,23 +844,6 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     return map_arrow(rd.from_arrow_refs(_nonempty_blocks(cand)), attach)
 
 
-def _join_pair_texts(cand, small, id_col: str, text_col: str):
-    """The texts of ``small`` attached to ``cand`` by two
-    ``join_large`` shuffles, on ``id_a`` and then on ``id_b``: the
-    path of :func:`_attach_pair_texts` for a lookup too large to
-    broadcast."""
-    def as_side(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.select([id_col, text_col]).rename_columns(
-                [f"id_{side}", f"text_{side}"])
-        return fn
-
-    out = rel.join_large(cand, small.map_batches(
-        as_side("a"), batch_format="pyarrow"), on="id_a")
-    return rel.join_large(out, small.map_batches(
-        as_side("b"), batch_format="pyarrow"), on="id_b")
-
-
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         threshold: float = 0.7, bucket_cap: int = 1024,
                         degree_cap: int | None = None):
@@ -881,8 +856,7 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
       3. bucketed dedup of (id_a, id_b) across bands;
       4. texts re-attached to the candidate table by ONE map stage
          over a broadcast lookup of the candidates' texts
-         (:func:`_attach_pair_texts`; two hash joins on doc id above
-         ``PAIR_TEXT_BROADCAST_BYTES``) — no shuffle, no driver-side
+         (:func:`_attach_pair_texts`) — no shuffle, no driver-side
          corpus materialization;
       5. verify: exact shingle-set Jaccard ≥ threshold.
 

@@ -105,13 +105,26 @@ def test_minhash_dedup_pairs(ray_session):
     assert set(zip(pairs.id_a, pairs.id_b)) == {(1, 2)}
 
 
-def test_attach_pair_texts_broadcast_matches_join(ray_session,
-                                                 monkeypatch):
+def _joined_pair_texts(cand, ds):
+    """The reference for _attach_pair_texts: its texts attached by two
+    join_large shuffles, on id_a and then on id_b."""
+    from pythongis_ray import relational as rel
+
+    def side(s: str):
+        return ds.map_batches(
+            lambda b: b.select(["doc_id", "text"]).rename_columns(
+                [f"id_{s}", f"text_{s}"]), batch_format="pyarrow")
+
+    return rel.join_large(rel.join_large(cand, side("a"), on="id_a"),
+                          side("b"), on="id_b")
+
+
+def test_attach_pair_texts_broadcast_matches_join(ray_session):
     """The broadcast lookup of _attach_pair_texts gives the rows of
-    the two-join path it replaces below PAIR_TEXT_BROADCAST_BYTES:
-    int32 ids come out int64, an id that ds holds twice gives one row
-    per match, a pair with an id missing from ds is dropped, and the
-    0-row blocks of both inputs are skipped."""
+    the two-join reference: int32 ids come out int64, an id that ds
+    holds twice gives one row per match, a pair with an id missing
+    from ds is dropped, the 0-row blocks of both inputs are skipped,
+    and candidates none of whose ids is in ds give no rows."""
     import ray.data as rd
 
     i32 = pa.int32()
@@ -128,15 +141,12 @@ def test_attach_pair_texts_broadcast_matches_join(ray_session,
         pa.table({"id_a": pa.array([], i32), "id_b": pa.array([], i32)}),
         pa.table({"id_a": pa.array([3], i32), "id_b": pa.array([4], i32)})])
 
-    def attach():
-        out = text._attach_pair_texts(cand, ds, "doc_id", "text") \
-            .to_pandas()
+    def rows(out):
+        out = out.to_pandas()
         return out.sort_values(list(out.columns)).reset_index(drop=True)
 
-    broadcast = attach()
-    monkeypatch.setattr(text, "PAIR_TEXT_BROADCAST_BYTES", 0)
-    joined = attach()
-    pd.testing.assert_frame_equal(broadcast, joined)
+    broadcast = rows(text._attach_pair_texts(cand, ds, "doc_id", "text"))
+    pd.testing.assert_frame_equal(broadcast, rows(_joined_pair_texts(cand, ds)))
     assert list(broadcast.columns) == ["id_a", "id_b", "text_a", "text_b"]
     assert broadcast["id_a"].dtype == np.int64
     assert broadcast["id_b"].dtype == np.int64
@@ -146,9 +156,37 @@ def test_attach_pair_texts_broadcast_matches_join(ray_session,
         [2, 3, "c d", "e f again"],
         [3, 4, "e f", "g h"],
         [3, 4, "e f again", "g h"]]
+    absent = rd.from_arrow(pa.table({"id_a": pa.array([7], i32),
+                                     "id_b": pa.array([8], i32)}))
+    assert text._attach_pair_texts(absent, ds, "doc_id", "text") \
+        .count() == 0
     empty = rd.from_arrow(pa.table({"id_a": pa.array([], i32),
                                     "id_b": pa.array([], i32)}))
     assert text._attach_pair_texts(empty, ds, "doc_id", "text") is None
+
+
+def test_attach_pair_texts_keeps_one_lookup_per_worker(ray_session):
+    """Every _attach_pair_texts call broadcasts a new text lookup; the
+    worker that builds it drops the previous call's, so repeated calls
+    leave one lookup per worker, not one per call. The probe fuses
+    into the attach stage, so it reads the cache of the worker that
+    just attached."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(pa.table({"doc_id": [1, 2, 3],
+                                 "text": ["a b", "c d", "e f"]}))
+    cand = rd.from_arrow(pa.table({"id_a": [1, 2], "id_b": [2, 3]}))
+
+    def probe(batch: pa.Table) -> pa.Table:
+        from pythongis_ray import state
+        n = sum(k[1:] == ("pair_texts",) for k in state._CACHE)
+        return pa.table({"lookups": [n]})
+
+    for _ in range(6):
+        out = text._attach_pair_texts(cand, ds, "doc_id", "text")
+        assert out.map_batches(probe, batch_format="pyarrow",
+                               batch_size=None).to_pandas()["lookups"] \
+            .tolist() == [1]
 
 
 def test_jaccard_pairs_batch_matches_scalar():
