@@ -26,6 +26,11 @@ method call is one stateless task: (shard state, *incoming parts) →
     rounds (each an ``_exchange`` all-to-all), round-level
     checkpoint/resume. Every ref is a task return the driver owns, so
     a lost one is rebuilt from lineage, and nothing outlives the call.
+  * On it run PageRank/TrustRank, neighbour sums (Katz, WL colours),
+    connected components, HITS, BFS (seeded, weighted, temporal and
+    multi-landmark), random walks, k-core and densest-subgraph
+    peeling, minimum-edge rounds (Borůvka, locally-dominant
+    matching), label propagation and SCC.
 
 The one the dedup plan needs is connected components, turning a
 near-duplicate PAIR table (MinHash/SimHash/embedding candidates) into
@@ -207,6 +212,13 @@ class _Shard:
         return (np.searchsorted(db[o], np.arange(self.nb + 1)), dest[o],
                 *(c[o] for c in cols))
 
+    def _route(self, to: np.ndarray, *cols) -> tuple:
+        """``(to, *cols)`` split into one part per owner shard of
+        ``to``."""
+        tb = _bucket_of(to, self.nb)
+        return tuple(tuple(c[tb == t] for c in (to, *cols))
+                     for t in range(self.nb))
+
     def _per_dest(self, splits: np.ndarray, fn, *cols) -> tuple:
         """``fn`` over each destination shard's slice of ``cols``."""
         return tuple(fn(*(c[splits[t]:splits[t + 1]] for c in cols))
@@ -349,14 +361,15 @@ def _each(shards, method: str, *args) -> list:
     return ray.get([sh.call(method, args)[0] for sh in shards])
 
 
-def _exchange(shards, send: str, recv: str, *args, extra=None) -> list:
-    """One all-to-all message round: each shard's ``send`` returns one
-    part per shard (``num_returns=nb``, so only object refs pass
-    through the caller) and shard t's ``recv(*args, *parts)`` folds
-    part t of every sender. Returns the ``recv`` results. With an
+def _exchange(shards, send: str, recv: str, *args, send_args=(),
+              extra=None) -> list:
+    """One all-to-all message round: each shard's ``send(*send_args)``
+    returns one part per shard (``num_returns=nb``, so only object refs
+    pass through the caller) and shard t's ``recv(*args, *parts)``
+    folds part t of every sender. Returns the ``recv`` results. With an
     ``extra`` list, ``recv`` returns (result, output) and the refs of
     the outputs are appended to it, never fetched."""
-    parts = [sh.call(send, n_out=len(shards)) for sh in shards]
+    parts = [sh.call(send, send_args, n_out=len(shards)) for sh in shards]
     outs = [sh.call(recv, args, [p[t] for p in parts],
                     n_out=1 + (extra is not None))
             for t, sh in enumerate(shards)]
@@ -425,7 +438,7 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
     # block into per-shard parts, and a shard's first call builds it
     split = _split.options(num_returns=nb)
     blocks = [split.remote(ref, nb, src, dst, mode)
-              for ref in edges.to_arrow_refs()]
+              for ref in rel.nonempty_blocks(edges)]
     shards = [_ShardRef(cls, b, nb, [p[b] for p in blocks])
               for b in range(nb)]
     if mode == "doubled":
@@ -564,6 +577,46 @@ def pagerank(edges, src: str = "src", dst: str = "dst",
                 meta=meta)
 
 
+class _NbrSumShard(_Shard):
+    """Neighbour sums: an int64 ``x`` per node, from ``start(deg)``
+    (deg, the key-side edge count, when None). A round sends
+    ``send(x)[u]`` (``x[u]`` when None) across each edge (u, v),
+    pre-summed per destination, and v sets x = update(x, sum, round)."""
+
+    state = ("x",)
+
+    def init(self, start, send, update, *incoming) -> int:
+        src, dst = self._edges()["f"]
+        self.owned = np.unique(np.concatenate([src, *incoming]))
+        idx = np.searchsorted(self.owned, src)
+        self.splits, self.e_dst, self.e_idx = self._by_dest(dst, idx)
+        self.send, self.update, self.rnd = send, update, 0
+        deg = np.bincount(idx, minlength=len(self.owned)).astype(np.int64)
+        self.x = deg if start is None else start(deg)
+        return len(self.owned)
+
+    def scatter(self):
+        x = self.x if self.send is None else self.send(self.x)
+        return self._per_dest(self.splits, _group_sum, self.e_dst,
+                              x[self.e_idx])
+
+    def gather(self, *msgs) -> int:
+        self.rnd += 1
+        s = self._fold(np.zeros(len(self.owned), np.int64), msgs, np.add)
+        self.x = self.update(self.x, s, self.rnd)
+        return len(self.owned)
+
+
+def neighbour_sums(edges, src: str, dst: str, rounds: int, update, start=None,
+                   send=None, undirected: bool = False, num_shards=None):
+    """``rounds`` rounds of ``_NbrSumShard`` (over both edge directions
+    when ``undirected``); returns (node, x). The caller's int64
+    arithmetic comes in as module-level functions."""
+    return _run(_NbrSumShard, edges, src, dst,
+                "doubled" if undirected else "directed", rounds,
+                init_args=(start, send, update), num_shards=num_shards)
+
+
 # ------------------------------------------------ connected components
 
 class _CCShard(_Shard):
@@ -697,7 +750,7 @@ class _BfsShard(_Shard):
 
     state = ("dist",)
 
-    def init(self, seed_mod: int, weight_mod, temporal_mod,
+    def init(self, seed_mod: int, weight_mod, temporal_mod, seeds,
              *incoming) -> int:
         src, dst = self._edges()["f"]
         self.owned = np.unique(np.concatenate([src, *incoming]))
@@ -717,8 +770,9 @@ class _BfsShard(_Shard):
         # IS the edge time (not dist+w)
         self.e_t = (None if temporal_mod is None else
                     (e_src + self.e_dst) % np.int64(temporal_mod))
-        self.dist = np.where(self.owned % seed_mod == 0,
-                             np.int64(0), BFS_INF)
+        seed = (self.owned % seed_mod == 0 if seeds is None
+                else np.isin(self.owned, seeds))
+        self.dist = np.where(seed, np.int64(0), BFS_INF)
         return int((self.dist == 0).sum())
 
     def scatter(self):
@@ -748,7 +802,8 @@ def bfs(edges, src: str = "src", dst: str = "dst",
         seed_mod: int = 97, iters: int = 8,
         num_shards: int | None = None,
         weight_mod: int | None = None,
-        temporal_mod: int | None = None):
+        temporal_mod: int | None = None,
+        seeds: np.ndarray | None = None):
     """Hop distance from the seed set {node : node % seed_mod == 0}
     following edge direction, capped at ``iters`` rounds (nodes
     farther than that — or unreachable — keep the BFS_INF sentinel).
@@ -763,6 +818,8 @@ def bfs(edges, src: str = "src", dst: str = "dst",
     source's current arrival, and the relaxed value is the edge time.
     Fixed round count makes any of these an exact replay of a chained
     min-fold LEFT-JOIN CTE in DuckDB, independent of sharding.
+    ``seeds`` (an array of node ids) replaces the ``seed_mod`` rule as
+    the seed set.
     Reference analogue: link-distance crawls in web-graph analysis
     (no direct reference op; the graph layer generalizes
     /root/reference/pythongis/vector/sql.py's per-group folds to
@@ -770,7 +827,7 @@ def bfs(edges, src: str = "src", dst: str = "dst",
     if weight_mod is not None and temporal_mod is not None:
         raise ValueError("weight_mod and temporal_mod are exclusive")
     return _run(_BfsShard, edges, src, dst, "directed", iters,
-                init_args=(seed_mod, weight_mod, temporal_mod),
+                init_args=(seed_mod, weight_mod, temporal_mod, seeds),
                 num_shards=num_shards)
 
 
@@ -782,7 +839,7 @@ class _MultiBfsShard(_BfsShard):
     Messages stay 1-D per landmark (pre-combined minima)."""
 
     def init(self, seed_mod: int, n_land: int, *incoming) -> int:
-        super().init(seed_mod, None, None, *incoming)
+        super().init(seed_mod, None, None, None, *incoming)
         self.S = n_land
         rem = self.owned % np.int64(seed_mod)
         self.dist = np.where(
@@ -875,7 +932,7 @@ class _WalkShard(_Shard):
 
     def step(self):
         """Advance resident walkers one round; return per-target-shard
-        (start, next) arrays."""
+        (next, start) arrays."""
         idx = np.searchsorted(self.owned, self.w_cur)
         lo = self.indptr[idx]
         deg = self.indptr[idx + 1] - lo
@@ -883,15 +940,12 @@ class _WalkShard(_Shard):
         nxt = self.w_cur.copy()
         m = deg > 0
         nxt[m] = self.nbrs[lo[m] + h[m] % deg[m]]
-        tb = _bucket_of(nxt, self.nb)
-        return tuple((self.w_start[tb == t], nxt[tb == t])
-                     for t in range(self.nb))
+        return self._route(nxt, self.w_start)
 
     def land(self, *msgs):
         """Host the arriving walkers; returns their count and their
         (start, step, node) rows."""
-        self.w_start = _cat([s for s, _ in msgs])
-        self.w_cur = _cat([c for _, c in msgs])
+        self.w_cur, self.w_start = map(_cat, zip(*msgs))
         self.k += 1
         return len(self.w_cur), pa.table({
             "start": pa.array(self.w_start),
@@ -930,16 +984,15 @@ class _KCoreShard(_Shard):
     """k-core peeling: the DOUBLED distinct edges whose KEY endpoint
     hashes here (CSR), plus an alive mask and the alive-degree (count
     of neighbors not yet announced dead) per owned node. Each round
-    kills owned nodes whose alive-degree < k and ships ONLY the dead
-    ids to the shards owning the reverse edges (message volume = edges
-    of dying nodes — O(E) summed over the whole peel, not per
-    round)."""
+    kills owned nodes whose alive-degree is below the threshold the
+    driver passes and ships ONLY the dead ids to the shards owning the
+    reverse edges (message volume = edges of dying nodes — O(E) summed
+    over the whole peel, not per round)."""
 
     state = ("alive", "deg")
 
-    def init(self, k: int) -> int:
+    def init(self) -> int:
         key, other = self._edges()["f"]
-        self.k = k
         # distinct (key, other) — global dedup holds because every
         # copy of an edge keyed by this node hashes to this shard
         pair = (np.unique(np.stack([key, other], axis=1), axis=0)
@@ -954,10 +1007,10 @@ class _KCoreShard(_Shard):
         self.alive = np.ones(len(self.owned), bool)
         return len(self.owned)
 
-    def peel(self):
-        """Kill owned alive nodes with alive-degree < k; return the
-        dead ids routed per owner shard of the reverse edges."""
-        dead = self.alive & (self.deg < self.k)
+    def peel(self, mul: int, lim: int):
+        """Kill owned alive nodes with alive-degree·mul < lim; return
+        the dead ids routed per owner shard of the reverse edges."""
+        dead = self.alive & (self.deg * mul < lim)
         self.alive[dead] = False
         # notify the owners of the REVERSE edges: for each dying
         # node's edge (dead → other), other's owner shard holds
@@ -986,6 +1039,12 @@ class _KCoreShard(_Shard):
                                 minlength=len(self.deg))
         return int(len(dead))
 
+    def density(self) -> list:
+        """[alive nodes with an alive neighbor, sum of their
+        alive-degrees]."""
+        m = self.alive & (self.deg > 0)
+        return [int(m.sum()), int(self.deg[m].sum())]
+
     def result(self) -> pa.Table:
         m = self.alive
         return pa.table({"node": pa.array(self.owned[m]),
@@ -1003,10 +1062,178 @@ def kcore(edges, src: str = "src", dst: str = "dst", k: int = 2,
     round is bit-exact (monotone fixed point). Self-loops count once
     toward degree (distinct doubled pairs)."""
     return _run(_KCoreShard, edges, src, dst, "doubled", max_rounds,
-                init_args=(k,),
-                step=lambda shards, rnd: _exchange(shards, "peel",
-                                                   "mark_dead"),
+                step=lambda shards, rnd: _exchange(
+                    shards, "peel", "mark_dead", send_args=(1, k)),
                 num_shards=num_shards)
+
+
+def densest(edges, src: str = "src", dst: str = "dst", rounds: int = 6,
+            num_shards: int | None = None) -> pd.DataFrame:
+    """Densest-subgraph peeling (Bahmani, Kumar and Vassilvitskii,
+    VLDB 2012, ε = 1) of the UNDIRECTED distinct-edge graph on the
+    k-core shards: each round sums over the shards the nodes nV with an
+    alive neighbor and the edges nE between alive nodes, then kills
+    every node with deg·nV < 2·nE (below twice the average degree,
+    cross-multiplied: no division). Returns (round, n_nodes, n_edges)
+    for rounds 1..``rounds``, up to the first round with no edge."""
+    rows = []
+
+    def step(shards, rnd):
+        nv, deg = np.sum(_each(shards, "density"), axis=0)
+        rows.append((rnd, nv, deg // 2))
+        if deg and rnd < rounds:
+            _exchange(shards, "peel", "mark_dead", send_args=(nv, deg))
+        return [deg]
+
+    _run(_KCoreShard, edges, src, dst, "doubled", rounds, step=step,
+         num_shards=num_shards)
+    return pd.DataFrame(rows, columns=["round", "n_nodes",
+                                       "n_edges"]).astype(np.int64)
+
+
+def _first_per(key: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Positions of each key's minimum ``val`` (ties to the first)."""
+    o = np.lexsort((val, key))
+    if len(o) == 0:
+        return o
+    k = key[o]
+    return o[np.concatenate(([True], k[1:] != k[:-1]))]
+
+
+class _MinEdgeShard(_KCoreShard):
+    """Minimum outgoing edges on the k-core layout: ``comp`` labels each
+    owned node's component (-1: the node has left the graph). A round
+    ships every edge's key-end label to the owner of its other end,
+    then, per component, the shard's minimum-``prio`` edge to another
+    live component (pre-combined locally) to the shard owning the
+    component id, which keeps the global minimum. ``prio(u, v)``
+    (u < v) is the caller's injective int64 edge priority."""
+
+    state = ("comp",)
+
+    def init(self, prio) -> int:
+        n = super().init()
+        key = self.owned[self.e_key_idx]
+        self.e_u = np.minimum(key, self.e_other)
+        self.e_v = np.maximum(key, self.e_other)
+        self.e_prio = prio(self.e_u, self.e_v)
+        self.comp = self.owned.copy()
+        return n
+
+    def send_comp(self):
+        return self._route(self.e_other, self.owned[self.e_key_idx],
+                           self.comp[self.e_key_idx])
+
+    def recv_comp(self, *msgs) -> int:
+        to, frm, comp = map(_cat, zip(*msgs))
+        # the edge set is symmetric: sorted by (to, frm) the labels line
+        # up with the (key, other)-sorted edges
+        self.e_ocomp = comp[np.lexsort((frm, to))]
+        return len(to)
+
+    def send_min(self):
+        cu = self.comp[self.e_key_idx]
+        out = np.nonzero((cu != self.e_ocomp) & (cu >= 0)
+                         & (self.e_ocomp >= 0))[0]
+        pos = out[_first_per(cu[out], self.e_prio[out])]
+        parts = self._route(cu[pos], self.e_prio[pos], self.e_ocomp[pos],
+                            self.e_u[pos], self.e_v[pos])
+        self.e_ocomp = None
+        return parts
+
+    def recv_min(self, *msgs) -> list:
+        """Each component's minimum outgoing edge as [component,
+        priority, other component, u, v]."""
+        cols = list(map(_cat, zip(*msgs)))
+        pos = _first_per(cols[0], cols[1])
+        return [c[pos] for c in cols]
+
+    def relabel(self, keys: np.ndarray, labels: np.ndarray) -> int:
+        i = np.clip(np.searchsorted(keys, self.comp), 0, len(keys) - 1)
+        self.comp = np.where(keys[i] == self.comp, labels[i], self.comp)
+        return len(self.comp)
+
+
+def _min_edge_rounds(edges, prio, src, dst, rounds, num_shards, merge):
+    """Up to ``rounds`` rounds of ``_MinEdgeShard``. Each round the
+    driver gets every component's minimum outgoing edge, sorted by
+    component, and ``merge(comp, prio, succ)`` (succ: the edge's other
+    component) returns (the rows to emit, relabel keys, their new
+    labels). Returns (u, v, round) per emitted edge; stops at a round
+    with no outgoing edge."""
+    sel = {"u": [], "v": [], "round": []}
+
+    def step(shards, rnd):
+        _exchange(shards, "send_comp", "recv_comp")
+        cols = list(map(np.concatenate, zip(
+            *_exchange(shards, "send_min", "recv_min"))))
+        if len(cols[0]) == 0:
+            return [0]
+        o = np.argsort(cols[0])
+        comp, pr, s, u, v = (c[o] for c in cols)
+        keep, keys, labels = merge(comp, pr, s)
+        u, v = u[keep], v[keep]
+        for c, a in (("u", u), ("v", v),
+                     ("round", np.full(len(u), rnd, np.int64))):
+            sel[c].append(a)
+        if rnd < rounds:
+            _each(shards, "relabel", keys, labels)
+        return [len(comp)]
+
+    _run(_MinEdgeShard, edges, src, dst, "doubled", rounds,
+         init_args=(prio,), step=step, num_shards=num_shards)
+    return pd.DataFrame({c: _cat(a) for c, a in sel.items()})
+
+
+def _mutual_pairs(node, pr, succ):
+    """Matching merge: a node and its successor that pick each other
+    are matched; both leave the graph (label -1)."""
+    i = np.clip(np.searchsorted(node, succ), 0, len(node) - 1)
+    mutual = (node[i] == succ) & (succ[i] == node)
+    dead = node[mutual]
+    return mutual & (node < succ), dead, np.full(len(dead), -1)
+
+
+def matching(edges, prio, src: str = "u", dst: str = "v",
+             rounds: int = 3, num_shards: int | None = None):
+    """Greedy matching by locally-dominant edges (Hoepman 2004) over
+    the UNDIRECTED distinct-edge graph: an edge matches when it is the
+    minimum-``prio`` live edge of both its ends, which is Borůvka's
+    min-edge round on singleton components, keeping the mutual pairs.
+    Matched nodes leave, taking their edges. Returns (u, v, round)."""
+    return _min_edge_rounds(edges, prio, src, dst, rounds, num_shards,
+                            _mutual_pairs)
+
+
+def _merge_roots(keys, pr, sv):
+    """Borůvka merge: every component's min edge joins the forest (an
+    edge two components chose, once), and each component is relabeled
+    to the root of its successor tree. The successor function (each
+    component's edge names its partner) has only mutual 2-cycles,
+    broken toward the smaller id; it is resolved on the driver by
+    pointer doubling f ← f∘f to a fixed point (one row per merging
+    component)."""
+    idx = np.clip(np.searchsorted(keys, sv), 0, len(keys) - 1)
+    ss = np.where(keys[idx] == sv, sv[idx], sv)
+    f = np.where((ss == keys) & (keys < sv), keys, sv)
+    for _ in range(64):
+        idx = np.clip(np.searchsorted(keys, f), 0, len(keys) - 1)
+        nf = np.where(keys[idx] == f, f[idx], f)
+        if np.array_equal(nf, f):
+            break
+        f = nf
+    return np.unique(pr, return_index=True)[1], keys, f
+
+
+def boruvka(edges, prio, src: str = "u", dst: str = "v",
+            rounds: int = 3, num_shards: int | None = None):
+    """Borůvka minimum-spanning-forest rounds over the UNDIRECTED
+    distinct-edge graph with the injective priority ``prio(u, v)``:
+    each round every component selects its minimum-priority outgoing
+    edge, the selected edges join the forest, and touching components
+    merge (``_merge_roots``). Returns (u, v, round) per selected edge."""
+    return _min_edge_rounds(edges, prio, src, dst, rounds, num_shards,
+                            _merge_roots)
 
 
 # ---------------------------------------------------- label propagation

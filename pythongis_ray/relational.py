@@ -950,6 +950,17 @@ def with_empty_schema(ds, schema: pa.Schema):
 
     return ds.union(rd.from_arrow(schema.empty_table()))
 
+
+def nonempty_blocks(ds) -> list:
+    """Block refs of ``ds`` without its 0-row blocks, from one
+    execution of its plan (``to_arrow_refs`` runs a lazy lineage once
+    more as a ``limit=1`` schema peek). Ray 2.49's ``map_batches`` over
+    a 0-row block emits a block with no schema, which breaks a
+    consumer that reads a column of it."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
 # ---------------------------------------------------- bloom semi-join
 
 # odd 64-bit mixing constants (splitmix64 / murmur3 finalizers)

@@ -731,14 +731,6 @@ def _verify_pairs_batches(cand, threshold: float):
     return cand.map_batches(verify, batch_format="pyarrow", batch_size=4096)
 
 
-def _nonempty_blocks(ds) -> list:
-    """Block refs of a materialized Dataset without its 0-row blocks:
-    Ray 2.49's ``map_batches`` over a 0-row block emits a block with
-    no schema, which breaks a consumer that reads a column of it."""
-    return [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows]
-
-
 def _pair_text_lookup(refs, id_col: str, text_col: str):
     """(ids, texts) of the candidate-text blocks ``refs``, sorted by
     int64 id: built once per worker by :func:`state.get_broadcast`.
@@ -813,7 +805,7 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
 
     small = ds.map_batches(filt, batch_format="pyarrow",
                            batch_size=8192).materialize()
-    texts_ref = ray.put(_nonempty_blocks(small))
+    texts_ref = ray.put(rel.nonempty_blocks(small))
 
     def attach(batch: pa.Table) -> pa.Table:
         from pythongis_ray import state
@@ -841,7 +833,7 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
         return pa.table(out)
 
     # (from_arrow_refs also takes the pandas blocks of a grouped apply)
-    return map_arrow(rd.from_arrow_refs(_nonempty_blocks(cand)), attach)
+    return map_arrow(rd.from_arrow_refs(rel.nonempty_blocks(cand)), attach)
 
 
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",

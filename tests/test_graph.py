@@ -373,17 +373,23 @@ def test_label_propagation_two_cliques(ray_session):
 def test_graph_ops_invariant_to_shard_count(ray_session):
     """Every resident-shard op returns BIT-IDENTICAL tables at any
     num_shards — the determinism contract the SQL oracles rely on."""
+    import pandas as pd
     import ray.data as rd
 
     from pythongis_ray import graph
+    from pythongis_ray import queries as q
 
     rng = np.random.default_rng(42)
     src = rng.integers(0, 200, 600).astype(np.int64)
     dst = rng.integers(0, 200, 600).astype(np.int64)
+    u, v = _undirected(42, 200, 600)
 
     def edges():
         return rd.from_arrow(pa.table({"src": pa.array(src),
                                        "dst": pa.array(dst)}))
+
+    def undirected():
+        return rd.from_arrow(pa.table({"u": pa.array(u), "v": pa.array(v)}))
 
     ops = {
         "pagerank": lambda e, nb: graph.pagerank(
@@ -406,11 +412,26 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
             e, outer=3, inner=4, num_shards=nb),
         "multi_bfs": lambda e, nb: graph.multi_bfs(
             e, seed_mod=11, n_landmarks=3, iters=5, num_shards=nb),
+        "bfs_seeds": lambda e, nb: graph.bfs(
+            e, seeds=np.array([3, 17, 40]), iters=5, num_shards=nb),
+        "katz_sums": lambda e, nb: graph.neighbour_sums(
+            e, "src", "dst", q.KATZ_L, q._katz_update, start=np.ones_like,
+            num_shards=nb),
+        "wl_sums": lambda e, nb: graph.neighbour_sums(
+            undirected(), "u", "v", q.WL_ROUNDS, q._wl_update,
+            send=q._wl_hash, undirected=True, num_shards=nb),
+        "densest": lambda e, nb: graph.densest(
+            undirected(), "u", "v", num_shards=nb),
+        "matching": lambda e, nb: graph.matching(
+            undirected(), q._edge_priority, num_shards=nb),
+        "boruvka": lambda e, nb: graph.boruvka(
+            undirected(), q._edge_priority, num_shards=nb),
     }
     for name, fn in ops.items():
         frames = []
         for nb in (2, 5):
-            df = fn(edges(), nb).to_pandas()
+            df = fn(edges(), nb)
+            df = df if isinstance(df, pd.DataFrame) else df.to_pandas()
             df = df.sort_values(list(df.columns),
                                 kind="stable").reset_index(drop=True)
             frames.append(df)
@@ -431,14 +452,53 @@ _SHARD_OPS = {
     "kcore": lambda g, e: g.kcore(e, max_rounds=2),
     "label_propagation": lambda g, e: g.label_propagation(e, rounds=2),
     "scc_actors": lambda g, e: g.scc(e, outer=2, inner=2),
+    "neighbour_sums": lambda g, e: g.neighbour_sums(
+        e, "src", "dst", 2, _q()._katz_update, start=np.ones_like),
+    "densest": lambda g, e: _ds(g.densest(e, rounds=2)),
+    "matching": lambda g, e: _ds(g.matching(
+        e, _q()._edge_priority, "src", "dst", rounds=2)),
+    "boruvka": lambda g, e: _ds(g.boruvka(
+        e, _q()._edge_priority, "src", "dst", rounds=2)),
 }
+
+# the columns of each op's result (multi_bfs' default 3 landmarks)
+_OP_COLUMNS = {
+    "pagerank_actors": ["node", "mass"],
+    "connected_components": ["node", "component"],
+    "hits_actors": ["node", "hub", "auth"],
+    "bfs_actors": ["node", "dist"],
+    "multi_bfs_actors": ["node", "d0", "d1", "d2"],
+    "random_walks": ["start", "step", "node"],
+    "kcore": ["node", "deg_core"],
+    "label_propagation": ["node", "community"],
+    "scc_actors": ["node", "scc"],
+    "neighbour_sums": ["node", "x"],
+    "densest": ["round", "n_nodes", "n_edges"],
+    "matching": ["u", "v", "round"],
+    "boruvka": ["u", "v", "round"],
+}
+
+
+def _q():
+    """The queries module: its module-level int64 arithmetic is what
+    the neighbour-sum, matching and Borůvka ops take."""
+    from pythongis_ray import queries
+
+    return queries
+
+
+def _ds(df):
+    import ray.data as rd
+
+    return rd.from_pandas(df)
 
 
 @pytest.mark.parametrize("op", sorted(_SHARD_OPS))
 def test_shard_pool_torn_down_on_error(ray_session, op):
-    """An edge load that fails after the shard pool is spawned (no
-    ``src`` column) raises, and leaves no shard actor alive — a leaked
-    pool would hold its CPUs for the rest of the session."""
+    """An edge load that fails (no ``src`` column) raises, and leaves
+    no shard actor behind: the engine runs each shard method as a
+    stateless task over object-store state, so there is no pool to
+    leak, and none may reappear."""
     import time
 
     import ray.data as rd
@@ -482,6 +542,253 @@ def test_graph_ops_start_no_actors(ray_session, op):
     shards = [a["ActorClassName"] for a in state.actors().values()
               if a["ActorClassName"].endswith("Shard")]
     assert shards == []
+
+
+@pytest.mark.parametrize("op", sorted(_SHARD_OPS))
+def test_graph_ops_read_lazy_edges_once(ray_session, monkeypatch, op):
+    """On a lazy 3-block ``map_batches`` edge lineage an op runs no
+    ``limit=1`` schema peek (its shards read the non-empty block refs
+    of one execution); on a filter-emptied lineage it returns no rows,
+    with the op's columns in the result schema."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from pythongis_ray import graph
+    from pythongis_ray.relational import map_arrow
+
+    rng = np.random.default_rng(5)
+    blocks = [pa.table({
+        "src": pa.array(rng.integers(0, 40, 30).astype(np.int64)),
+        "dst": pa.array(rng.integers(0, 40, 30).astype(np.int64))})
+        for _ in range(3)]
+
+    def edges(lo):
+        return map_arrow(rd.from_arrow(blocks),
+                         lambda b: b.filter(pc.greater_equal(b["src"], lo)))
+
+    peeks = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        ops, todo = [], [dag]
+        while todo:
+            node = todo.pop()
+            ops.append(node)
+            todo.extend(node.input_dependencies)
+        peeks.extend(node for node in ops
+                     if type(node).__name__ == "LimitOperator"
+                     and node._limit == 1)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    assert _SHARD_OPS[op](graph, edges(0)).count() > 0
+    assert peeks == []
+
+    out = _SHARD_OPS[op](graph, edges(1 << 40))
+    # densest reports round 1 of the empty graph: 0 nodes, 0 edges
+    assert out.count() == (1 if op == "densest" else 0)
+    assert out.schema().names == _OP_COLUMNS[op]
+
+
+def test_no_join_large_in_query_loops():
+    """No ``q_`` function calls ``join_large`` (bare or as
+    ``rel.join_large``) inside a ``for``/``while`` loop, nested defs
+    included: graph rounds run on the resident-shard engine
+    (``graph._run``), which keeps the edges in place instead of
+    re-shuffling the O(E) edge table every round."""
+    import ast
+    import pathlib
+
+    from pythongis_ray import relational
+
+    exempt = {
+        # no edge table: each round joins supplier state against the
+        # 25 nation acceptors
+        "q_stable_match",
+        # joins five finished PageRank traces, not graph rounds
+        "q_pagerank_delta",
+    }
+    path = pathlib.Path(relational.__file__).with_name("queries.py")
+    found = set()
+    for fn in ast.parse(path.read_text()).body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("q_")):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, (ast.For, ast.While)) and any(
+                    isinstance(c, ast.Call) and getattr(
+                        c.func, "attr", getattr(c.func, "id", None))
+                    == "join_large" for c in ast.walk(loop)):
+                found.add(fn.name)
+    assert found == exempt
+
+
+def _undirected(seed, n_nodes, n_edges):
+    """Distinct undirected edges u < v of a random graph, self-loops
+    dropped: the input contract of the Borůvka, matching, densest and
+    WL rounds."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n_nodes, n_edges).tolist()
+    b = rng.integers(0, n_nodes, n_edges).tolist()
+    pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(a, b) if x != y})
+    return (np.array([x for x, _ in pairs], np.int64),
+            np.array([y for _, y in pairs], np.int64))
+
+
+def _uv(u, v):
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({"u": pa.array(u), "v": pa.array(v)}))
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_edges", [(5, 60, 90), (13, 400, 1200)])
+def test_bfs_seed_set_matches_serial_replay(ray_session, seed, n_nodes,
+                                            n_edges):
+    import ray.data as rd
+
+    from pythongis_ray import graph
+
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
+    dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
+    seeds = rng.choice(n_nodes, 4, replace=False).astype(np.int64)
+    out = graph.bfs(rd.from_arrow(pa.table({"src": pa.array(src),
+                                            "dst": pa.array(dst)})),
+                    seeds=seeds, iters=4, num_shards=3).to_pandas()
+    got = dict(zip(out["node"].tolist(), out["dist"].tolist()))
+    nodes = np.unique(np.concatenate([src, dst]))
+    dist = np.where(np.isin(nodes, seeds), 0, 1 << 40).astype(np.int64)
+    si, di = np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
+    for _ in range(4):
+        new = dist.copy()
+        np.minimum.at(new, di, dist[si] + 1)
+        dist = new
+    assert got == dict(zip(nodes.tolist(), dist.tolist()))
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_edges", [(3, 40, 60), (11, 300, 900)])
+def test_neighbour_sums_match_serial_katz_and_wl(ray_session, seed,
+                                                 n_nodes, n_edges):
+    """Katz in Horner form equals the level sum Σ 2^(L−l)·p_l (0 off
+    p_1's support), and the WL rounds equal a serial refinement."""
+    import ray.data as rd
+
+    from pythongis_ray import graph
+    from pythongis_ray import queries as q
+
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
+    dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
+    out = graph.neighbour_sums(
+        rd.from_arrow(pa.table({"src": pa.array(src), "dst": pa.array(dst)})),
+        "src", "dst", q.KATZ_L, q._katz_update, start=np.ones_like,
+        num_shards=3).to_pandas()
+    nodes = np.unique(np.concatenate([src, dst]))
+    si, di = np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
+    p, katz = np.ones(len(nodes), np.int64), np.zeros(len(nodes), np.int64)
+    for lvl in range(1, q.KATZ_L + 1):
+        new = np.zeros(len(nodes), np.int64)
+        np.add.at(new, di, p[si])
+        p = new
+        katz += (1 << (q.KATZ_L - lvl)) * p
+    assert dict(zip(out["node"].tolist(), out["x"].tolist())) \
+        == dict(zip(nodes.tolist(), katz.tolist()))
+
+    u, v = _undirected(seed, n_nodes, n_edges)
+    out = graph.neighbour_sums(_uv(u, v), "u", "v", q.WL_ROUNDS,
+                               q._wl_update, send=q._wl_hash,
+                               undirected=True, num_shards=3).to_pandas()
+    nodes = np.unique(np.concatenate([u, v]))
+    a = np.searchsorted(nodes, np.concatenate([u, v]))
+    b = np.searchsorted(nodes, np.concatenate([v, u]))
+    col = np.bincount(a, minlength=len(nodes)).astype(np.int64)
+    for _ in range(q.WL_ROUNDS):
+        sm = np.zeros(len(nodes), np.int64)
+        np.add.at(sm, a, (col[b] * q.WL_P1 + q.WL_P2) % q.WL_M)
+        col = (col * q.WL_OWN + sm % q.WL_M) % q.WL_M
+    assert dict(zip(out["node"].tolist(), out["x"].tolist())) \
+        == dict(zip(nodes.tolist(), col.tolist()))
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_edges", [(4, 40, 80), (17, 300, 900)])
+def test_densest_matches_serial_peel(ray_session, seed, n_nodes, n_edges):
+    from pythongis_ray import graph
+
+    u, v = _undirected(seed, n_nodes, n_edges)
+    got = graph.densest(_uv(u, v), "u", "v", rounds=6, num_shards=3)
+    e, want = set(zip(u.tolist(), v.tolist())), []
+    for rnd in range(1, 7):
+        deg = {}
+        for x in (n for ab in e for n in ab):
+            deg[x] = deg.get(x, 0) + 1
+        want.append((rnd, len(deg), len(e)))
+        if not e:
+            break
+        keep = {n for n, d in deg.items() if d * len(deg) >= 2 * len(e)}
+        e = {(a, b) for a, b in e if a in keep and b in keep}
+    assert list(got.itertuples(index=False, name=None)) == want
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_edges", [(2, 40, 80), (9, 300, 900)])
+def test_matching_matches_serial_rounds(ray_session, seed, n_nodes,
+                                        n_edges):
+    from pythongis_ray import graph
+    from pythongis_ray import queries as q
+
+    u, v = _undirected(seed, n_nodes, n_edges)
+    out = graph.matching(_uv(u, v), q._edge_priority, rounds=3,
+                         num_shards=3)
+    alive = dict(zip(zip(u.tolist(), v.tolist()),
+                     q._edge_priority(u, v).tolist()))
+    want = []
+    for rnd in range(1, 4):
+        mn = {}
+        for (a, b), k in alive.items():
+            for n in (a, b):
+                mn[n] = min(mn.get(n, k), k)
+        hit = [(a, b) for (a, b), k in alive.items() if mn[a] == k == mn[b]]
+        want += [(a, b, rnd) for a, b in hit]
+        gone = {n for ab in hit for n in ab}
+        alive = {ab: k for ab, k in alive.items() if not set(ab) & gone}
+    assert sorted(out.itertuples(index=False, name=None)) == sorted(want)
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_edges", [(6, 40, 70), (21, 300, 700)])
+def test_boruvka_matches_serial_rounds(ray_session, seed, n_nodes,
+                                       n_edges):
+    """Each round selects every component's minimum outgoing edge and
+    merges the components they join (a union-find replay)."""
+    from pythongis_ray import graph
+    from pythongis_ray import queries as q
+
+    u, v = _undirected(seed, n_nodes, n_edges)
+    got = graph.boruvka(_uv(u, v), q._edge_priority, rounds=3,
+                        num_shards=3)
+    ek = q._edge_priority(u, v).tolist()
+    parent = {n: n for n in np.concatenate([u, v]).tolist()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    want = []
+    for rnd in range(1, 4):
+        best = {}
+        for a, b, k in zip(u.tolist(), v.tolist(), ek):
+            ca, cb = find(a), find(b)
+            if ca != cb:
+                for c in (ca, cb):
+                    best[c] = min(best.get(c, (k, a, b)), (k, a, b))
+        if not best:
+            break
+        sel = sorted(set(best.values()))
+        want += [(a, b, rnd) for _, a, b in sel]
+        for _, a, b in sel:
+            parent[find(a)] = find(b)
+    assert sorted(got.itertuples(index=False, name=None)) == sorted(want)
 
 
 # op -> (rounds of the full run, run(graph, edges, rounds, cdir)):
