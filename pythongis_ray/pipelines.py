@@ -154,6 +154,8 @@ def corpus_build(docs_ds):
          except the min-id representative;
       4. PII scrub of the surviving text (identity on clean text).
     """
+    import ray
+
     from pythongis_ray import graph, text
 
     # 1. quality filter (integer predicate)
@@ -174,7 +176,8 @@ def corpus_build(docs_ds):
     survivors = rel.dedup(survivors, ["fp"], order_col="doc_id") \
         .drop_columns(["fp"]).materialize()
 
-    # 3. near-dup clusters among survivors; keep representatives.
+    # 3. near-dup clusters among survivors; keep representatives
+    # through a broadcast drop set, not a join.
     # (materialize above: the pair+CC stage and the final filter both
     # consume the survivor set — pin it once instead of recomputing.)
     # degree_cap=64: bounded candidate volume under template-cluster
@@ -182,37 +185,29 @@ def corpus_build(docs_ds):
     # min-id representative is preserved (see minhash_dedup_pairs),
     # and recall is exact while clusters stay <= 64 members — the
     # oracle-fixture regime (components there are 2-5 docs)
-    # (the edge table is projected BEFORE it is materialized: the
-    # shard load reads its schema, a limit=1 run of an unexecuted
-    # projection)
     pairs = text.minhash_dedup_pairs(survivors, threshold=0.5,
                                      degree_cap=64) \
         .select_columns(["id_a", "id_b"]).materialize()
-    comp = graph.connected_components(pairs)
-    comp = map_arrow(comp, lambda b: b.rename_columns(["doc_id", "component"]))
-    # comp is legitimately EMPTY on a corpus with no near-dups: guard
-    # its schema, which the bucketed join reads to pad its union (see
-    # rel.with_empty_schema); materialized, so that read is free
-    # instead of a limit=1 run of the shard results
-    comp = rel.with_empty_schema(comp, pa.schema([
-        ("doc_id", pa.int64()), ("component", pa.int64())])).materialize()
-    joined = rel.join_large(survivors, comp, on="doc_id", how="left")
+    # the drop set is the non-representatives (node != component) of
+    # CC's shard results; one filter over the survivors drops their
+    # doc_ids (no shuffle, nothing pulled to the driver; no near-dups
+    # give an empty set, which keeps every survivor)
+    comp = map_arrow(graph.connected_components(pairs), lambda b: b.filter(
+        pc.not_equal(b["node"], b["component"])).select(["node"]))
+    drop_ref = ray.put(rel.nonempty_blocks(comp))
 
     def keep_rep(batch: pa.Table) -> pa.Table:
-        comp_col = batch["component"]
-        if isinstance(comp_col, pa.ChunkedArray):
-            comp_col = comp_col.combine_chunks()
+        from pythongis_ray import state
+        drop = state.get_broadcast(
+            drop_ref, lambda blocks: np.concatenate(
+                [np.empty(0, np.int64)] + [t["node"].to_numpy()
+                                           for t in ray.get(blocks)]),
+            key_extra=("corpus_drop",), latest_only=True)
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        # unmatched left rows surface as null (or NaN after a pandas
-        # hop) — normalize through cast+fill before comparing
-        filled = pc.fill_null(pc.cast(comp_col, pa.float64()), -1.0) \
-            .to_numpy(zero_copy_only=False)
-        keep = pa.array(np.isnan(filled) | (filled == -1.0)
-                        | (filled == did))
-        return batch.filter(keep).select(["doc_id", "text", "n_tokens"])
+        return batch.filter(pa.array(~np.isin(did, drop)))
 
-    kept = joined.map_batches(keep_rep, batch_format="pyarrow",
-                              batch_size=8192)
+    kept = survivors.map_batches(keep_rep, batch_format="pyarrow",
+                                 batch_size=8192)
 
     # 4. PII scrub → final text
     def scrub(batch: pa.Table) -> pa.Table:

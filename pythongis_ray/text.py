@@ -836,6 +836,42 @@ def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
     return map_arrow(rd.from_arrow_refs(rel.nonempty_blocks(cand)), attach)
 
 
+def _bucket_pairs(b: pd.DataFrame, keys: list[str], id_col: str,
+                  bucket_cap: int | None = None,
+                  degree_cap: int | None = None) -> tuple[pd.DataFrame, int]:
+    """Candidate pairs (id_a < id_b) of every bucket of ``keys`` in
+    ``b``, in one vectorized pass (no per-bucket Python loop: almost
+    all buckets are singletons, and 10^5 of them make a loop slow).
+
+    The distinct (keys, id) rows are sorted; a member's rank is its
+    position in its bucket. Members ranked at or past ``bucket_cap``
+    are dropped, so a bucket keeps its smallest ids. Each member pairs
+    with the ``min(rank, degree_cap)`` smallest ids before it, or with
+    all of them when ``degree_cap`` is None (each pair of the bucket
+    once). Returns the pairs and the number of dropped members."""
+    ids = b[id_col].to_numpy()
+    cols = [b[k].to_numpy() for k in keys]
+    o = np.lexsort([ids] + cols[::-1])
+    ids, cols = ids[o], [c[o] for c in cols]
+    new = np.arange(len(ids)) == 0        # first row of its bucket
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    distinct = new.copy()
+    distinct[1:] |= ids[1:] != ids[:-1]
+    ids, new = ids[distinct], new[distinct]
+    first = np.flatnonzero(new)[np.cumsum(new) - 1]
+    rank = np.arange(len(ids)) - first
+    cnt = rank if degree_cap is None else np.minimum(rank, degree_cap)
+    n_dropped = 0
+    if bucket_cap is not None:
+        over = rank >= bucket_cap
+        n_dropped = int(over.sum())
+        cnt = np.where(over, 0, cnt)
+    ib = np.repeat(np.arange(len(ids)), cnt)
+    ia = np.repeat(first - np.cumsum(cnt) + cnt, cnt) + np.arange(len(ib))
+    return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]}), n_dropped
+
+
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         threshold: float = 0.7, bucket_cap: int = 1024,
                         degree_cap: int | None = None):
@@ -843,9 +879,12 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
       1. shingle → minhash → band explode (vectorized map_batches);
       2. ONE groupby on (band_id, band_hash): bucket members become
-         candidate pairs (vectorized triu emission, ids only — text
+         candidate pairs (:func:`_bucket_pairs`, ids only — text
          never enters the shuffle);
-      3. bucketed dedup of (id_a, id_b) across bands;
+      3. ONE bucketed shuffle on ``id_b`` drops the pairs repeated
+         across bands and, with ``degree_cap``, caps each doc's
+         partners (every copy of a pair shares its ``id_b`` bucket);
+         without it, a bucketed dedup of (id_a, id_b);
       4. texts re-attached to the candidate table by ONE map stage
          over a broadcast lookup of the candidates' texts
          (:func:`_attach_pair_texts`) — no shuffle, no driver-side
@@ -882,56 +921,31 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     bands = minhash_bands(ds, id_col, text_col)
 
     def bucket_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        # band buckets are almost all singletons: drop them VECTORIZED
-        # first (Ray's per-key map_groups over 10^5 groups is minutes),
-        # then emit pairs only for the few multi-member buckets
-        b = b[b.duplicated(subset=["band_id", "band_hash"], keep=False)]
-        outs = []
-        n_dropped = 0
-        for _, g in b.groupby(["band_id", "band_hash"], sort=False):
-            ids = np.unique(g[id_col].to_numpy())
-            if len(ids) > bucket_cap:
-                n_dropped += len(ids) - bucket_cap
-                ids = ids[:bucket_cap]     # smallest ids, deterministic
-            if degree_cap is not None:
-                # emit only each member's degree_cap smallest
-                # co-members: the global post-cap keeps exactly the D
-                # smallest partners per id across buckets, and each of
-                # those is within the D smallest of its own bucket —
-                # so pre-capping here changes nothing downstream while
-                # cutting emission from C(m,2) to m*D per bucket
-                m = len(ids)
-                counts = np.minimum(np.arange(m), degree_cap)
-                ib = np.repeat(np.arange(m), counts)
-                local = np.arange(counts.sum()) \
-                    - np.repeat(np.concatenate(([0],
-                                np.cumsum(counts)[:-1])), counts)
-                outs.append(pd.DataFrame({"id_a": ids[local],
-                                          "id_b": ids[ib]}))
-            else:
-                ia, ib = np.triu_indices(len(ids), k=1)
-                outs.append(pd.DataFrame({"id_a": ids[ia],
-                                          "id_b": ids[ib]}))
+        # with degree_cap, each member pairs only with its degree_cap
+        # smallest co-members: the global cap keeps exactly the D
+        # smallest partners per id across buckets, and each of those
+        # is within the D smallest of its own bucket — so pre-capping
+        # here changes nothing downstream while cutting emission from
+        # C(m,2) to m*D per bucket
+        pairs, n_dropped = _bucket_pairs(b, ["band_id", "band_hash"],
+                                         id_col, bucket_cap, degree_cap)
         if n_dropped:
             logging.getLogger("pythongis_ray.text").warning(
                 "minhash LSH: capped degenerate band buckets, dropped "
                 "%d members (bucket_cap=%d)", n_dropped, bucket_cap)
-        if not outs:
-            return pd.DataFrame({"id_a": np.empty(0, np.int64),
-                                 "id_b": np.empty(0, np.int64)})
-        return pd.concat(outs, ignore_index=True)
+        return pairs
 
     cand = rel.bucketed_group_apply(bands, ["band_id", "band_hash"],
                                     bucket_pairs)
-    cand = rel.dedup(cand, ["id_a", "id_b"])
-    if degree_cap is not None:
+    if degree_cap is None:
+        cand = rel.dedup(cand, ["id_a", "id_b"])
+    else:
         def cap_degree(b: pd.DataFrame, _d=int(degree_cap)) -> pd.DataFrame:
-            b = b.sort_values(["id_b", "id_a"], kind="stable")
+            b = b.drop_duplicates(["id_a", "id_b"]) \
+                .sort_values(["id_b", "id_a"], kind="stable")
             return b.groupby("id_b", sort=False).head(_d)
 
         cand = rel.bucketed_group_apply(cand, ["id_b"], cap_degree)
-    cand = rel.with_empty_schema(cand, pa.schema([("id_a", pa.int64()),
-                                                  ("id_b", pa.int64())]))
     cand = _attach_pair_texts(cand, ds, id_col, text_col)
     if cand is None:                      # no-near-dup corpus
         import ray.data as _rd
@@ -970,22 +984,9 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                            batch_size=4096,
                            fn_kwargs={"id_col": id_col, "text_col": text_col})
 
-    def bucket_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b.duplicated(subset=["sh"], keep=False)]
-        outs = []
-        for _, g in b.groupby("sh", sort=False):
-            ids = np.unique(g[id_col].to_numpy())
-            ia, ib = np.triu_indices(len(ids), k=1)
-            outs.append(pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]}))
-        if not outs:
-            return pd.DataFrame({"id_a": np.empty(0, np.int64),
-                                 "id_b": np.empty(0, np.int64)})
-        return pd.concat(outs, ignore_index=True)
-
-    cand = rel.bucketed_group_apply(bands, ["sh"], bucket_pairs)
+    cand = rel.bucketed_group_apply(
+        bands, ["sh"], lambda b: _bucket_pairs(b, ["sh"], id_col)[0])
     cand = rel.dedup(cand, ["id_a", "id_b"])
-    cand = rel.with_empty_schema(cand, pa.schema([("id_a", pa.int64()),
-                                                  ("id_b", pa.int64())]))
     cand = _attach_pair_texts(cand, ds, id_col, text_col)
     if cand is None:                      # all-distinct corpus
         import ray.data as _rd
@@ -3054,8 +3055,6 @@ def ppjoin_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
     cand = rel.bucketed_group_apply(pref, ["sh"], bucket_pairs)
     cand = rel.dedup(cand, ["id_a", "id_b"])
-    cand = rel.with_empty_schema(cand, pa.schema([("id_a", pa.int64()),
-                                                  ("id_b", pa.int64())]))
     cand = _attach_pair_texts(cand, ds, id_col, text_col)
     if cand is None:
         import ray.data as _rd
@@ -3094,25 +3093,13 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                            fn_kwargs={"id_col": id_col, "text_col": text_col})
 
     def bucket_pairs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b.duplicated(subset=["sh"], keep=False)]
-        outs = []
-        for _, g in b.groupby("sh", sort=False):
-            ids = np.unique(g[id_col].to_numpy())
-            if len(ids) < 2:
-                continue
-            ia, ib = np.triu_indices(len(ids), k=1)
-            outs.append(pd.DataFrame({
-                "id_a": np.concatenate([ids[ia], ids[ib]]),
-                "id_b": np.concatenate([ids[ib], ids[ia]])}))
-        if not outs:
-            return pd.DataFrame({"id_a": np.empty(0, np.int64),
-                                 "id_b": np.empty(0, np.int64)})
-        return pd.concat(outs, ignore_index=True)
+        p = _bucket_pairs(b, ["sh"], id_col)[0]
+        return pd.DataFrame({
+            "id_a": np.concatenate([p["id_a"], p["id_b"]]),
+            "id_b": np.concatenate([p["id_b"], p["id_a"]])})
 
     cand = rel.bucketed_group_apply(bands, ["sh"], bucket_pairs)
     cand = rel.dedup(cand, ["id_a", "id_b"])
-    cand = rel.with_empty_schema(cand, pa.schema([("id_a", pa.int64()),
-                                                  ("id_b", pa.int64())]))
     cand = _attach_pair_texts(cand, ds, id_col, text_col)
     if cand is None:
         import ray.data as _rd

@@ -66,7 +66,7 @@ def test_connected_components_actors_empty_edges(ray_session):
     out = graph.connected_components(rd.from_arrow(edges))
     assert out.count() == 0
     # Ray's to_pandas drops columns at 0 rows; the Dataset schema is
-    # what downstream consumers (corpus_build guards) rely on
+    # what downstream consumers that read it rely on
     assert out.schema().names == ["node", "component"]
 
 

@@ -105,6 +105,54 @@ def test_minhash_dedup_pairs(ray_session):
     assert set(zip(pairs.id_a, pairs.id_b)) == {(1, 2)}
 
 
+def _loop_bucket_pairs(b, keys, id_col, bucket_cap, degree_cap):
+    """The reference for text._bucket_pairs: one np.unique and one
+    emission per bucket, as the pair generators ran before."""
+    outs, n_dropped = [], 0
+    for _, g in b.groupby(keys, sort=False):
+        ids = np.unique(g[id_col].to_numpy())
+        if bucket_cap is not None and len(ids) > bucket_cap:
+            n_dropped += len(ids) - bucket_cap
+            ids = ids[:bucket_cap]
+        if degree_cap is None:
+            ia, ib = np.triu_indices(len(ids), k=1)
+        else:
+            counts = np.minimum(np.arange(len(ids)), degree_cap)
+            ib = np.repeat(np.arange(len(ids)), counts)
+            ia = np.arange(counts.sum()) - np.repeat(
+                np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+        outs += zip(ids[ia].tolist(), ids[ib].tolist())
+    return sorted(outs), n_dropped
+
+
+def test_bucket_pairs_matches_per_bucket_loop():
+    """The vectorized band-bucket kernel emits the per-bucket loop's
+    pair multiset and dropped-member count on random buckets with
+    repeated ids, for every cap combination and a 0-row bucket."""
+    rng = np.random.default_rng(17)
+    frames = [pd.DataFrame({"band_id": np.empty(0, np.int64),
+                            "band_hash": np.empty(0, np.int64),
+                            "doc_id": np.empty(0, np.int64)})]
+    for _ in range(30):
+        n = int(rng.integers(1, 600))
+        frames.append(pd.DataFrame({
+            "band_id": rng.integers(0, 3, n),
+            "band_hash": rng.integers(-4, 4, n) * (1 << 60),
+            "doc_id": rng.integers(0, int(rng.integers(2, 300)), n)}))
+    keys = ["band_id", "band_hash"]
+    for b in frames:
+        for bucket_cap in (None, 5, 1024):
+            for degree_cap in (None, 3, 64):
+                pairs, n_dropped = text._bucket_pairs(
+                    b, keys, "doc_id", bucket_cap, degree_cap)
+                got = sorted(zip(pairs["id_a"].tolist(),
+                                 pairs["id_b"].tolist()))
+                assert (got, n_dropped) == _loop_bucket_pairs(
+                    b, keys, "doc_id", bucket_cap, degree_cap)
+                assert list(pairs.columns) == ["id_a", "id_b"]
+                assert pairs["id_a"].dtype == np.int64
+
+
 def _joined_pair_texts(cand, ds):
     """The reference for _attach_pair_texts: its texts attached by two
     join_large shuffles, on id_a and then on id_b."""

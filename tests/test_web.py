@@ -242,30 +242,35 @@ def test_corpus_build_removes_dups_and_clusters(ray_session):
     assert out["doc_id"].tolist() == [0]
 
 
-def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
-    """One corpus_build with near-dup pairs runs no ``limit=1`` schema
-    peek and at most 5 sort shuffles, counted from the plans the
-    streaming executor runs: the verify stage reads its pair texts
-    from one broadcast lookup instead of two join shuffles, and the
-    tables whose schemas are read are materialized first."""
-    import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import \
-        StreamingExecutor
-
-    from pythongis_ray import pipelines
-
+def _near_dup_corpus() -> pa.Table:
+    """One 6-doc near-dup cluster (ids 0-5) and 6 distinct docs."""
     base = ("the quick brown fox jumps over the lazy dog and runs far "
             "across the misty field of tall green grass today while a "
             "small bird sings in the old oak tree").split()
     docs = []
-    for i in range(6):                 # one near-dup cluster
+    for i in range(6):
         t = list(base)
         t[-3] = f"v{i}"
         docs.append(" ".join(t))
     docs += [" ".join(f"u{i}q{j}" if j % 4 else "the" for j in range(30))
              for i in range(6)]
-    tbl = pa.table({"doc_id": pa.array(np.arange(len(docs)), pa.int64()),
-                    "text": pa.array(docs)})
+    return pa.table({"doc_id": pa.array(np.arange(len(docs)), pa.int64()),
+                     "text": pa.array(docs)})
+
+
+def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
+    """One corpus_build with near-dup pairs runs no ``limit=1`` schema
+    peek, at most 3 sort shuffles and at most 6 Dataset executions,
+    counted from the plans the streaming executor runs. The shuffles
+    are the exact dedup, the LSH band bucketing and the pair dedup
+    fused with the degree cap on ``id_b``; the verify stage reads its
+    pair texts and the representative filter its drop set from
+    broadcast lookups instead of join shuffles."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from pythongis_ray import pipelines
 
     plans = []
     execute = StreamingExecutor.execute
@@ -280,7 +285,8 @@ def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
         return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
-    out = pipelines.corpus_build(rd.from_arrow(tbl)).to_pandas()
+    out = pipelines.corpus_build(rd.from_arrow(_near_dup_corpus())) \
+        .to_pandas()
     assert sorted(out["doc_id"]) == [0, 6, 7, 8, 9, 10, 11]
     peeks = sum(any(type(op).__name__ == "LimitOperator"
                     and op._limit == 1 for op in ops) for ops in plans)
@@ -288,7 +294,40 @@ def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
                 and op.name.startswith("Sort")
                 for ops in plans for op in ops)
     assert peeks == 0
-    assert sorts <= 5
+    assert sorts <= 3
+    assert len(plans) <= 6
+
+
+def test_corpus_build_logs_no_refbundle_schema_warning(ray_session):
+    """One corpus_build maps no stage over a 0-row or schema-less
+    block, so the streaming executor logs no "RefBundle with a
+    different schema" line."""
+    import logging
+
+    import ray.data as rd
+
+    from pythongis_ray import pipelines
+
+    lines = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            if "RefBundle with a different schema" in record.getMessage():
+                lines.append(record.getMessage())
+
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    handler, level = Collect(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING)
+    try:
+        out = pipelines.corpus_build(rd.from_arrow(_near_dup_corpus())) \
+            .to_pandas()
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    assert sorted(out["doc_id"]) == [0, 6, 7, 8, 9, 10, 11]
+    assert lines == []
 
 
 def test_dedup_incremental_reference(ray_session):
