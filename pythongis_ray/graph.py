@@ -18,10 +18,12 @@ method call is one stateless task: (shard state, *incoming parts) →
     writes only the round-mutable state and the messages.
   * ``_Shard`` owns what every algorithm shares: edge ingest, the
     node exchange that registers in-link-only nodes, the
-    by-destination-shard edge layout, the result table and atomic
-    per-round checkpoint/restore of the state arrays.
-  * One subclass per algorithm keeps only ``init``, its message
-    send/receive methods and its state.
+    by-destination-shard edge layout and the result table.
+  * ``_FoldShard`` is the one neighbour fold (an int64 value per node,
+    a message per key-side edge, a sum or min fold at the owner) with
+    atomic per-round checkpoint/restore: PageRank, neighbour sums,
+    connected components and every BFS are its hooks; the other
+    algorithms keep a subclass with their own messages and state.
   * ``_run`` is the one round loop: edge split, init, the loop over
     rounds (each an ``_exchange`` all-to-all), round-level
     checkpoint/resume. Every ref is a task return the driver owns, so
@@ -54,6 +56,7 @@ import json
 import os
 import re
 import time
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -120,8 +123,9 @@ def _bucket_of(ids: np.ndarray, nb: int) -> np.ndarray:
             % np.uint64(nb)).astype(np.int64)
 
 
-def _group_sum(ids: np.ndarray, vals: np.ndarray):
-    """Exact int64 per-id sums (sort + reduceat; bincount's float
+def _group_fold(ufunc, ids: np.ndarray, vals: np.ndarray):
+    """Exact int64 per-id folds by ``ufunc`` (np.add: sums, np.minimum:
+    minima) as sort + reduceat, ids ascending (bincount's float
     weights would lose exactness past 2^53)."""
     if len(ids) == 0:
         return ids, vals
@@ -129,18 +133,7 @@ def _group_sum(ids: np.ndarray, vals: np.ndarray):
     ids, vals = ids[o], vals[o]
     first = np.concatenate(([True], ids[1:] != ids[:-1]))
     starts = np.nonzero(first)[0]
-    return ids[starts], np.add.reduceat(vals, starts)
-
-
-def _group_min(ids: np.ndarray, vals: np.ndarray):
-    """Per-id minima (sort + minimum.reduceat), exact int64."""
-    if len(ids) == 0:
-        return ids, vals
-    o = np.argsort(ids, kind="stable")
-    ids, vals = ids[o], vals[o]
-    first = np.concatenate(([True], ids[1:] != ids[:-1]))
-    starts = np.nonzero(first)[0]
-    return ids[starts], np.minimum.reduceat(vals, starts)
+    return ids[starts], ufunc.reduceat(vals, starts)
 
 
 def _cat(parts) -> np.ndarray:
@@ -161,8 +154,8 @@ class _Shard:
     Edges arrive as kind-tagged parts: ``"f"`` is the layout keyed by
     src (or by both endpoints, for undirected algorithms) and ``"r"``
     the reversed layout keyed by dst. ``state`` names the
-    round-mutable arrays: the per-round checkpoint and, unless
-    ``result`` is overridden, the result columns after ``node``. An
+    round-mutable arrays: unless ``result`` is overridden, the result
+    columns after ``node``. An
     array a round changes in place must be listed there; everything
     else ``init`` builds is the read-only layout."""
 
@@ -248,27 +241,6 @@ class _Shard:
                          **{c: pa.array(getattr(self, c))
                             for c in self.state}})
 
-    def checkpoint(self, cdir: str, rnd: int) -> int:
-        """Atomic per-shard state snapshot (tmp + rename, same
-        discipline as checkpoint.write_partition)."""
-        d = os.path.join(cdir, f"round_{rnd:04d}")
-        os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, f".shard_{self.b}.parquet.tmp")
-        pq.write_table(self.result(), tmp)
-        os.replace(tmp, os.path.join(d, f"shard_{self.b}.parquet"))
-        return len(self.owned)
-
-    def restore(self, cdir: str, rnd: int) -> int:
-        t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
-                                       f"shard_{self.b}.parquet"))
-        node = t["node"].to_numpy().astype(np.int64)
-        if not np.array_equal(node, self.owned):
-            raise ValueError(
-                f"checkpoint shard {self.b}: node layout mismatch "
-                f"(different edges or shard count?)")
-        for c in self.state:
-            setattr(self, c, t[c].to_numpy().astype(np.int64))
-        return rnd
 
 
 def _shard_count(num_shards) -> int:
@@ -379,7 +351,7 @@ def _exchange(shards, send: str, recv: str, *args, send_args=(),
 
 
 def _scatter_gather(shards, rnd: int) -> list:
-    return _exchange(shards, "scatter", "gather")
+    return _exchange(shards, "scatter", "gather", rnd)
 
 
 def _complete_rounds(cdir: str, nb: int) -> list[int]:
@@ -412,10 +384,11 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
     later rounds would be identical.
 
     ``must_converge`` (the op name) makes a run that ends without
-    such a round raise. ``checkpoint_dir`` adds round-level resume:
-    ``meta`` (plus the shard count) must match the directory's
-    meta.json, the newest complete round is restored, and every round
-    writes the shards' state, a metrics.parquet and a _DONE marker.
+    such a round raise. ``checkpoint_dir`` (fold shards only) adds
+    round-level resume: ``meta`` (plus the shard count) must match
+    the directory's meta.json, the newest complete round is restored,
+    and every round writes the shards' state, a metrics.parquet and a
+    _DONE marker.
     State is ONLY the per-node columns — edges are rebuilt from the
     (deterministic) input on restart, so a round_k snapshot + the
     same inputs reproduce rounds k+1.. bit-exactly."""
@@ -487,49 +460,114 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
     return rd.from_arrow_refs([sh.call("result")[0] for sh in shards])
 
 
-# ------------------------------------------------------------- pagerank
+# ------------------------------------------------------- neighbour fold
 
-class _PregelShard(_Shard):
-    """Integer PageRank state: per-node mass, with out-edges keyed by
-    src pre-split by destination shard."""
+class _FoldShard(_Shard):
+    """The neighbour fold: an int64 ``x`` per node (2-D for multi-source
+    BFS, a column per landmark; ``cols`` names the result columns). A
+    round sends a message across every key-side edge, pre-combines
+    them per destination with ``fold`` (np.add or np.minimum) and
+    folds them in at the owner: a min-fold into ``x`` itself, a sum
+    into zeros that ``update`` turns into the new ``x``. The hooks are
+    module-level functions of the shard ``sh``, bound by ``partial``:
+    ``start(sh)`` gives x₀ from ``sh.owned`` and ``sh.deg`` (key-side
+    edge counts); ``send(sh)`` gives each edge ``owned[e_idx]`` →
+    ``e_dst`` its message, or (messages, live mask); ``update(sh, s,
+    rnd)`` gives round ``rnd``'s ``x`` from the sums ``s``.
 
-    state = ("mass",)
+    A round that changes no ``x`` ends the run (``_run``'s fixed
+    point). That is bit-exact when the update depends on the state
+    alone, as for PageRank, WL colours, CC and BFS. Katz's update adds
+    2^rnd, so its ``x`` rises strictly at every round before the last
+    and never stops early; a round-dependent update without such a
+    guarantee does not belong here."""
 
-    def init(self, init_mass: int, d_num: int, d_den: int,
-             base_mass: int, seed_mod: int | None, *incoming) -> int:
+    state = ("x",)
+
+    def init(self, cols, start, send, fold, update, *incoming) -> int:
         src, dst = self._edges()["f"]
-        self.d_num, self.d_den = np.int64(d_num), np.int64(d_den)
         self.owned = np.unique(np.concatenate([src, *incoming]))
-        # personalized (TrustRank) teleport: base/init mass only on the
-        # seed set {node % seed_mod == 0}; None = uniform PageRank
-        if seed_mod:
-            seeds = self.owned % np.int64(seed_mod) == 0
-            self.base_vec = np.where(seeds, np.int64(base_mass),
-                                     np.int64(0))
-            init_vec = np.where(seeds, np.int64(init_mass), np.int64(0))
-        else:
-            self.base_vec = np.full(len(self.owned), base_mass,
-                                    np.int64)
-            init_vec = np.full(len(self.owned), init_mass, np.int64)
-        # per-edge outdeg + owned-index of each edge's source
-        _, inv, cnt = np.unique(src, return_inverse=True,
-                                return_counts=True)
-        self.splits, self.e_dst, self.e_src_idx, self.e_od = \
-            self._by_dest(dst, np.searchsorted(self.owned, src), cnt[inv])
-        self.mass = init_vec
+        idx = np.searchsorted(self.owned, src)
+        self.splits, self.e_dst, self.e_idx = self._by_dest(dst, idx)
+        self.deg = np.bincount(idx, minlength=len(self.owned)).astype(np.int64)
+        self.cols, self.send, self.fold, self.update = cols, send, fold, update
+        self.x = start(self)
         return len(self.owned)
 
     def scatter(self):
-        """Per-edge contributions, locally pre-combined per dst, split
-        per destination shard."""
-        contrib = (self.d_num * self.mass[self.e_src_idx]) \
-            // (self.d_den * self.e_od)
-        return self._per_dest(self.splits, _group_sum, self.e_dst,
-                              contrib)
+        msg = self.send(self)
+        msg, live = msg if isinstance(msg, tuple) else (msg, None)
+        shape = (len(msg), len(self.cols))
+        msg = msg.reshape(shape)
+        live = np.ones(shape, bool) if live is None else live.reshape(shape)
 
-    def gather(self, *msgs) -> int:
-        self.mass = self._fold(self.base_vec, msgs, np.add)
-        return len(self.mass)
+        def part(dst, m, lv):
+            return tuple(_group_fold(self.fold, dst[lv[:, c]], m[lv[:, c], c])
+                         for c in range(len(self.cols)))
+
+        return self._per_dest(self.splits, part, self.e_dst, msg, live)
+
+    def gather(self, rnd: int, *msgs) -> int:
+        acc = (self.x if self.update is None else np.zeros_like(self.x)) \
+            .reshape(len(self.owned), len(self.cols))
+        s = np.stack([self._fold(acc[:, c], [m[c] for m in msgs], self.fold)
+                      for c in range(len(self.cols))], axis=1) \
+            .reshape(self.x.shape)
+        return self._update(
+            "x", s if self.update is None else self.update(self, s, rnd))
+
+    def result(self) -> pa.Table:
+        x = self.x.reshape(len(self.owned), len(self.cols))
+        return pa.table({"node": pa.array(self.owned),
+                         **{name: pa.array(x[:, c])
+                            for c, name in enumerate(self.cols)}})
+
+    def checkpoint(self, cdir: str, rnd: int) -> int:
+        """Atomic per-shard state snapshot (tmp + rename, same
+        discipline as checkpoint.write_partition)."""
+        d = os.path.join(cdir, f"round_{rnd:04d}")
+        os.makedirs(d, exist_ok=True)
+        tmp = os.path.join(d, f".shard_{self.b}.parquet.tmp")
+        pq.write_table(self.result(), tmp)
+        os.replace(tmp, os.path.join(d, f"shard_{self.b}.parquet"))
+        return len(self.owned)
+
+    def restore(self, cdir: str, rnd: int) -> int:
+        t = pq.read_table(os.path.join(cdir, f"round_{rnd:04d}",
+                                       f"shard_{self.b}.parquet"))
+        if not np.array_equal(t["node"].to_numpy(), self.owned):
+            raise ValueError(
+                f"checkpoint shard {self.b}: node layout mismatch "
+                f"(different edges or shard count?)")
+        self.x = np.stack([t[c].to_numpy().astype(np.int64)
+                           for c in self.cols], axis=1).reshape(self.x.shape)
+        return rnd
+
+
+def _sent(send, sh) -> np.ndarray:
+    """Each edge's message: its key end's ``send(x)`` (``x`` when
+    ``send`` is None)."""
+    return (sh.x if send is None else send(sh.x))[sh.e_idx]
+
+
+# ------------------------------------------------------------- pagerank
+
+def _seeded(seed_mod, mass: int, sh) -> np.ndarray:
+    """``mass`` on the seed set {node % seed_mod == 0} and 0 elsewhere;
+    ``mass`` on every node when ``seed_mod`` is None."""
+    if seed_mod:
+        return np.where(sh.owned % np.int64(seed_mod) == 0,
+                        np.int64(mass), np.int64(0))
+    return np.full(len(sh.owned), mass, np.int64)
+
+
+def _pr_send(d_num: int, d_den: int, sh) -> np.ndarray:
+    return (np.int64(d_num) * sh.x[sh.e_idx]) \
+        // (np.int64(d_den) * sh.deg[sh.e_idx])
+
+
+def _pr_update(seed_mod, base_mass: int, sh, s, rnd) -> np.ndarray:
+    return _seeded(seed_mod, base_mass, sh) + s
 
 
 def pagerank(edges, src: str = "src", dst: str = "dst",
@@ -559,10 +597,10 @@ def pagerank(edges, src: str = "src", dst: str = "dst",
     count. ``seed_mod`` puts base/init mass only on the seed set
     {node % seed_mod == 0} (TrustRank).
 
-    Runs on the resident-shard engine: edge blocks are split straight
-    into per-shard parts (the load IS the shuffle — no sort) and
-    built once into each shard's layout, then each round is a pure
-    message exchange: every shard task pushes O(distinct dsts)
+    Runs as a sum fold on the resident-shard engine: edge blocks are
+    split straight into per-shard parts (the load IS the shuffle — no
+    sort) and built once into each shard's layout, then each round is
+    a pure message exchange: every shard task pushes O(distinct dsts)
     pre-combined int64 sums to its peers via ``num_returns`` object
     refs, so the caller only routes refs and the static O(E) edge
     arrays are never written again (the Pregel/GraphX layout).
@@ -571,78 +609,49 @@ def pagerank(edges, src: str = "src", dst: str = "dst",
     meta = {"d_num": int(d_num), "d_den": int(d_den),
             "init_mass": init_mass, "base_mass": base_mass,
             "seed_mod": seed_mod}
-    return _run(_PregelShard, edges, src, dst, "directed", iters,
-                init_args=(init_mass, d_num, d_den, base_mass, seed_mod),
+    return _run(_FoldShard, edges, src, dst, "directed", iters,
+                init_args=(("mass",), partial(_seeded, seed_mod, init_mass),
+                           partial(_pr_send, d_num, d_den), np.add,
+                           partial(_pr_update, seed_mod, base_mass)),
                 num_shards=num_shards, checkpoint_dir=checkpoint_dir,
                 meta=meta)
 
 
-class _NbrSumShard(_Shard):
-    """Neighbour sums: an int64 ``x`` per node, from ``start(deg)``
-    (deg, the key-side edge count, when None). A round sends
-    ``send(x)[u]`` (``x[u]`` when None) across each edge (u, v),
-    pre-summed per destination, and v sets x = update(x, sum, round)."""
+def _nbr_start(start, sh) -> np.ndarray:
+    return sh.deg if start is None else start(sh.deg)
 
-    state = ("x",)
 
-    def init(self, start, send, update, *incoming) -> int:
-        src, dst = self._edges()["f"]
-        self.owned = np.unique(np.concatenate([src, *incoming]))
-        idx = np.searchsorted(self.owned, src)
-        self.splits, self.e_dst, self.e_idx = self._by_dest(dst, idx)
-        self.send, self.update, self.rnd = send, update, 0
-        deg = np.bincount(idx, minlength=len(self.owned)).astype(np.int64)
-        self.x = deg if start is None else start(deg)
-        return len(self.owned)
-
-    def scatter(self):
-        x = self.x if self.send is None else self.send(self.x)
-        return self._per_dest(self.splits, _group_sum, self.e_dst,
-                              x[self.e_idx])
-
-    def gather(self, *msgs) -> int:
-        self.rnd += 1
-        s = self._fold(np.zeros(len(self.owned), np.int64), msgs, np.add)
-        self.x = self.update(self.x, s, self.rnd)
-        return len(self.owned)
+def _nbr_update(update, sh, s, rnd) -> np.ndarray:
+    return update(sh.x, s, rnd)
 
 
 def neighbour_sums(edges, src: str, dst: str, rounds: int, update, start=None,
                    send=None, undirected: bool = False, num_shards=None):
-    """``rounds`` rounds of ``_NbrSumShard`` (over both edge directions
-    when ``undirected``); returns (node, x). The caller's int64
-    arithmetic comes in as module-level functions."""
-    return _run(_NbrSumShard, edges, src, dst,
+    """``rounds`` rounds of a sum fold (over both edge directions when
+    ``undirected``); returns (node, x). x₀ is ``start(deg)`` (deg, the
+    key-side edge count, when None); a round sends ``send(x)[u]``
+    (``x[u]`` when None) across each edge (u, v), sums it per
+    destination, and v sets x = update(x, sum, round). The caller's
+    int64 arithmetic comes in as module-level functions."""
+    return _run(_FoldShard, edges, src, dst,
                 "doubled" if undirected else "directed", rounds,
-                init_args=(start, send, update), num_shards=num_shards)
+                init_args=(("x",), partial(_nbr_start, start),
+                           partial(_sent, send), np.add,
+                           partial(_nbr_update, update)),
+                num_shards=num_shards)
 
 
 # ------------------------------------------------ connected components
 
-class _CCShard(_Shard):
-    """Hash-min label propagation state: the (doubled) edges whose KEY
-    endpoint hashes here plus those nodes' current component labels.
-    Every node with an edge appears as a key on its owner shard, so no
-    node exchange is needed. Rounds ship only per-destination
-    pre-combined minima."""
+def _own_ids(sh) -> np.ndarray:
+    return sh.owned.copy()
 
-    state = ("component",)
 
-    def init(self) -> int:
-        key, other = self._edges()["f"]
-        self.owned = np.unique(key)
-        self.splits, self.e_other, self.e_key_idx = \
-            self._by_dest(other, np.searchsorted(self.owned, key))
-        self.component = self.owned.copy()
-        return len(self.owned)
-
-    def scatter(self):
-        return self._per_dest(self.splits, _group_min, self.e_other,
-                              self.component[self.e_key_idx])
-
-    def gather(self, *msgs) -> int:
-        return self._update("component", self._fold(
-            self.component, msgs, np.minimum))
+class _CCShard(_FoldShard):
+    """The fold shard connected components run on. It keeps its own
+    name because ``perfbench/trace.py`` wraps ``_CCShard``'s
+    ``__init__``, ``add_edges``, ``init``, ``scatter`` and ``gather``
+    to time the graph layer of the ``corpus_dedup`` benchmark."""
 
 
 def connected_components(edges, src: str = "id_a", dst: str = "id_b",
@@ -652,12 +661,15 @@ def connected_components(edges, src: str = "id_a", dst: str = "id_b",
     """Edge Dataset (src, dst) → Dataset (node, component) where
     ``component`` is the minimum node id reachable from ``node``
     (undirected). Only nodes appearing in at least one edge are
-    returned. The doubled edge table is built into the shard layouts
-    ONCE and each round exchanges only per-shard pre-combined label
-    minima. Convergence = a round with zero label changes; raises if
-    ``max_iters`` rounds don't converge. ``checkpoint_dir`` makes a
-    killed run resume at its newest complete round."""
+    returned. A min fold: the doubled edge table is built into the
+    shard layouts ONCE and each round exchanges only per-shard
+    pre-combined label minima. Convergence = a round with zero label
+    changes; raises if ``max_iters`` rounds don't converge.
+    ``checkpoint_dir`` makes a killed run resume at its newest
+    complete round."""
     return _run(_CCShard, edges, src, dst, "doubled", max_iters,
+                init_args=(("component",), _own_ids, partial(_sent, None),
+                           np.minimum, None),
                 num_shards=num_shards, checkpoint_dir=checkpoint_dir,
                 meta={"algo": "cc_hashmin"},
                 must_converge="connected_components")
@@ -693,12 +705,12 @@ class _HitsShard(_Shard):
         return len(self.owned)
 
     def scatter_fwd(self):
-        return self._per_dest(self.f_splits, _group_sum, self.f_dst,
-                              self.hub[self.f_idx])
+        return self._per_dest(self.f_splits, partial(_group_fold, np.add),
+                              self.f_dst, self.hub[self.f_idx])
 
     def scatter_rev(self):
-        return self._per_dest(self.r_splits, _group_sum, self.r_dst,
-                              self.auth[self.r_idx])
+        return self._per_dest(self.r_splits, partial(_group_fold, np.add),
+                              self.r_dst, self.auth[self.r_idx])
 
     def gather_raw(self, *msgs) -> int:
         """Accumulate raw sums; return the local max for the driver's
@@ -739,63 +751,43 @@ def hits(edges, src: str = "src", dst: str = "dst",
 BFS_INF = np.int64(1) << np.int64(40)   # unreachable sentinel (2^40)
 
 
-class _BfsShard(_Shard):
-    """Directed BFS / hop distance from a seed set: the out-edges whose
-    SRC hashes here (contribution dist[src]+1 routed to dst) plus the
-    distances of every node that hashes here (dst-only nodes are
-    claimed via node_exchange). Messages are per-destination
-    pre-combined minima; sources still at BFS_INF are masked out of
-    the scatter — a bit-exact optimization, since INF+1 can never
-    lower any distance ≤ INF."""
+def _bfs_start(seed_mod: int, seeds, sh) -> np.ndarray:
+    seed = (sh.owned % seed_mod == 0 if seeds is None
+            else np.isin(sh.owned, seeds))
+    return np.where(seed, np.int64(0), BFS_INF)
 
-    state = ("dist",)
 
-    def init(self, seed_mod: int, weight_mod, temporal_mod, seeds,
-             *incoming) -> int:
-        src, dst = self._edges()["f"]
-        self.owned = np.unique(np.concatenate([src, *incoming]))
-        self.splits, self.e_dst, self.e_src_idx, e_src = \
-            self._by_dest(dst, np.searchsorted(self.owned, src), src)
-        # deterministic per-edge weight w = (src+dst) % weight_mod + 1
-        # (a pure function of the edge, so duplicate edges agree and
-        # the DuckDB replay computes the identical expression inline);
-        # None keeps the unit-weight BFS path bit-for-bit unchanged.
-        self.e_w = (None if weight_mod is None else
-                    (e_src + self.e_dst) % np.int64(weight_mod)
-                    + np.int64(1))
-        # temporal mode: edges carry the deterministic TIME
-        # t = (src+dst) % temporal_mod and the fold is time-respecting
-        # earliest arrival — an edge relaxes only when its time is at
-        # or after the source's current arrival, and the contribution
-        # IS the edge time (not dist+w)
-        self.e_t = (None if temporal_mod is None else
-                    (e_src + self.e_dst) % np.int64(temporal_mod))
-        seed = (self.owned % seed_mod == 0 if seeds is None
-                else np.isin(self.owned, seeds))
-        self.dist = np.where(seed, np.int64(0), BFS_INF)
-        return int((self.dist == 0).sum())
+def _landmarks(seed_mod: int, n_land: int, sh) -> np.ndarray:
+    """Column l: 0 on the landmarks {node % seed_mod == l}, else INF."""
+    rem = sh.owned % np.int64(seed_mod)
+    return np.where(
+        rem[:, None] == np.arange(n_land, dtype=np.int64)[None, :],
+        np.int64(0), BFS_INF)
 
-    def scatter(self):
-        d = self.dist[self.e_src_idx]
-        if self.e_t is not None:
-            def arrive(dst, d, ts):
-                live = (d < BFS_INF) & (ts >= d)
-                return _group_min(dst[live], ts[live])
 
-            return self._per_dest(self.splits, arrive, self.e_dst, d,
-                                  self.e_t)
+def _edge_mod(mod: int, sh) -> np.ndarray:
+    """(src + dst) % mod per edge: a pure function of the edge, so
+    duplicate edges agree and the DuckDB replay computes it inline."""
+    return (sh.owned[sh.e_idx] + sh.e_dst) % np.int64(mod)
 
-        def relax(dst, d, *w):
-            live = d < BFS_INF
-            return _group_min(dst[live],
-                              d[live] + (w[0][live] if w else np.int64(1)))
 
-        w = () if self.e_w is None else (self.e_w,)
-        return self._per_dest(self.splits, relax, self.e_dst, d, *w)
+def _relax(weight_mod, sh):
+    """dist[src] + w, w = 1 or (src + dst) % weight_mod + 1; sources
+    still at BFS_INF are masked out — bit-exact, since INF + w can
+    never lower any distance ≤ INF."""
+    d = sh.x[sh.e_idx]
+    w = (np.int64(1) if weight_mod is None
+         else _edge_mod(weight_mod, sh) + np.int64(1))
+    return d + w, d < BFS_INF
 
-    def gather(self, *msgs) -> int:
-        return self._update("dist", self._fold(self.dist, msgs,
-                                               np.minimum))
+
+def _arrive(temporal_mod: int, sh):
+    """Time-respecting earliest arrival: the edge time
+    t = (src + dst) % temporal_mod crosses an edge only when t is at
+    or after the source's current arrival."""
+    d = sh.x[sh.e_idx]
+    t = _edge_mod(temporal_mod, sh)
+    return t, (d < BFS_INF) & (t >= d)
 
 
 def bfs(edges, src: str = "src", dst: str = "dst",
@@ -826,49 +818,12 @@ def bfs(edges, src: str = "src", dst: str = "dst",
     iterative whole-graph folds)."""
     if weight_mod is not None and temporal_mod is not None:
         raise ValueError("weight_mod and temporal_mod are exclusive")
-    return _run(_BfsShard, edges, src, dst, "directed", iters,
-                init_args=(seed_mod, weight_mod, temporal_mod, seeds),
+    send = (partial(_relax, weight_mod) if temporal_mod is None
+            else partial(_arrive, temporal_mod))
+    return _run(_FoldShard, edges, src, dst, "directed", iters,
+                init_args=(("dist",), partial(_bfs_start, seed_mod, seeds),
+                           send, np.minimum, None),
                 num_shards=num_shards)
-
-
-class _MultiBfsShard(_BfsShard):
-    """_BfsShard with VECTOR state: one distance column per landmark
-    set {node % seed_mod == l}, l < n_land — S BFS frontiers advance
-    in the same rounds over the same resident edges (the landmark /
-    sketch-based distance-feature pattern: one edge ingest, not S).
-    Messages stay 1-D per landmark (pre-combined minima)."""
-
-    def init(self, seed_mod: int, n_land: int, *incoming) -> int:
-        super().init(seed_mod, None, None, None, *incoming)
-        self.S = n_land
-        rem = self.owned % np.int64(seed_mod)
-        self.dist = np.where(
-            rem[:, None] == np.arange(n_land, dtype=np.int64)[None, :],
-            np.int64(0), BFS_INF)
-        return int((self.dist == 0).sum())
-
-    def scatter(self):
-        def relax(dst, d):                       # d: (E_t, S)
-            out = []
-            for l in range(self.S):
-                live = d[:, l] < BFS_INF
-                out.append(_group_min(dst[live],
-                                      d[live, l] + np.int64(1)))
-            return tuple(out)
-
-        return self._per_dest(self.splits, relax, self.e_dst,
-                              self.dist[self.e_src_idx])
-
-    def gather(self, *msgs) -> int:
-        return self._update("dist", np.stack(
-            [self._fold(self.dist[:, l], [m[l] for m in msgs], np.minimum)
-             for l in range(self.S)], axis=1))
-
-    def result(self) -> pa.Table:
-        cols = {"node": pa.array(self.owned)}
-        for l in range(self.S):
-            cols[f"d{l}"] = pa.array(self.dist[:, l])
-        return pa.table(cols)
 
 
 def multi_bfs(edges, src: str = "src", dst: str = "dst",
@@ -877,12 +832,16 @@ def multi_bfs(edges, src: str = "src", dst: str = "dst",
     """Simultaneous hop distances from ``n_landmarks`` seed sets
     ({node % seed_mod == l}) in ONE resident-shard run — the landmark
     distance-feature / harmonic-centrality prep. Edges route once;
-    every round advances all landmark frontiers together, so the cost
-    over single-landmark BFS is only the extra message columns. Fixed
+    every round advances all landmark frontiers together (one ``x``
+    column each, messages pre-combined per column), so the cost over
+    single-landmark BFS is only the extra message columns. Fixed
     round cap => exact replay of n_landmarks chained min-plus
     LEFT-JOIN CTE sets in DuckDB."""
-    return _run(_MultiBfsShard, edges, src, dst, "directed", iters,
-                init_args=(seed_mod, n_landmarks), num_shards=num_shards)
+    return _run(_FoldShard, edges, src, dst, "directed", iters,
+                init_args=(tuple(f"d{l}" for l in range(n_landmarks)),
+                           partial(_landmarks, seed_mod, n_landmarks),
+                           partial(_relax, None), np.minimum, None),
+                num_shards=num_shards)
 
 
 # -------------------------------------------------------- random walks
@@ -1288,7 +1247,7 @@ class _LpaShard(_Shard):
                 dst, lab, np.ones(len(dst), np.int64)),
             self.e_other, self.community[self.e_key_idx])
 
-    def gather(self, *msgs) -> int:
+    def gather(self, rnd: int, *msgs) -> int:
         nodes = np.concatenate([m[0] for m in msgs])
         lbls = np.concatenate([m[1] for m in msgs])
         cnts = np.concatenate([m[2] for m in msgs])
@@ -1351,8 +1310,8 @@ class _SccShard(_Shard):
 
     def scatter_col(self):
         return self._per_dest(
-            self.f_splits, lambda dst, c, live: _group_min(dst[live],
-                                                           c[live]),
+            self.f_splits, lambda dst, c, live: _group_fold(
+                np.minimum, dst[live], c[live]),
             self.f_dst, self.col[self.f_idx], ~self.dec[self.f_idx])
 
     def gather_col(self, *msgs) -> int:

@@ -414,6 +414,10 @@ def test_graph_ops_invariant_to_shard_count(ray_session):
             e, seed_mod=11, n_landmarks=3, iters=5, num_shards=nb),
         "bfs_seeds": lambda e, nb: graph.bfs(
             e, seeds=np.array([3, 17, 40]), iters=5, num_shards=nb),
+        "bfs_weighted": lambda e, nb: graph.bfs(
+            e, seed_mod=11, iters=5, weight_mod=7, num_shards=nb),
+        "bfs_temporal": lambda e, nb: graph.bfs(
+            e, seed_mod=11, iters=5, temporal_mod=9, num_shards=nb),
         "katz_sums": lambda e, nb: graph.neighbour_sums(
             e, "src", "dst", q.KATZ_L, q._katz_update, start=np.ones_like,
             num_shards=nb),
@@ -1376,6 +1380,21 @@ def test_bowtie_structure(ray_session):
         else:
             want = "other"
         assert r.klass == want, (node, r.klass, want)
+
+
+def test_canonical_docs_without_near_dups(ray_session, tmp_path):
+    """A corpus with no near-duplicate pair has no cluster: zero rows,
+    not an error from the empty component table."""
+    import pandas as pd
+
+    from pythongis_ray.queries import q_canonical_docs
+
+    docs = pd.read_parquet("/root/testdata/sf0.001/documents.parquet").head(3)
+    docs["text"] = ["alpha beta gamma delta epsilon zeta",
+                    "one two three four five six seven",
+                    "red green blue cyan magenta yellow black"]
+    docs.to_parquet(tmp_path / "documents.parquet", index=False)
+    assert q_canonical_docs(str(tmp_path)).count() == 0
 
 
 def test_knn_degree_bruteforce(ray_session):

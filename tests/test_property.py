@@ -365,7 +365,7 @@ def test_dup_spans_matches_bruteforce(ray_session, texts, w):
 
 # ------------------------------------------------------ graph kernels
 
-from pythongis_ray.graph import _bucket_of, _group_min, _group_sum  # noqa: E402
+from pythongis_ray.graph import _bucket_of, _group_fold  # noqa: E402
 
 ids_vals = st.lists(
     st.tuples(st.integers(min_value=-2**40, max_value=2**40),
@@ -378,7 +378,7 @@ ids_vals = st.lists(
 def test_group_sum_matches_dict_reference(pairs):
     ids = np.array([p[0] for p in pairs], dtype=np.int64)
     vals = np.array([p[1] for p in pairs], dtype=np.int64)
-    gi, gv = _group_sum(ids, vals)
+    gi, gv = _group_fold(np.add, ids, vals)
     ref = {}
     for i, v in pairs:
         ref[i] = ref.get(i, 0) + v
@@ -391,7 +391,7 @@ def test_group_sum_matches_dict_reference(pairs):
 def test_group_min_matches_dict_reference(pairs):
     ids = np.array([p[0] for p in pairs], dtype=np.int64)
     vals = np.array([p[1] for p in pairs], dtype=np.int64)
-    gi, gv = _group_min(ids, vals)
+    gi, gv = _group_fold(np.minimum, ids, vals)
     ref = {}
     for i, v in pairs:
         ref[i] = min(ref.get(i, v), v)
