@@ -66,8 +66,9 @@ class PreparedPolygon:
     This is the engine's analog of the reference caching a prepared
     shapely geometry per right-side feature before the join loop
     (/root/reference/pythongis/vector/manager.py:383-386,401-406): here
-    the preparation happens once per refine *actor* (map_batches actor
-    pool), not per driver call.
+    the preparation happens once per worker-side zone index (a
+    broadcast :class:`~pythongis_ray.spatial.ZoneIndex`) or once per
+    shuffle-join refine task, not per point batch.
     """
 
     __slots__ = ("rings", "bbox", "exterior_parts")
@@ -423,6 +424,65 @@ def points_vs_flat_polygons(qx, qy, sa, sb, seg_grp, n_grp,
                                  minlength=n_grp).astype(bool)
     inside = (crossn & 1).astype(bool)
     return inside & ~onb, onb
+
+
+def points_in_polygons_paired(px, py, grp, polys,
+                              chunk: int = _PAIR_CHUNK):
+    """Pair-aligned point-in-polygon: point i against ``polys[grp[i]]``
+    (a list of :class:`PreparedPolygon`). Returns (interior, boundary),
+    two (P,) bool arrays: strictly inside, and exactly on a ring.
+
+    The same bbox prefilter and expressions as
+    :meth:`PreparedPolygon.contains_points` (interior) and
+    :meth:`PreparedPolygon.covers_points` (interior | boundary), so the
+    results are bit-identical: crossing parity over the segments of all
+    rings (even-odd, as :func:`points_in_rings`) plus the on-segment
+    test of :func:`points_on_ring`. Each surviving pair is expanded to
+    one row per segment of its polygon, ``chunk`` rows at a time."""
+    px = np.asarray(px, np.float64)
+    py = np.asarray(py, np.float64)
+    interior = np.zeros(len(px), dtype=bool)
+    boundary = np.zeros(len(px), dtype=bool)
+    if not len(px):
+        return interior, boundary
+    grp = np.asarray(grp, np.int64)
+    bb = np.array([p.bbox for p in polys], np.float64)[grp]
+    keep = np.flatnonzero((px >= bb[:, 0]) & (px <= bb[:, 2])
+                          & (py >= bb[:, 1]) & (py <= bb[:, 3]))
+    if not len(keep):
+        return interior, boundary
+    # flat segments of every ring (WKB rings repeat their first point,
+    # so consecutive pairs include the closing edge), polygon-major
+    rings = [r for p in polys for r in p.rings]
+    sa = np.concatenate([r[:-1] for r in rings])
+    sb = np.concatenate([r[1:] for r in rings])
+    nseg = np.array([sum(len(r) - 1 for r in p.rings) for p in polys],
+                    np.int64)
+    sstart = np.cumsum(nseg) - nseg
+    lens = nseg[grp[keep]]
+    ends = np.cumsum(lens)
+    i0 = 0
+    while i0 < len(keep):
+        i1 = max(i0 + 1, int(np.searchsorted(ends, ends[i0] - lens[i0] + chunk,
+                                             "right")))
+        k, n = keep[i0:i1], lens[i0:i1]
+        pair = np.repeat(np.arange(len(k)), n)
+        seg = np.arange(int(n.sum()), dtype=np.int64) \
+            - (np.cumsum(n) - n)[pair] + sstart[grp[k]][pair]
+        qx, qy = px[k][pair], py[k][pair]
+        ax, ay, bx, by = sa[seg, 0], sa[seg, 1], sb[seg, 0], sb[seg, 1]
+        straddle = (ay > qy) != (by > qy)
+        t = (qy - ay) * (bx - ax) - (qx - ax) * (by - ay)
+        cross = straddle & ((t > 0) == (by > ay))
+        onseg = (((qx - ax) * (by - ay) - (qy - ay) * (bx - ax)) == 0) \
+            & (qx >= np.minimum(ax, bx)) & (qx <= np.maximum(ax, bx)) \
+            & (qy >= np.minimum(ay, by)) & (qy <= np.maximum(ay, by))
+        onb = np.bincount(pair[onseg], minlength=len(k)).astype(bool)
+        odd = (np.bincount(pair[cross], minlength=len(k)) & 1).astype(bool)
+        interior[k] = odd & ~onb
+        boundary[k] = onb
+        i0 = i1
+    return interior, boundary
 
 
 def is_axis_rect(ring: np.ndarray) -> tuple | None:

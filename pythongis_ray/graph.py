@@ -426,14 +426,14 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
     if done:
         start = max(done)
         _each(shards, "restore", checkpoint_dir, start)
-        if must_converge:
-            # a restored round with zero changes IS the fixed point
-            # (otherwise a resume at start == rounds would
-            # spuriously raise despite a valid converged snapshot)
-            m = pq.read_table(os.path.join(
-                checkpoint_dir, f"round_{start:04d}",
-                "metrics.parquet"))
-            converged = int(pc.sum(m["n_changed"]).as_py() or 0) == 0
+        # a restored round with zero changes IS the fixed point: the
+        # run stops there (and a must_converge resume at start ==
+        # rounds does not raise). A dir written before every round
+        # recorded n_changed resumes with the next round.
+        m = pq.read_table(os.path.join(
+            checkpoint_dir, f"round_{start:04d}", "metrics.parquet"))
+        converged = "n_changed" in m.column_names \
+            and int(pc.sum(m["n_changed"]).as_py() or 0) == 0
 
     for rnd in range(start + 1, rounds + 1):
         if converged:
@@ -445,10 +445,9 @@ def _run(cls, edges, src: str, dst: str, mode: str, rounds: int, *,
             _each(shards, "checkpoint", checkpoint_dir, rnd)
             cols = {"round": np.full(nb, rnd, np.int64),
                     "shard": np.arange(nb, dtype=np.int64),
-                    "n_nodes": np.asarray(n_nodes, np.int64)}
-            if must_converge:
-                cols["n_changed"] = np.asarray(counts, np.int64)
-            cols["round_wall_s"] = np.full(nb, wall, np.float64)
+                    "n_nodes": np.asarray(n_nodes, np.int64),
+                    "n_changed": np.asarray(counts, np.int64),
+                    "round_wall_s": np.full(nb, wall, np.float64)}
             d = os.path.join(checkpoint_dir, f"round_{rnd:04d}")
             pq.write_table(pa.table(cols),
                            os.path.join(d, "metrics.parquet"))

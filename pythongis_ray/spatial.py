@@ -1660,30 +1660,40 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
       left row, ``rows`` the batch row each cell belongs to (``None``
       when it is one cell per row, as for points);
     * ``matcher(group, rows) -> match``: binds the left rows ``rows``
-      of one bucket's Arrow group and returns ``match(cand, poly)``,
-      the subset of candidate positions ``cand`` (into ``rows``) that
-      pair with the zone ``poly``.
+      of one bucket's Arrow group and returns ``match(lpos, zu,
+      zones)``, called once per bucket: a bool mask over the bucket's
+      candidate pairs, pair i being left position ``lpos[i]`` (into
+      ``rows``) and zone ``zones[zu[i]]`` (a list of
+      :class:`~pythongis_ray.geom.algo.PreparedPolygon`; ``zu`` is
+      ascending).
 
     Phase 0 runs the left's lineage (read, synthesis, geocode) once:
     it maps the left to its *celled* table (the left rows plus an int64
     ``_cell``, one row per cell, and the row's position ``_pos`` in its
     phase-0 batch) and materializes it. Nothing later re-executes the
     left's lineage: the cell counts, the keying and the left schema all
-    read the celled table, whose schema costs no plan. The counts are
-    per-batch partials combined over Arrow groups of the cell's bucket
-    → :func:`plan_salts`. Phase 1 spreads a hot cell's celled rows over
-    its salts by ``_pos`` (the salt does not depend on how Ray blocks
-    the celled table, so a checkpoint dir resumes with the same row
-    placement) and replicates the zone covers across every salt of the
-    cell; both are keyed by hash(cell, salt) bucket and reach the union
-    in one column order with no schema metadata. Phase 2 co-locates
+    read the celled table, whose schema costs no plan. The counts are a
+    two-phase aggregate: per-block partials (at most one row per block
+    and cell) pulled to the driver and summed there with one Arrow
+    ``group_by`` → :func:`plan_salts`, with no shuffle. Phase 1 spreads
+    a hot cell's celled rows over its salts by ``_pos`` (the salt does
+    not depend on how Ray blocks the celled table, so a checkpoint dir
+    resumes with the same row placement) and replicates the zone covers
+    across every salt of the cell, materialized so the zone lineage
+    runs once; both are keyed by hash(cell, salt) bucket and reach the
+    union in one column order with no schema metadata. Phase 2 co-locates
     with one ``relational.group_apply`` on the bucket over ``pa.Table``
-    groups: ``refine`` relates each unique zone against the left rows
-    of its cover cells, collects int64 (left row, zone row) index
-    pairs, and builds its output with one ``take`` per side, in the
+    groups: ``refine`` builds every (left row, distinct zone) candidate
+    pair of its bucket in one vectorized pass (the distinct (zone,
+    cover cell) rows, each expanded to the left rows of its cell),
+    decodes each distinct zone at most once per task, tests all pairs
+    with one ``match`` call, and builds its output from the int64
+    (left row, zone row) index pairs with one ``take`` per side, in the
     declared types (left schema, then the zone attributes), with no
-    pandas round trip and no separate cast stage. An input with no
-    rows gives an empty result in those types.
+    pandas round trip and no separate cast stage. Pairs come out zone
+    by zone (first appearance), cells ascending, left rows in bucket
+    order within a cell. An input with no rows gives an empty result in
+    those types.
     """
     import ray.data as rd
 
@@ -1706,20 +1716,16 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
 
     def count(batch: pa.Table) -> pa.Table:
         cell, n = np.unique(batch["_cell"].to_numpy(), return_counts=True)
-        return pa.table({"cell": cell, "n": n.astype(np.int64),
-                         "_bucket": _cell_bucket(cell.view(np.uint64),
-                                                 np.zeros(len(cell), np.int64),
-                                                 num_buckets)})
+        return pa.table({"cell": cell, "n": n.astype(np.int64)})
 
-    def per_bucket(group: pa.Table) -> pa.Table:
-        return group.group_by("cell").aggregate([("n", "sum")])
-
-    counts = group_apply(
-        celled.map_batches(count, batch_format="pyarrow",
-                           batch_size=left_batch_size),
-        "_bucket", per_bucket, batch_format="pyarrow").to_pandas()
+    # per-block partials, at most one row per (block, cell): the driver
+    # combines them, no shuffle
+    parts = ray.get(rel.nonempty_blocks(celled.map_batches(
+        count, batch_format="pyarrow", batch_size=left_batch_size)))
     salts = {}
-    if len(counts):   # to_pandas drops the schema of an all-empty Dataset
+    if parts:
+        counts = pa.concat_tables(parts).group_by("cell") \
+            .aggregate([("n", "sum")])
         salts = plan_salts(pd.DataFrame({
             "cell": counts["cell"].to_numpy().view(np.uint64),
             "n": counts["n_sum"].to_numpy()}), rows_per_task)
@@ -1751,10 +1757,11 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
 
     left_keyed = celled.map_batches(key_left, batch_format="pyarrow",
                                     batch_size=left_batch_size)
+    # materialized: a pandas-backed zone Dataset carries no Arrow types
+    # until its blocks are built, and the union reuses these blocks, so
+    # the zone lineage runs once and its schema costs no plan
     right_keyed = zones_ds.map_batches(explode_zones, batch_format="pyarrow",
-                                       batch_size=4096)
-    # the one schema peek left: a pandas-backed zone Dataset carries no
-    # Arrow types until its first block is built
+                                       batch_size=4096).materialize()
     rschema = _arrow_schema(right_keyed)
     target = _join_schema(cschema, rschema or _arrow_schema(zones_ds),
                           zone_geom_col)
@@ -1809,46 +1816,54 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
         both = rd.read_parquet(checkpoint_dir) \
             .map_batches(strip_ckpt_cols, batch_format="pyarrow")
 
+    polys = {}   # zone WKB -> PreparedPolygon, filled inside each refine task
+
+    def prepared(gb: bytes) -> algo.PreparedPolygon:
+        poly = polys.get(gb)
+        if poly is None:
+            g = wkb.decode(gb)
+            poly = polys[gb] = algo.PreparedPolygon(g["rings"],
+                                                    g.get("ring_part"))
+        return poly
+
     def refine(group: pa.Table) -> pa.Table:
         side = group["_side"].to_numpy()
         lrows = np.flatnonzero(side == 0)
         zrows = np.flatnonzero(side == 1)
         if len(lrows) == 0 or len(zrows) == 0:
             return target.empty_table()
-        match = matcher(group, lrows)
         cell = group["_cell"].to_numpy()
         lcell = cell[lrows]
         order = np.argsort(lcell, kind="stable")
         lcell_s = lcell[order]
-        zcell = cell[zrows]
-        # one refine per UNIQUE zone (dictionary order = first
-        # appearance): parse once, gather the left rows of all its
-        # cover cells in this bucket, test vectorized, and keep only
-        # the (left row, zone row) index pairs
+        # the distinct (zone, cover cell) rows, zones in dictionary
+        # order (first appearance) and cells ascending; each expands to
+        # the cell-stable left rows of its cell: every candidate pair
+        # of the bucket in one pass
         zgeom = pc.dictionary_encode(
             group[zone_geom_col].take(zrows).combine_chunks())
         zidx = zgeom.indices.to_numpy()
-        zorder = np.argsort(zidx, kind="stable")
-        zsplit = np.flatnonzero(np.diff(zidx[zorder])) + 1
-        lpos, zpos = [], []
-        for gb, rows_idx in zip(zgeom.dictionary.to_pylist(),
-                                np.split(zorder, zsplit)):
-            zcells = np.unique(zcell[rows_idx])
-            s0 = np.searchsorted(lcell_s, zcells, "left")
-            s1 = np.searchsorted(lcell_s, zcells, "right")
-            if (s1 - s0).sum() == 0:
-                continue
-            cand = np.concatenate([order[a:b] for a, b in zip(s0, s1) if b > a])
-            g = wkb.decode(gb)
-            hit = match(cand, algo.PreparedPolygon(g["rings"], g.get("ring_part")))
-            lpos.append(hit)
-            zpos.append(np.full(len(hit), rows_idx[0], np.int64))
-        if not lpos:
+        zcell = cell[zrows]
+        zs = np.lexsort((zcell, zidx))
+        zd, cd = zidx[zs], zcell[zs]
+        first = np.ones(len(zs), dtype=bool)
+        first[1:] = (zd[1:] != zd[:-1]) | (cd[1:] != cd[:-1])
+        zd, cd = zd[first], cd[first]
+        s0 = np.searchsorted(lcell_s, cd, "left")
+        n = np.searchsorted(lcell_s, cd, "right") - s0
+        if not n.any():
             return target.empty_table()
+        lpos = order[_ranges(s0, n)]
+        used, zu = np.unique(np.repeat(zd, n), return_inverse=True)
+        zones = [prepared(gb) for gb in
+                 zgeom.dictionary.take(pa.array(used)).to_pylist()]
+        hit = matcher(group, lrows)(lpos, zu, zones)
+        # each hit takes its zone's first row in the bucket
+        _, zfirst = np.unique(zidx, return_index=True)
         # one gather per side; a checkpoint dir written by the older
         # pandas sink holds the null-padded int64 columns as double
-        lt = group.select(left_cols).take(lrows[np.concatenate(lpos)])
-        zt = group.select(zone_attr_cols).take(zrows[np.concatenate(zpos)])
+        lt = group.select(left_cols).take(lrows[lpos[hit]])
+        zt = group.select(zone_attr_cols).take(zrows[zfirst[used[zu[hit]]]])
         return pa.Table.from_arrays(
             [c if c.type == f.type else pc.cast(c, f.type)
              for c, f in zip(lt.columns + zt.columns, target)], schema=target)
@@ -1931,7 +1946,7 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
         lx0, ly0 = _cover_origin(res, fb.xmin, fb.ymin)
         lcell = group["_cell"].to_numpy()[rows]   # one row per cover cell
 
-        def match(cand, poly):
+        def match_zone(cand, poly):
             # canonical cell: smallest shared cover cell of the pair
             # (pack order is iy-major, ix-minor); ``pos`` maps cover
             # rows to present-feature positions (feat_ids may skip
@@ -1940,10 +1955,11 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
             pos = np.searchsorted(fb.feat_ids, cand)
             can = grid.pack(res, np.maximum(lx0[pos], zx0),
                             np.maximum(ly0[pos], zy0)).view(np.int64)
-            keep = lcell[cand] == can
-            cand, pos = cand[keep], pos[keep]
-            if not len(cand):
-                return cand
+            hit = np.zeros(len(cand), dtype=bool)
+            kept = np.flatnonzero(lcell[cand] == can)
+            pos = pos[kept]
+            if not len(kept):
+                return hit
             gp, pgrp = fb.gather_points(pos)
             gsa, gsb, sgrp = fb.gather_segments(pos)
             if geom_kind == "lines":
@@ -1958,7 +1974,8 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
                     m = proper | (s_in & s_out)
                 else:
                     m = contact & ~s_in & ~proper
-                return cand[m]
+                hit[kept] = m
+                return hit
             strict = predicate == "overlaps"
             G = len(pos)
             vmask = (poly.contains_points(gp[:, 0], gp[:, 1]) if strict
@@ -1979,7 +1996,15 @@ def _spatial_join_geoms_shuffle(lines_ds, zones_ds, geom_kind: str,
                 inside, _onb = algo.points_vs_flat_polygons(
                     q[:, 0], q[:, 1], usa, usb, usgrp, len(un))
                 m[un] |= inside.any(axis=0)
-            return cand[m]
+            hit[kept] = m
+            return hit
+
+        def match(lpos, zu, zones):
+            # the pairs of one zone are one run of the ascending ``zu``
+            cut = np.flatnonzero(np.diff(zu)) + 1
+            return np.concatenate([
+                match_zone(lpos[a:b], zones[zu[a]])
+                for a, b in zip(np.r_[0, cut], np.r_[cut, len(zu)])])
         return match
 
     return _salted_shuffle_join(lines_ds, zones_ds, cells_of, matcher, 8192,
@@ -2031,9 +2056,10 @@ def spatial_join_shuffle(points_ds, zones_ds, predicate: str = "intersects",
         lon = group[lon_col].to_numpy()[rows].astype(np.float64, copy=False)
         lat = group[lat_col].to_numpy()[rows].astype(np.float64, copy=False)
 
-        def match(cand, poly):
-            test = poly.contains_points if interior else poly.covers_points
-            return cand[test(lon[cand], lat[cand])]
+        def match(lpos, zu, zones):
+            inside, onb = algo.points_in_polygons_paired(
+                lon[lpos], lat[lpos], zu, zones)
+            return inside if interior else inside | onb
         return match
 
     return _salted_shuffle_join(points_ds, zones_ds, cells_of, matcher, 65536,

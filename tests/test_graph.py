@@ -924,6 +924,49 @@ def test_cc_checkpoint_resume_after_convergence(ray_session, tmp_path):
     assert a == b == _uf_components(edge_list)
 
 
+def test_pagerank_resume_stops_at_restored_fixed_point(ray_session,
+                                                       tmp_path):
+    """On a cycle every node keeps its mass, so round 1 changes nothing
+    and the run stops there. Resuming that checkpoint with more
+    iterations runs no round and writes no round dir; a dir whose
+    metrics lack ``n_changed`` (the older layout) resumes with one
+    more round, and every run returns the same table."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pythongis_ray import graph
+
+    def edges():
+        nodes = np.arange(12, dtype=np.int64)
+        return rd.from_arrow(pa.table({"src": nodes,
+                                       "dst": (nodes + 1) % 12}))
+
+    cdir = str(tmp_path / "pr_fixed")
+    first = graph.pagerank(edges(), iters=5, num_shards=2,
+                           checkpoint_dir=cdir).to_pandas()
+    assert (first["mass"] == 1_000_000).all()
+    rounds = sorted(d for d in os.listdir(cdir) if d.startswith("round_"))
+    assert rounds == ["round_0001"]
+
+    again = graph.pagerank(edges(), iters=5, num_shards=2,
+                           checkpoint_dir=cdir).to_pandas()
+    assert sorted(d for d in os.listdir(cdir)
+                  if d.startswith("round_")) == rounds
+    assert again.equals(first)
+    metrics = f"{cdir}/round_0001/metrics.parquet"
+    assert pq.read_table(metrics)["n_changed"].to_pylist() == [0, 0]
+
+    pq.write_table(pq.read_table(metrics).drop_columns(["n_changed"]),
+                   metrics)
+    older = graph.pagerank(edges(), iters=5, num_shards=2,
+                           checkpoint_dir=cdir).to_pandas()
+    assert os.path.exists(f"{cdir}/round_0002/_DONE")
+    assert not os.path.exists(f"{cdir}/round_0003")
+    assert older.equals(first)
+
+
 @pytest.mark.parametrize("seed,n_nodes,n_edges,iters",
                          [(3, 40, 80, 6), (11, 250, 700, 10)])
 def test_weighted_bfs_matches_serial_replay(ray_session, seed, n_nodes,

@@ -137,6 +137,97 @@ def test_prepared_polygon_partition(int_pts):
     assert np.array_equal(cov, inside | touch)
 
 
+def _lattice_ring(int_pts):
+    """A closed star-shaped ring through the lattice points (x/16, y/16)."""
+    pts = np.array(int_pts, np.float64) / 16.0
+    c = pts.mean(axis=0)
+    pts = pts[np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]),
+                         kind="stable")]
+    return np.vstack([pts, pts[:1]])
+
+
+def _rect(x0, y0, x1, y1):
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]],
+                    np.float64)
+
+
+def _assert_paired_pip_matches(polys, px, py, chunk=algo._PAIR_CHUNK):
+    """Every (point, polygon) pair, in a shuffled order, against the
+    polygon's own contains/covers/touches."""
+    P, G = len(px), len(polys)
+    pi = np.repeat(np.arange(P), G)
+    grp = np.tile(np.arange(G), P)
+    perm = np.random.default_rng(P * 31 + G).permutation(len(pi))
+    pi, grp = pi[perm], grp[perm]
+    inside, onb = algo.points_in_polygons_paired(px[pi], py[pi], grp, polys,
+                                                 chunk=chunk)
+    assert inside.dtype == bool and onb.dtype == bool
+    for g, poly in enumerate(polys):
+        m = grp == g
+        x, y = px[pi[m]], py[pi[m]]
+        assert np.array_equal(inside[m], poly.contains_points(x, y))
+        assert np.array_equal(inside[m] | onb[m], poly.covers_points(x, y))
+        assert np.array_equal(onb[m], poly.touches_points(x, y))
+
+
+def _probe_points(polys, rng, n_random):
+    """Every vertex and edge midpoint of ``polys`` (on the boundary),
+    the points collinear with each edge one edge length past either
+    end, plus lattice points in and far outside their bboxes."""
+    rings = [r for p in polys for r in p.rings]
+    verts = np.vstack([r[:-1] for r in rings])
+    mids = np.vstack([(r[:-1] + r[1:]) * 0.5 for r in rings])
+    past = np.vstack([np.vstack([2 * r[1:] - r[:-1], 2 * r[:-1] - r[1:]])
+                      for r in rings])
+    lattice = rng.integers(-480, 480, (n_random, 2)) / 16.0
+    pts = np.vstack([verts, mids, past, lattice,
+                     [[500.0, 0.0], [0.0, -500.0]]])
+    return pts[:, 0].copy(), pts[:, 1].copy()
+
+
+lattice_ring = st.lists(st.tuples(st.integers(-400, 400),
+                                  st.integers(-400, 400)),
+                        min_size=3, max_size=7, unique=True).map(_lattice_ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(lattice_ring, min_size=1, max_size=3),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.integers(0, 60),
+       st.sampled_from([1, 7, algo._PAIR_CHUNK]))
+def test_paired_pip_matches_prepared_polygon(ring_sets, seed, n_random, chunk):
+    """The pair-aligned PIP kernel is bit-identical to the prepared
+    polygon's own tests on lattice polygons of 1-3 rings (even-odd, so
+    any inner ring acts as a hole), at every chunk size."""
+    polys = [algo.PreparedPolygon(rings) for rings in ring_sets]
+    px, py = _probe_points(polys, np.random.default_rng(seed), n_random)
+    _assert_paired_pip_matches(polys, px, py, chunk)
+
+
+def test_paired_pip_holes_multipolygons_and_no_pairs():
+    """A square with a hole and a two-part multipolygon: vertices and
+    edge points of every ring are boundary, hole points are outside,
+    points beyond the bbox never match; zero pairs give empty masks."""
+    holed = algo.PreparedPolygon([_rect(0, 0, 8, 8), _rect(2, 2, 4, 4)])
+    multi = algo.PreparedPolygon([_rect(10, 0, 12, 2), _rect(14, 0, 16, 2),
+                                  _rect(14.5, 0.5, 15, 1)], [0, 1, 1])
+    polys = [holed, multi]
+    px, py = _probe_points(polys, np.random.default_rng(5), 200)
+    _assert_paired_pip_matches(polys, px, py)
+    _assert_paired_pip_matches(polys, px, py, chunk=3)
+    inside, onb = algo.points_in_polygons_paired(
+        np.array([3.0, 3.0, 2.0, 1.0, 11.0, 15.0, 14.75, 13.0, 50.0]),
+        np.array([3.0, 2.0, 3.0, 1.0, 1.0, 1.5, 0.75, 1.0, 1.0]),
+        np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]), polys)
+    assert inside.tolist() == [False, False, False, True, True, True,
+                               False, False, False]
+    assert onb.tolist() == [False, True, True, False, False, False,
+                            False, False, False]
+    inside, onb = algo.points_in_polygons_paired(
+        np.empty(0), np.empty(0), np.empty(0, np.int64), polys)
+    assert inside.shape == onb.shape == (0,)
+
+
 rect_int = st.integers(min_value=0, max_value=24)
 
 

@@ -660,6 +660,51 @@ def test_shuffle_joins_run_left_lineage_once(ray_session, zones, tmp_path):
     np.testing.assert_array_equal(seen(), polys.pid.to_numpy())
 
 
+def test_shuffle_join_runs_one_sort_and_no_schema_peek(ray_session, zones,
+                                                       monkeypatch):
+    """A salted point shuffle join over pandas-backed zones runs at most
+    one sort shuffle (the bucket co-location; the salt plan's cell
+    counts are combined on the driver) and no ``limit=1`` schema peek
+    (the zone covers are materialized once), counted from the plans
+    the streaming executor runs."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from pythongis_ray import grid
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        ops, todo = {}, [dag]
+        while todo:
+            op = todo.pop()
+            ops[id(op)] = op
+            todo.extend(op.input_dependencies)
+        plans.append(list(ops.values()))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    pts = make_points(1500)
+    _, n = np.unique(grid.point_to_cell(pts.lon.to_numpy(), pts.lat.to_numpy(),
+                                        spatial.DEFAULT_INDEX_RES),
+                     return_counts=True)
+    assert n.max() > 20   # salted
+    out = spatial.spatial_join_shuffle(
+        rd.from_pandas(pts), rd.from_pandas(zones), predicate="within",
+        rows_per_task=20).to_pandas()
+    got = set(zip(out.pid.astype(int), out.zone_id.astype(int)))
+    assert got == oracle_rect_join(pts, zones)
+    peeks = sum(any(type(op).__name__ == "LimitOperator"
+                    and op._limit == 1 for op in ops) for ops in plans)
+    sorts = sum(type(op).__name__ == "AllToAllOperator"
+                and op.name.startswith("Sort")
+                for ops in plans for op in ops)
+    assert peeks == 0
+    assert sorts <= 1
+
+
 def test_radius_join_geoms_matches_bruteforce(ray_session):
     import ray.data as rd
 
