@@ -9,16 +9,19 @@ the cell grid, or any integer partition column):
       part=<k>/ ...parquet        (written atomically: tmp dir + rename)
       _manifest/part-<k>.json     (lineage: rows, bytes, wall time)
 
-On resume, partitions with a manifest entry are skipped entirely —
-including their upstream work, because the skip is pushed into the
+On resume, partitions with a manifest entry whose ``part=<k>`` dir
+holds at least the rows it records are skipped entirely — including
+their upstream work, because the skip is pushed into the
 *read/filter* stage, not the sink (a killed shuffle re-runs only the
-missing partitions' inputs).
+missing partitions' inputs). A partition whose dir is lost or short
+is rewritten.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -34,15 +37,33 @@ def partition_of(values: np.ndarray, num_partitions: int) -> np.ndarray:
             % np.uint64(num_partitions)).astype(np.int64)
 
 
-def completed_partitions(out_dir: str) -> set[int]:
+def _manifest_rows(out_dir: str) -> dict[int, int]:
+    """Partition id → the rows its manifest entry records."""
     mdir = os.path.join(out_dir, "_manifest")
     if not os.path.isdir(mdir):
-        return set()
-    done = set()
+        return {}
+    out = {}
     for f in os.listdir(mdir):
         if f.startswith("part-") and f.endswith(".json"):
-            done.add(int(f[5:-5]))
-    return done
+            with open(os.path.join(mdir, f)) as fh:
+                out[int(f[5:-5])] = json.load(fh)["rows"]
+    return out
+
+
+def _rows_on_disk(pdir: str) -> int:
+    """Rows in a partition dir's parquet files (footers only); -1 when
+    the dir is missing."""
+    if not os.path.isdir(pdir):
+        return -1
+    return sum(pq.ParquetFile(os.path.join(pdir, f)).metadata.num_rows
+               for f in os.listdir(pdir) if f.endswith(".parquet"))
+
+
+def completed_partitions(out_dir: str) -> set[int]:
+    """Partitions whose manifest entry is backed by a ``part=<k>`` dir
+    holding at least the rows the entry records."""
+    return {k for k, rows in _manifest_rows(out_dir).items()
+            if _rows_on_disk(os.path.join(out_dir, f"part={k}")) >= rows}
 
 
 def write_partition(table: pa.Table, out_dir: str, part: int,
@@ -55,7 +76,6 @@ def write_partition(table: pa.Table, out_dir: str, part: int,
     pq.write_table(table, os.path.join(tmp, "data.parquet"))
     os.replace(tmp, pdir) if not os.path.exists(pdir) else None
     if os.path.exists(tmp):  # pdir already existed → keep original
-        import shutil
         shutil.rmtree(tmp, ignore_errors=True)
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
@@ -84,11 +104,19 @@ def write_partitioned(ds, out_dir: str, key_col: str, num_partitions: int = 64,
     with nulls stays int64) and no ``pandas`` schema metadata. On a
     rerun with ``resume=True``, rows belonging to completed partitions
     are dropped at the FILTER stage (before any downstream work) and
-    only missing partitions are written. Returns the list of partition
-    metrics written this run.
+    only the other partitions are written: those never written, and
+    those whose dir is lost or holds fewer rows than their manifest
+    entry. Returns the list of partition metrics written this run.
     """
     os.makedirs(out_dir, exist_ok=True)
-    done = completed_partitions(out_dir) if resume else set()
+    done = set()
+    if resume:
+        done = completed_partitions(out_dir)
+        # a lost or short partition is written again from scratch
+        # (write_partition keeps a dir that already exists)
+        for k in _manifest_rows(out_dir).keys() - done:
+            shutil.rmtree(os.path.join(out_dir, f"part={k}"),
+                          ignore_errors=True)
 
     def add_part(batch: pa.Table) -> pa.Table:
         keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)

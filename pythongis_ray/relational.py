@@ -28,15 +28,16 @@ map stage, ``map_batches`` over Arrow or pandas batches of
 its reason beside it.
 
 Scale pattern: :func:`group_apply` is the package's one grouped
-shuffle (pinned to the sort shuffle; ``key=None`` gathers one group).
-Every hash-partitioned operator is one call of
-:func:`bucketed_group_apply` — key locally, then ONE ``group_apply``
-over B hash buckets with a vectorized pandas pass per bucket.
-Algebraic stats (count/sum/min/max/mean) pre-aggregate per batch
+shuffle (pinned to the sort shuffle; ``key=None`` gathers one group)
+and calls its UDF once per group. Every hash-partitioned operator is
+one call of :func:`bucketed_group_apply` — key locally into B hash
+buckets, ONE sort on the bucket, then a vectorized pandas pass per
+SORTED BLOCK: its kernel is key-wise and may see several buckets at
+once. Algebraic stats (count/sum/min/max/mean) pre-aggregate per batch
 inside ``map_batches`` (combiner), so the shuffle moves one row per
 (key, batch) instead of every input row; holistic stats
 (majority/minority/concat/first/last/median/quantile) run the one
-group-stat kernel :func:`_group_stats` per bucket. The two-input joins
+group-stat kernel :func:`_group_stats` per block. The two-input joins
 (``join_large``, ``asof_join``, ``interval_join``) tag each side,
 union them and bucket the union, so one shuffle co-locates every key's
 rows from both inputs; ``hash_join`` broadcasts a small right side
@@ -120,10 +121,21 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
 
     Ray's sort-based ``groupby().aggregate`` iterates keys in Python —
     fine for hundreds of groups, minutes for 10^5+. This routes rows to
-    ``hash(keys) % B`` buckets and runs ONE :func:`group_apply` over
-    the B buckets, with a VECTORIZED pandas group computation inside
-    each. ``fn`` receives one bucket DataFrame (already without the
-    bucket column) and returns its aggregated frame. Bucket hash is
+    ``hash(keys) % B`` buckets, sorts them by bucket (one sort shuffle)
+    and calls ``fn`` ONCE PER SORTED BLOCK. A bucket never spans two
+    sort output blocks, so every key's rows reach one call, and a
+    block's rows arrive as its buckets' rows laid end to end, each in
+    the order ``groupby("_bucket").map_groups`` would hand them over.
+
+    ``fn``'s contract: a key-wise VECTORIZED kernel. It receives a
+    pandas frame (without the bucket column, with a fresh RangeIndex)
+    that may hold several buckets, i.e. any number of whole keys, and
+    returns a frame of its rows computed key by key (a ``groupby`` on
+    ``keys`` or a superset of them, a sort by key, a self-merge on
+    key). A kernel that folds keys together (partial counts per another
+    column, the frame's maximum) emits one set of rows per block, not
+    per bucket, so its caller must re-aggregate them. A 0-row block
+    yields nothing and never reaches ``fn``. Bucket hash is
     ``pd.util.hash_pandas_object`` (deterministic, fixed key).
     """
 
@@ -133,8 +145,12 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
         batch["_bucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
         return batch
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=["_bucket"]))
+    def per_bucket(block: pd.DataFrame):
+        if len(block):
+            # the sort's merged block keeps its input batches' indexes
+            block = block.drop(columns=["_bucket"])
+            block.index = pd.RangeIndex(len(block))
+            yield fn(block)
 
     # batch_size here also bounds the fused chain's input bundle size:
     # Ray fuses upstream MapBatches into one task whose input bundle
@@ -145,7 +161,10 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
     # per-task temporaries under the glibc mmap threshold.
     keyed = ds.map_batches(add_bucket, batch_format="pandas",
                            batch_size=BUCKET_BATCH_SIZE)
-    return group_apply(keyed, "_bucket", per_bucket)
+    # batch_size=None: one batch is one whole sorted block (the shape
+    # map_groups slices into per-bucket frames before its UDF calls)
+    return keyed.sort("_bucket").map_batches(
+        per_bucket, batch_format="pandas", batch_size=None)
 
 
 @dataclass
@@ -936,8 +955,9 @@ def with_empty_schema(ds, schema: pa.Schema):
     """Union a zero-row TYPED block into ``ds`` so downstream joins
     see a schema even when the dataset produced no blocks.
 
-    Why: ``groupby().map_groups`` with ZERO groups yields a dataset
-    with no blocks and no schema, and the bucketed joins
+    Why: a grouped apply with ZERO groups (``map_groups``, or
+    :func:`bucketed_group_apply` over no rows) yields a dataset with no
+    blocks and no schema, and the bucketed joins
     (:func:`join_large` and the other users of
     :func:`_two_sided_buckets`) read each side's ``schema()`` to pad
     the union — ``None`` there fails at plan time instead of

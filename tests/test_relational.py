@@ -2,6 +2,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pythongis_ray import relational as rel
 
@@ -244,8 +245,9 @@ def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
 
 
 def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session, tmp_path):
-    """Every grouped shuffle goes through group_apply, which pins the
-    sort shuffle: under a global HASH_SHUFFLE, one caller per module
+    """Every grouped shuffle is a sort shuffle (group_apply pins it;
+    bucketed_group_apply's ``_bucket`` sort has no hash-shuffle plan):
+    under a global HASH_SHUFFLE, one caller per module
     returns the same rows as under the default strategy (and
     groupby_aggregate / join_large still equal pandas), and no
     hash-shuffle aggregator actor starts."""
@@ -342,24 +344,29 @@ def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session, tmp_path):
 
 
 def test_one_grouped_shuffle_entry_point():
-    """relational.group_apply is the package's only map_groups call;
-    no hand-rolled one-group gather (constant ``_one`` key or
+    """relational.group_apply is the package's only map_groups call,
+    ``bucketed_group_apply`` the only sort on the ``_bucket`` key; no
+    hand-rolled one-group gather (constant ``_one`` key or
     ``repartition(1)``) remains."""
     import pathlib
 
     import pythongis_ray
 
     root = pathlib.Path(pythongis_ray.__file__).parent
-    found = {"map_groups": [], "_one=": [], "repartition(1)": []}
+    found = {"map_groups": [], "_bucket": [], "_one=": [],
+             "repartition(1)": []}
     for path in sorted(root.rglob("*.py")):
         for i, line in enumerate(path.read_text().splitlines(), 1):
             for pat, hits in (("map_groups(", found["map_groups"]),
+                              ('sort("_bucket"', found["_bucket"]),
+                              ("sort('_bucket'", found["_bucket"]),
                               ("_one=", found["_one="]),
                               ("repartition(1)", found["repartition(1)"])):
                 if pat in line:
                     hits.append(f"{path.relative_to(root)}:{i}")
-    assert len(found["map_groups"]) == 1, found["map_groups"]
-    assert found["map_groups"][0].startswith("relational.py:")
+    for pat in ("map_groups", "_bucket"):
+        assert len(found[pat]) == 1, found[pat]
+        assert found[pat][0].startswith("relational.py:")
     assert found["_one="] == [] and found["repartition(1)"] == []
 
 
@@ -817,3 +824,143 @@ def test_windowed_distinct_matches_pandas(ray_session):
     assert got["grp"].tolist() == exp["grp"].tolist()
     assert got["win_start"].tolist() == exp["win_start"].tolist()
     assert got["nu"].tolist() == exp["nu"].tolist()
+
+
+# ------------------------------------- bucketed_group_apply: per-block kernels
+
+def _per_bucket_reference(df, keys, kernel, num_buckets):
+    """The per-bucket loop: rows keyed to ``bucketed_group_apply``'s
+    hash buckets, ``kernel`` once per non-empty bucket, the outputs
+    laid end to end."""
+    h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+    b = (h % np.uint64(num_buckets)).astype(np.int64)
+    outs = [kernel(df[b == i].reset_index(drop=True)) for i in np.unique(b)]
+    return pd.concat(outs, ignore_index=True)
+
+
+def _rows(df, cols):
+    return sorted(map(tuple, df[cols].to_numpy().tolist()))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=1, max_value=400),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from([1, 3, 64]),
+       st.sampled_from([1, 4]),
+       st.integers(min_value=0, max_value=2**31))
+def test_bucketed_group_apply_matches_per_bucket_loop(
+        ray_session, n, n_keys, num_buckets, n_blocks, seed):
+    """Per-block kernels give the per-bucket loop's rows: ``dedup``
+    with and without ``order_col``, the ``groupby_aggregate`` combine
+    and the LSH degree cap, each chained on a first call so the
+    per-block stage fuses with the next key stage."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+    df = pd.DataFrame({
+        "k": rng.integers(0, n_keys, n).astype(np.int64),
+        "j": rng.integers(0, 3, n).astype(np.int64),
+        "o": rng.permutation(n).astype(np.int64),
+        "v": rng.integers(-50, 50, n).astype(np.int64)})
+    df["s"] = "s" + df["k"].astype(str)
+    pairs = pd.DataFrame({"id_a": rng.integers(0, n_keys, n),
+                          "id_b": rng.integers(0, n_keys, n)}).astype(np.int64)
+
+    def blocks(f):
+        cuts = np.linspace(0, len(f), n_blocks + 1).astype(int)
+        return rd.from_pandas([f.iloc[a:b] for a, b in zip(cuts, cuts[1:])])
+    specs = [("sv", "v", "sum"), ("n", None, "count"), ("mx", "v", "max")]
+
+    def cap_degree(b, d=2):
+        # minhash_dedup_pairs' degree cap (keyed on id_b); nested, so
+        # Ray workers get it by value
+        b = b.drop_duplicates(["id_a", "id_b"]) \
+            .sort_values(["id_b", "id_a"], kind="stable")
+        return b.groupby("id_b", sort=False).head(d)
+
+    def ref_agg(g):
+        return g.groupby(["s"], sort=False).agg(
+            sv=("v", "sum"), n=("v", "size"), mx=("v", "max")).reset_index()
+
+    real = rel.bucketed_group_apply
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rel, "bucketed_group_apply",
+                   lambda ds, keys, fn, num_buckets=num_buckets:
+                   real(ds, keys, fn, num_buckets))
+        ordered = rel.groupby_aggregate(
+            rel.dedup(blocks(df), ["k", "j"], order_col="o"),
+            ["s"], specs).to_pandas()
+        firsts = rel.dedup(rel.dedup(blocks(df), ["k", "j"]), ["k"]) \
+            .to_pandas()
+        capped = rel.bucketed_group_apply(
+            rel.dedup(blocks(pairs), ["id_a", "id_b"]), ["id_b"],
+            cap_degree).to_pandas()
+
+    first = _per_bucket_reference(
+        df, ["k", "j"],
+        lambda g: g.sort_values("o", kind="stable")
+        .drop_duplicates(["k", "j"]), num_buckets)
+    want = _per_bucket_reference(first, ["s"], ref_agg, num_buckets)
+    assert list(ordered.columns) == ["s", "sv", "n", "mx"]
+    assert _rows(ordered, list(want.columns)) == _rows(want, list(want.columns))
+
+    # without order_col a key keeps one of its rows (the sort shuffle
+    # does not keep input order among a key's rows)
+    assert sorted(firsts["k"]) == sorted(df["k"].unique())
+    assert set(map(tuple, firsts[list(df.columns)].to_numpy().tolist())) \
+        <= set(map(tuple, df.to_numpy().tolist()))
+
+    want = _per_bucket_reference(
+        _per_bucket_reference(pairs, ["id_a", "id_b"],
+                              lambda g: g.drop_duplicates(), num_buckets),
+        ["id_b"], cap_degree, num_buckets)
+    assert _rows(capped, ["id_a", "id_b"]) == _rows(want, ["id_a", "id_b"])
+
+
+def test_bucketed_group_apply_calls_kernel_once_per_sort_block(ray_session):
+    """``fn`` runs at most once per non-empty sort block, and each call
+    holds whole buckets: 4 input blocks of 9,000 rows over 64 buckets
+    make at most 4 calls (one per bucket would make 64)."""
+    import ray.data as rd
+
+    n = 36000
+    df = pd.DataFrame({"k": np.arange(n, dtype=np.int64) % 5000,
+                       "v": np.arange(n, dtype=np.int64)})
+
+    def fn(b):
+        return pd.DataFrame({"rows": [len(b)],
+                             "keys": [sorted(set(b["k"].tolist()))]})
+
+    out = rel.bucketed_group_apply(
+        rd.from_pandas([df.iloc[i:i + 9000] for i in range(0, n, 9000)]),
+        ["k"], fn).to_pandas()
+    assert 1 <= len(out) <= 4
+    assert out["rows"].sum() == n
+    seen = [k for keys in out["keys"] for k in keys]
+    assert len(seen) == len(set(seen)) == 5000
+
+
+def test_bucketed_group_apply_skips_empty_sort_blocks(ray_session):
+    """A 0-row sort block never reaches ``fn``. An all-empty input
+    returns no rows (and, as ``map_groups`` did, no columns); rows that
+    all hash to one bucket across 3 input blocks leave two sort blocks
+    empty and reach ``fn`` once, whole."""
+    import ray.data as rd
+
+    def fn(b):
+        assert len(b), "fn called on a 0-row block"
+        return b.assign(calls=np.int64(1), seen=np.int64(len(b)))
+
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    empty = rel.bucketed_group_apply(
+        rd.from_arrow(schema.empty_table()), ["k"], fn).to_pandas()
+    assert len(empty) == 0 and list(empty.columns) == []
+
+    n = 9000
+    one = rd.from_arrow([pa.table({"k": np.full(n, 7, np.int64),
+                                   "v": np.arange(i * n, (i + 1) * n)},
+                                  schema=schema) for i in range(3)])
+    out = rel.bucketed_group_apply(one, ["k"], fn).to_pandas()
+    assert list(out.columns) == ["k", "v", "calls", "seen"]
+    assert sorted(out["v"]) == list(range(3 * n))
+    assert set(out["seen"]) == {3 * n}

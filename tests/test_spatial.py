@@ -276,6 +276,46 @@ def test_shuffle_join_checkpoint_resume(ray_session, zones, tmp_path):
     assert key(sh1) == key(bc)
 
 
+def test_shuffle_join_resume_rewrites_lost_and_short_partitions(
+        ray_session, zones, tmp_path):
+    """A manifest entry alone does not mark a partition done: two
+    partitions whose dirs are deleted (manifest kept) and one whose
+    parquet lost rows are rewritten on resume, and every pair comes
+    back."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pythongis_ray import checkpoint as ckpt
+
+    pts = make_points(800)
+    zds = rd.from_pandas(zones[["zone_id", "geometry"]])
+
+    def run(cdir):
+        return spatial.spatial_join_shuffle(
+            rd.from_pandas(pts), zds, predicate="within", rows_per_task=20,
+            num_buckets=8, checkpoint_dir=cdir).to_pandas()
+
+    cdir = str(tmp_path / "phase1")
+    first = run(cdir)
+    done = sorted(ckpt.completed_partitions(cdir))
+    assert len(done) >= 3
+    for p in done[:2]:
+        shutil.rmtree(os.path.join(cdir, f"part={p}"))
+    short = os.path.join(cdir, f"part={done[2]}", "data.parquet")
+    t = pq.read_table(short)
+    pq.write_table(t.slice(0, t.num_rows // 2), short)
+    assert ckpt.completed_partitions(cdir) == set(done[3:])
+
+    again = run(cdir)
+    key = lambda df: sorted(zip(df.pid.astype(int), df.zone_id.astype(int)))
+    assert len(again) == len(first)
+    assert key(again) == key(first)
+    assert sorted(ckpt.completed_partitions(cdir)) == done
+
+
 def test_wide_rejoin_byte_identity(ray_session):
     """html/text projected out of the join and re-attached by key must
     be byte-identical (per-url invariant through the wide-row path)."""

@@ -5,12 +5,20 @@ sorts columns by name and rows by all columns, and compares row count,
 column names and exact values. Usage:
 
     python tools/check_oracle.py [sf_dir] [query ...] [--snapshot PATH]
+                                 [--counts PATH]
 
 ``--snapshot PATH`` also writes one JSON line per query that returned a
 result: its columns and dtypes as returned (``canon`` casts every int
 to int64, so a dtype change would pass the comparison unseen), its row
 count and the sha256 of its canonical values. Two snapshots of the same
 sf directory ``diff`` empty when no query's output changed.
+
+``--counts PATH`` writes one JSON line per query that returned a
+result: its wall time (the query call and ``to_pandas``, as printed),
+and, counted from the plans the streaming executor runs in that time,
+its Dataset executions, sort shuffles and ``limit=1`` peeks (a plan
+holding a one-row limit: a schema or first-row probe). The comparison
+with the oracle is the same with or without it.
 """
 
 from __future__ import annotations
@@ -71,15 +79,59 @@ def snapshot_line(name, res) -> str:
                        "sha256": hashlib.sha256(values.encode()).hexdigest()})
 
 
+class PlanCounter:
+    """Counts the plans the streaming executor runs (wraps
+    ``StreamingExecutor.execute`` on the driver): executions, sort
+    shuffles and ``limit=1`` peeks since the last ``reset``."""
+
+    def __init__(self):
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+
+        self.plans = []
+        execute = StreamingExecutor.execute
+        counter = self
+
+        def counting(self, dag, *args, **kwargs):
+            ops, todo = {}, [dag]
+            while todo:
+                op = todo.pop()
+                ops[id(op)] = op
+                todo.extend(op.input_dependencies)
+            counter.plans.append(list(ops.values()))
+            return execute(self, dag, *args, **kwargs)
+
+        StreamingExecutor.execute = counting
+
+    def reset(self):
+        self.plans = []
+
+    def line(self, name, wall_s) -> str:
+        peeks = sum(any(type(op).__name__ == "LimitOperator"
+                        and op._limit == 1 for op in ops)
+                    for ops in self.plans)
+        sorts = sum(type(op).__name__ == "AllToAllOperator"
+                    and op.name.startswith("Sort")
+                    for ops in self.plans for op in ops)
+        return json.dumps({"query": name, "wall_s": round(wall_s, 3),
+                           "executions": len(self.plans), "sorts": sorts,
+                           "peeks": peeks})
+
+
 def main():
     import duckdb
     import ray
 
-    snap = None
-    if "--snapshot" in sys.argv:
-        i = sys.argv.index("--snapshot")
-        snap = open(sys.argv[i + 1], "w")
+    def path_option(flag):
+        if flag not in sys.argv:
+            return None
+        i = sys.argv.index(flag)
+        f = open(sys.argv[i + 1], "w")
         del sys.argv[i:i + 2]
+        return f
+
+    snap = path_option("--snapshot")
+    counts = path_option("--counts")
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
@@ -98,10 +150,13 @@ def main():
 
     fns = q.get_queries()
     sqls = q.get_oracle_sql()
+    counter = PlanCounter() if counts else None
     failures = []
     for name, fn in fns.items():
         if only and name not in only:
             continue
+        if counter:
+            counter.reset()
         t0 = time.time()
         try:
             res = to_pandas(fn(sf_dir))
@@ -112,6 +167,8 @@ def main():
         t_ray = time.time() - t0
         if snap:
             print(snapshot_line(name, res), file=snap, flush=True)
+        if counter:
+            print(counter.line(name, t_ray), file=counts, flush=True)
         if name not in sqls:
             print(f"[rows-only] {name}: {len(res)} rows ({t_ray:.1f}s)")
             continue
@@ -147,8 +204,9 @@ def main():
         else:
             print(f"[OK       ] {name}: {len(a)} rows ({t_ray:.1f}s)")
     ray.shutdown()
-    if snap:
-        snap.close()
+    for f in (snap, counts):
+        if f:
+            f.close()
     print(f"\n{len(failures)} failures")
     for n, m in failures:
         print(" -", n, ":", m[:200])
