@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 from pythongis_ray import (fixtures, pages, relational as rel,  # noqa: F401
                            spatial)
-from pythongis_ray.relational import bucketed_group_apply, map_arrow
+from pythongis_ray.relational import bucketed_group_apply
 
 
 def load_zones(sf_dir: str) -> pd.DataFrame:
@@ -38,10 +38,9 @@ def flagship(sf_dir: str, replicate: int = 1):
     partial aggregate all happen INSIDE one map_batches over the pages
     stream — no joined row ever hits the object store; the only
     shuffle is one bucketed sum-combine over zones×langs keys
-    (``relational.bucketed_group_apply``, i.e. one
-    ``relational.group_apply``; one partial row per (zone, lang,
-    task)). At 10^12 pages the data moved after the scan is
-    O(zones × langs × tasks)."""
+    (``relational.bucketed_group_apply``, a hash exchange of Ray
+    tasks; one partial row per (zone, lang, task)). At 10^12 pages
+    the data moved after the scan is O(zones × langs × tasks)."""
     import ray
 
     from pythongis_ray import state
@@ -169,42 +168,45 @@ def corpus_build(docs_ds):
     survivors = docs_ds.map_batches(qual, batch_format="pyarrow",
                                     batch_size=4096)
 
-    # 2. exact dedup: keep-first (min doc_id) per content fingerprint
+    # 2. exact dedup: keep-first (min doc_id) per content fingerprint.
+    # The result is built from task outputs, so the pair stage and the
+    # final filter below both read its blocks without running a plan;
+    # ``fp`` is dropped downstream (the band explode and the text filter
+    # read only doc_id/text, keep_rep selects the output columns).
     survivors = survivors.map_batches(text.fingerprint,
                                       batch_format="pyarrow",
                                       batch_size=4096)
-    survivors = rel.dedup(survivors, ["fp"], order_col="doc_id") \
-        .drop_columns(["fp"]).materialize()
+    survivors = rel.dedup(survivors, ["fp"], order_col="doc_id")
 
     # 3. near-dup clusters among survivors; keep representatives
     # through a broadcast drop set, not a join.
-    # (materialize above: the pair+CC stage and the final filter both
-    # consume the survivor set — pin it once instead of recomputing.)
     # degree_cap=64: bounded candidate volume under template-cluster
     # skew (n x 64 pairs max); CC connectivity to each cluster's
     # min-id representative is preserved (see minhash_dedup_pairs),
     # and recall is exact while clusters stay <= 64 members — the
     # oracle-fixture regime (components there are 2-5 docs)
     pairs = text.minhash_dedup_pairs(survivors, threshold=0.5,
-                                     degree_cap=64) \
-        .select_columns(["id_a", "id_b"]).materialize()
+                                     degree_cap=64)
     # the drop set is the non-representatives (node != component) of
-    # CC's shard results; one filter over the survivors drops their
-    # doc_ids (no shuffle, nothing pulled to the driver; no near-dups
-    # give an empty set, which keeps every survivor)
-    comp = map_arrow(graph.connected_components(pairs), lambda b: b.filter(
-        pc.not_equal(b["node"], b["component"])).select(["node"]))
-    drop_ref = ray.put(rel.nonempty_blocks(comp))
+    # CC's shard result blocks, filtered where the set is built (no
+    # shuffle, nothing pulled to the driver; no near-dups give an empty
+    # set, which keeps every survivor)
+    drop_ref = ray.put(list(rel.nonempty_blocks(
+        graph.connected_components(pairs))))
+
+    def drop_set(blocks) -> np.ndarray:
+        return np.concatenate([np.empty(0, np.int64)] + [
+            t.filter(pc.not_equal(t["node"], t["component"]))["node"]
+            .to_numpy() for t in ray.get(blocks)])
 
     def keep_rep(batch: pa.Table) -> pa.Table:
         from pythongis_ray import state
-        drop = state.get_broadcast(
-            drop_ref, lambda blocks: np.concatenate(
-                [np.empty(0, np.int64)] + [t["node"].to_numpy()
-                                           for t in ray.get(blocks)]),
-            key_extra=("corpus_drop",), latest_only=True)
+        drop = state.get_broadcast(drop_ref, drop_set,
+                                   key_extra=("corpus_drop",),
+                                   latest_only=True)
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~np.isin(did, drop)))
+        return batch.filter(pa.array(~np.isin(did, drop))) \
+            .select(["doc_id", "text", "n_tokens"])
 
     kept = survivors.map_batches(keep_rep, batch_format="pyarrow",
                                  batch_size=8192)

@@ -27,21 +27,25 @@ map stage, ``map_batches`` over Arrow or pandas batches of
 ``MAP_BATCH_SIZE`` rows; a stage that sets another batch size states
 its reason beside it.
 
-Scale pattern: :func:`group_apply` is the package's one grouped
-shuffle (pinned to the sort shuffle; ``key=None`` gathers one group)
-and calls its UDF once per group. Every hash-partitioned operator is
-one call of :func:`bucketed_group_apply` — key locally into B hash
-buckets, ONE sort on the bucket, then a vectorized pandas pass per
-SORTED BLOCK: its kernel is key-wise and may see several buckets at
-once. Algebraic stats (count/sum/min/max/mean) pre-aggregate per batch
-inside ``map_batches`` (combiner), so the shuffle moves one row per
-(key, batch) instead of every input row; holistic stats
+Scale pattern: :func:`group_apply` is the package's one Ray Data
+grouped shuffle (pinned to the sort shuffle; ``key=None`` gathers one
+group) and calls its UDF once per group. Every hash-partitioned
+operator is one call of :func:`bucketed_group_apply`, a hash exchange
+of plain Ray tasks with no Ray Data shuffle or plan of its own: one
+split task per input block (small blocks bundled to
+``BUCKET_BATCH_SIZE`` rows) routes rows to B hash buckets grouped into
+R = min(B, splits) parts, and one reduce task per part runs a
+vectorized pandas kernel over its rows in bucket order. Its kernel is
+key-wise and may see several buckets at once. Algebraic stats
+(count/sum/min/max/mean) pre-aggregate per batch inside
+``map_batches`` (combiner), so the exchange moves one row per (key,
+batch) instead of every input row; holistic stats
 (majority/minority/concat/first/last/median/quantile) run the one
-group-stat kernel :func:`_group_stats` per block. The two-input joins
+group-stat kernel :func:`_group_stats` per part. The two-input joins
 (``join_large``, ``asof_join``, ``interval_join``) tag each side,
-union them and bucket the union, so one shuffle co-locates every key's
-rows from both inputs; ``hash_join`` broadcasts a small right side
-instead and shuffles nothing. ``add_global_rank``'s range buckets
+union them and bucket the union, so one exchange co-locates every
+key's rows from both inputs; ``hash_join`` broadcasts a small right
+side instead and shuffles nothing. ``add_global_rank``'s range buckets
 and ``skyline``'s single group call ``group_apply`` directly.
 """
 
@@ -61,6 +65,11 @@ HOLISTIC = {"first", "last", "majority", "minority", "concat", "median",
             "quantile"}
 
 NUM_BUCKETS = 64
+# Rows an exchange split task takes at least (input blocks are
+# bundled in order until they reach it): a split makes one piece per
+# part, so tiny blocks would multiply pieces and tasks (a 32-block,
+# 35k-row as-of join input ran 32 x 32 pieces). It is the batch size
+# the sort path keyed its buckets at.
 BUCKET_BATCH_SIZE = 8192
 # Rows per batch of every map stage (map_arrow / map_pandas): one
 # setting for the package instead of one per call. A batch is one UDF
@@ -68,8 +77,8 @@ BUCKET_BATCH_SIZE = 8192
 # conversion cost over many rows. 65536 is the size these stages were
 # written, verified and benchmarked at; no measurement has tuned it
 # yet. A stage that needs another size passes it to ``map_batches``
-# with its reason beside it (see BUCKET_BATCH_SIZE in
-# bucketed_group_apply).
+# with its reason beside it (see ``pipelines.flagship``'s
+# ``batch_size=None``).
 MAP_BATCH_SIZE = 65536
 
 
@@ -116,55 +125,115 @@ def group_apply(ds, key: str | None, fn, batch_format: str = "pandas"):
         ctx.shuffle_strategy = strategy
 
 
+@ray.remote
+def _exchange_split(keys: list[str], num_buckets: int, n_parts: int,
+                    *blocks):
+    """Consecutive input blocks of :func:`bucketed_group_apply` as
+    ``n_parts`` (frame, bucket ids) pieces: row r goes to bucket
+    ``hash_pandas_object(keys) % num_buckets`` and bucket b to part
+    ``b * n_parts // num_buckets`` (contiguous bucket ranges, so the
+    parts laid end to end are in bucket order). A piece keeps its rows
+    in block order."""
+    from ray.data.block import BlockAccessor
+
+    df = pd.concat([BlockAccessor.for_block(b).to_pandas() for b in blocks],
+                   ignore_index=True)
+    h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+    bucket = (h % np.uint64(num_buckets)).astype(np.int64)
+    part = bucket * n_parts // num_buckets
+    order = np.argsort(part, kind="stable")
+    cuts = np.searchsorted(part[order], np.arange(n_parts + 1))
+    pieces = tuple((df.take(order[a:b]), bucket[order[a:b]])
+                   for a, b in zip(cuts, cuts[1:]))
+    return pieces if n_parts > 1 else pieces[0]
+
+
+@ray.remote(num_returns=2)
+def _exchange_reduce(fn, *pieces):
+    """One part of :func:`bucketed_group_apply`: its pieces (in input
+    block order) concatenated, stably ordered by bucket, and ``fn``
+    called once. Returns (block, rows); a part with no rows returns
+    (None, -1) without calling ``fn``."""
+    from ray.data.block import BlockAccessor
+
+    pieces = [(f, b) for f, b in pieces if len(b)]
+    if not pieces:
+        return None, -1
+    df = pd.concat([f for f, _ in pieces], ignore_index=True)
+    bucket = np.concatenate([b for _, b in pieces])
+    if (np.diff(bucket) < 0).any():
+        df = df.take(np.argsort(bucket, kind="stable")) \
+            .reset_index(drop=True)
+    out = BlockAccessor.batch_to_block(fn(df))
+    return out, BlockAccessor.for_block(out).num_rows()
+
+
 def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS):
-    """Hash-bucketed grouped apply: the high-cardinality groupby path.
+    """Hash-bucketed grouped apply: the high-cardinality groupby path,
+    run as a hash exchange of plain Ray tasks (no Ray Data shuffle).
 
     Ray's sort-based ``groupby().aggregate`` iterates keys in Python —
     fine for hundreds of groups, minutes for 10^5+. This routes rows to
-    ``hash(keys) % B`` buckets, sorts them by bucket (one sort shuffle)
-    and calls ``fn`` ONCE PER SORTED BLOCK. A bucket never spans two
-    sort output blocks, so every key's rows reach one call, and a
-    block's rows arrive as its buckets' rows laid end to end, each in
-    the order ``groupby("_bucket").map_groups`` would hand them over.
+    ``hash(keys) % B`` buckets and calls ``fn`` ONCE PER PART:
+      * split: one task per non-empty input block (consecutive blocks
+        bundled to at least ``BUCKET_BATCH_SIZE`` rows) cuts it into
+        R = min(B, splits) parts, each a contiguous range of buckets
+        (``num_returns=R``);
+      * reduce: one task per part concatenates its pieces in input
+        block order, orders the rows by bucket (stably) and calls
+        ``fn`` once.
+    Only per-part row counts reach the driver; the non-empty outputs
+    come back as one ``rd.from_pandas_refs`` Dataset (materialized, so
+    a chained call reads its block refs without running a plan), in
+    bucket order. A bucket never spans two parts, so every key's rows
+    reach one call, and a key's rows arrive in input block order: a
+    keep-first kernel (:func:`dedup`) keeps the first input row.
 
     ``fn``'s contract: a key-wise VECTORIZED kernel. It receives a
-    pandas frame (without the bucket column, with a fresh RangeIndex)
-    that may hold several buckets, i.e. any number of whole keys, and
-    returns a frame of its rows computed key by key (a ``groupby`` on
-    ``keys`` or a superset of them, a sort by key, a self-merge on
-    key). A kernel that folds keys together (partial counts per another
-    column, the frame's maximum) emits one set of rows per block, not
-    per bucket, so its caller must re-aggregate them. A 0-row block
-    yields nothing and never reaches ``fn``. Bucket hash is
-    ``pd.util.hash_pandas_object`` (deterministic, fixed key).
+    pandas frame (with a fresh RangeIndex) that may hold several
+    buckets, i.e. any number of whole keys, and returns a frame of its
+    rows computed key by key (a ``groupby`` on ``keys`` or a superset
+    of them, a sort by key, a self-merge on key). A kernel that folds
+    keys together (partial counts per another column, the frame's
+    maximum) emits one set of rows per part, not per bucket, so its
+    caller must re-aggregate them. A 0-row part never reaches ``fn``;
+    an input with no rows gives a Dataset with no rows and no columns.
+    Bucket hash is ``pd.util.hash_pandas_object`` (deterministic,
+    fixed key).
     """
+    bundles, rows = [], BUCKET_BATCH_SIZE
+    for ref, n in _nonempty(ds):
+        if rows >= BUCKET_BATCH_SIZE:
+            bundles.append([])
+            rows = 0
+        bundles[-1].append(ref)
+        rows += n
+    if not bundles:
+        return blocks_dataset([])
+    n_parts = min(num_buckets, len(bundles))
+    split = _exchange_split.options(num_returns=n_parts)
+    pieces = [split.remote(keys, num_buckets, n_parts, *refs)
+              for refs in bundles]
+    if n_parts == 1:
+        pieces = [[p] for p in pieces]
+    fn_ref = ray.put(fn)
+    return blocks_dataset([_exchange_reduce.remote(fn_ref,
+                                                   *[p[t] for p in pieces])
+                           for t in range(n_parts)])
 
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(batch[keys], index=False).to_numpy()
-        batch = batch.copy()
-        batch["_bucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
-        return batch
 
-    def per_bucket(block: pd.DataFrame):
-        if len(block):
-            # the sort's merged block keeps its input batches' indexes
-            block = block.drop(columns=["_bucket"])
-            block.index = pd.RangeIndex(len(block))
-            yield fn(block)
+def blocks_dataset(outs: list):
+    """A Dataset of task outputs ``outs``, each a (block ref, rows ref)
+    pair whose rows read -1 when the task made no block. Only the row
+    counts are fetched; the blocks with rows form the Dataset
+    (``rd.from_pandas_refs``, which also takes Arrow blocks), and an
+    all-empty result keeps one 0-row block for its schema."""
+    import ray.data as rd
 
-    # batch_size here also bounds the fused chain's input bundle size:
-    # Ray fuses upstream MapBatches into one task whose input bundle
-    # must reach the LARGEST batch_size in the chain, so a big value
-    # collapses small-row-count inputs into one task (observed: a
-    # 5000-doc corpus ran its whole explode+hash chain serially at
-    # 65536). 8192 keeps ≥30-way task parallelism at bench scale and
-    # per-task temporaries under the glibc mmap threshold.
-    keyed = ds.map_batches(add_bucket, batch_format="pandas",
-                           batch_size=BUCKET_BATCH_SIZE)
-    # batch_size=None: one batch is one whole sorted block (the shape
-    # map_groups slices into per-bucket frames before its UDF calls)
-    return keyed.sort("_bucket").map_batches(
-        per_bucket, batch_format="pandas", batch_size=None)
+    rows = ray.get([n for _, n in outs])
+    keep = [o for (o, _), n in zip(outs, rows) if n > 0] \
+        or [o for (o, _), n in zip(outs, rows) if n == 0][:1]
+    return rd.from_pandas_refs(keep)
 
 
 @dataclass
@@ -197,7 +266,7 @@ def groupby_aggregate(ds, keys, specs, order_col: str | list[str] | None = None)
     spec's ``out`` in spec order.
 
     The algebraic stats (count/sum/min/max/mean) run two phases: a
-    per-batch partial, then one bucketed combine (one sort shuffle).
+    per-batch partial, then one bucketed combine (one hash exchange).
     The partial is this function's own, so callers pass ROW-LEVEL
     frames (a derive ``map_batches``), never hand-folded partials.
     Contract: ``sum``/``min``/``max`` of an int64 column stay int64,
@@ -649,7 +718,9 @@ def interval_join(left_ds, right_ds, left_by: str, right_by: str,
 # ------------------------------------------------------------ dedup/window
 
 def dedup(ds, keys, order_col: str | None = None):
-    """Exact dedup: keep the first row per key (ordered by ``order_col``
+    """Exact dedup: keep the first row per key: in input block order
+    without ``order_col`` (:func:`bucketed_group_apply` hands a key's
+    rows over in that order), else the first (ordered by ``order_col``
     if given, matching the reference's keep-first geometry dedup,
     /root/reference/pythongis/vector/data.py:990-1015)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
@@ -971,14 +1042,30 @@ def with_empty_schema(ds, schema: pa.Schema):
     return ds.union(rd.from_arrow(schema.empty_table()))
 
 
-def nonempty_blocks(ds) -> list:
-    """Block refs of ``ds`` without its 0-row blocks, from one
-    execution of its plan (``to_arrow_refs`` runs a lazy lineage once
-    more as a ``limit=1`` schema peek). Ray 2.49's ``map_batches`` over
-    a 0-row block emits a block with no schema, which breaks a
-    consumer that reads a column of it."""
-    return [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows]
+def nonempty_blocks(ds):
+    """Yields the block refs of ``ds`` without its 0-row blocks, from
+    one streaming execution of a lazy plan (``to_arrow_refs`` runs a
+    lazy lineage once more as a ``limit=1`` schema peek), so a consumer
+    that submits a task per ref does not hold the whole input at once.
+    A materialized Dataset (a :func:`bucketed_group_apply` result, any
+    ``from_*_refs``) runs no plan at all: ``materialize`` hands its
+    refs over, where ``iter_internal_ref_bundles`` would run an
+    input-only plan. Ray 2.49's ``map_batches`` over a 0-row block
+    emits a block with no schema, which breaks a consumer that reads a
+    column of it."""
+    return (ref for ref, _ in _nonempty(ds))
+
+
+def _nonempty(ds):
+    """(block ref, rows) of each non-empty block of ``ds``, as
+    :func:`nonempty_blocks` yields them."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    for bundle in ds.iter_internal_ref_bundles():
+        yield from ((ref, meta.num_rows) for ref, meta in bundle.blocks
+                    if meta.num_rows)
 
 
 # ---------------------------------------------------- bloom semi-join

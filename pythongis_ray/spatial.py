@@ -1720,8 +1720,8 @@ def _salted_shuffle_join(left_ds, zones_ds, cells_of, matcher,
 
     # per-block partials, at most one row per (block, cell): the driver
     # combines them, no shuffle
-    parts = ray.get(rel.nonempty_blocks(celled.map_batches(
-        count, batch_format="pyarrow", batch_size=left_batch_size)))
+    parts = ray.get(list(rel.nonempty_blocks(celled.map_batches(
+        count, batch_format="pyarrow", batch_size=left_batch_size))))
     salts = {}
     if parts:
         counts = pa.concat_tables(parts).group_by("cell") \

@@ -17,6 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from pythongis_ray import relational as rel
 from pythongis_ray.relational import bucketed_group_apply, map_arrow
@@ -711,35 +712,31 @@ def jaccard_pairs_batch(arr_a: pa.Array, arr_b: pa.Array,
     return inter / (na + nb - inter)
 
 
-def _verify_pairs_batches(cand, threshold: float):
-    """Shared verify stage for candidate-pair tables carrying
-    (id_a, id_b, text_a, text_b): exact vectorized shingle Jaccard,
-    keep pairs ≥ threshold."""
-    def verify(batch: pa.Table) -> pd.DataFrame:
-        ta = batch["text_a"].combine_chunks() \
-            if isinstance(batch["text_a"], pa.ChunkedArray) else batch["text_a"]
-        tb = batch["text_b"].combine_chunks() \
-            if isinstance(batch["text_b"], pa.ChunkedArray) else batch["text_b"]
-        ja = jaccard_pairs_batch(ta, tb)
-        keep = ja >= threshold
-        return pd.DataFrame({
-            "id_a": batch["id_a"].to_numpy(zero_copy_only=False)[keep],
-            "id_b": batch["id_b"].to_numpy(zero_copy_only=False)[keep],
-            "jaccard": ja[keep],
-        })
-
-    return cand.map_batches(verify, batch_format="pyarrow", batch_size=4096)
+def _verify_pairs(table: pa.Table, threshold: float) -> pa.Table:
+    """Verify of a candidate-pair table carrying (id_a, id_b, text_a,
+    text_b): exact vectorized shingle Jaccard, keep pairs ≥
+    threshold. Returns (id_a, id_b, jaccard), verified 4,096 pairs at
+    a time to bound the shingle temporaries."""
+    outs = []
+    for i in range(0, max(table.num_rows, 1), 4096):
+        batch = table.slice(i, 4096)
+        ja = jaccard_pairs_batch(batch["text_a"].combine_chunks(),
+                                 batch["text_b"].combine_chunks())
+        keep = pa.array(ja >= threshold)
+        outs.append(pa.table({
+            "id_a": pc.cast(batch["id_a"], pa.int64()).filter(keep),
+            "id_b": pc.cast(batch["id_b"], pa.int64()).filter(keep),
+            "jaccard": pa.array(ja, pa.float64()).filter(keep)}))
+    return pa.concat_tables(outs)
 
 
 def _pair_text_lookup(refs, id_col: str, text_col: str):
     """(ids, texts) of the candidate-text blocks ``refs``, sorted by
     int64 id: built once per worker by :func:`state.get_broadcast`.
-    The ``take`` copies the texts out of the object store. No blocks
-    (no candidate id found in ``ds``) give an empty lookup, so every
-    pair is dropped."""
-    import ray
-
-    tables = ray.get(refs)
+    The ``take`` copies the texts out of the object store. No rows (no
+    candidate id found in ``ds``) give an empty lookup, so every pair
+    is dropped."""
+    tables = [t for t in ray.get(refs) if t.num_rows]
     if not tables:
         return np.empty(0, np.int64), pa.array([], pa.string())
     ids = np.concatenate([t[id_col].to_numpy(zero_copy_only=False)
@@ -748,6 +745,69 @@ def _pair_text_lookup(refs, id_col: str, text_col: str):
                               for c in t[text_col].chunks])
     order = np.argsort(ids, kind="stable")
     return ids[order], texts.take(order)
+
+
+def _pair_ids(refs) -> np.ndarray:
+    """The distinct int64 ids of the candidate-pair blocks ``refs``."""
+    return np.unique(np.concatenate(
+        [np.asarray(b[c]).astype(np.int64)
+         for b in ray.get(refs) for c in ("id_a", "id_b")]))
+
+
+@ray.remote
+def _pair_text_filter(block, need, id_col: str, text_col: str):
+    """The (id, text) rows of one corpus block whose id is in a
+    candidate pair. ``need`` is a one-element list holding the
+    broadcast ref of the candidate blocks' refs (in a list, Ray passes
+    the ref itself, which keys the per-worker cache)."""
+    from ray.data.block import BlockAccessor
+
+    from pythongis_ray import state
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    need = state.get_broadcast(need[0], _pair_ids,
+                               key_extra=("pair_need",), latest_only=True)
+    return t.select([id_col, text_col]).filter(pa.array(np.isin(ids, need)))
+
+
+@ray.remote(num_returns=2)
+def _pair_text_attach(block, lookup, id_col: str, text_col: str,
+                      finish):
+    """One candidate-pair block with ``text_a`` and ``text_b`` added
+    from the per-worker lookup of the candidates' texts, then
+    ``finish`` (if any) applied. Returns (table, rows). ``lookup`` is a
+    one-element list holding the broadcast ref of the filtered text
+    blocks' refs, as ``need`` in :func:`_pair_text_filter`."""
+    from ray.data.block import BlockAccessor
+
+    from pythongis_ray import state
+
+    batch = BlockAccessor.for_block(block).to_arrow()
+    ids, texts = state.get_broadcast(
+        lookup[0], lambda blocks: _pair_text_lookup(blocks, id_col, text_col),
+        key_extra=("pair_texts",), latest_only=True)
+    cols = dict(zip(batch.column_names, batch.columns))
+    lo, n = {}, {}
+    for c in ("id_a", "id_b"):
+        if pa.types.is_signed_integer(cols[c].type):
+            cols[c] = pc.cast(cols[c], pa.int64())
+        v = cols[c].to_numpy(zero_copy_only=False).astype(np.int64)
+        lo[c] = np.searchsorted(ids, v, "left")
+        n[c] = np.searchsorted(ids, v, "right") - lo[c]
+    # one row per (id_a match, id_b match) of each pair
+    per_pair = n["id_a"] * n["id_b"]
+    row = np.repeat(np.arange(batch.num_rows), per_pair)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(per_pair) - per_pair,
+                                        per_pair)
+    nb = n["id_b"][row]
+    out = {c: v.take(row) for c, v in cols.items()}
+    out["text_a"] = texts.take(lo["id_a"][row] + k // nb)
+    out["text_b"] = texts.take(lo["id_b"][row] + k % nb)
+    out = pa.table(out)
+    if finish is not None:
+        out = finish(out)
+    return out, out.num_rows
 
 
 # Why one broadcast lookup at every size, and not two join_large
@@ -764,76 +824,40 @@ def _pair_text_lookup(refs, id_col: str, text_col: str):
 # pandas copy per side in every worker. Its cache tag is shared by all
 # of its callers, so it could not drop the previous call's copy
 # without branching on its caller.
-def _attach_pair_texts(cand, ds, id_col: str, text_col: str):
+def _attach_pair_texts(cand, ds, id_col: str, text_col: str, finish=None):
     """Re-attach texts to a candidate-PAIR table (id_a, id_b): the
     candidate table is tiny by construction (LSH bands / shared
-    shingles), so materialize it, broadcast just the candidate ID
-    SET, and make the re-attach ONE streaming semi-join filter over
-    the corpus — texts of non-candidates never move (the naive shape
-    bucket-shuffles the full wide corpus twice, ~8× this cost).
+    shingles), so its id SET is the filter of ONE streaming semi-join
+    over the corpus — texts of non-candidates never move (the naive
+    shape bucket-shuffles the full wide corpus twice, ~8× this cost).
 
-    The filtered ``small`` (id, text) table is then read by every
-    attach task as one broadcast lookup (its block refs, fetched and
-    indexed once per worker through :func:`state.get_broadcast`), and
-    ONE map stage over the candidate blocks adds ``text_a`` and
-    ``text_b``: no shuffle, no schema peek. The rows are those of an
+    Both barrier stages are plain Ray tasks over block refs, so they
+    run no Dataset plan of their own: one filter task per corpus block
+    keeps the (id, text) rows of candidate ids (each worker builds the
+    id set once from the candidate blocks), and one attach task per
+    candidate block adds ``text_a`` and ``text_b`` from a broadcast
+    lookup of the filtered rows (fetched and indexed once per worker
+    through :func:`state.get_broadcast`), then runs ``finish`` (a
+    ``pa.Table`` -> ``pa.Table`` step, e.g. the verify of
+    :func:`minhash_dedup_pairs`) on its output. No shuffle, no schema
+    peek; a Dataset built from refs (a :func:`rel.bucketed_group_apply`
+    result) is read without running a plan. The rows are those of an
     inner join on each id: a pair whose id is missing from ``ds`` is
     dropped, an id that ``ds`` holds twice gives one row per match,
     and signed integer ids come out int64. Each worker holds one copy
     of the candidates' texts; the next call's lookup replaces it.
-    Returns the (cand columns, text_a, text_b) Dataset, or None when
-    there are no candidates."""
-    import ray
-    import ray.data as rd
-
-    cand = cand.materialize()
-    cand_pd = cand.to_pandas()            # candidate pairs only
-    if len(cand_pd) == 0:
+    Returns the (cand columns, text_a, text_b) Dataset (or ``finish``'s
+    output), or None when there are no candidates."""
+    cand_refs = list(rel.nonempty_blocks(cand))
+    if not cand_refs:
         return None
-    need = np.unique(np.concatenate([
-        cand_pd["id_a"].to_numpy(np.int64),
-        cand_pd["id_b"].to_numpy(np.int64)]))
-    need_ref = ray.put(need)
-
-    def filt(batch: pa.Table) -> pa.Table:
-        from pythongis_ray import state
-        ids = batch[id_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        m = np.isin(ids, state.get_broadcast(
-            need_ref, key_extra=("pair_need",), latest_only=True))
-        return batch.select([id_col, text_col]).filter(pa.array(m))
-
-    small = ds.map_batches(filt, batch_format="pyarrow",
-                           batch_size=8192).materialize()
-    texts_ref = ray.put(rel.nonempty_blocks(small))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        from pythongis_ray import state
-        ids, texts = state.get_broadcast(
-            texts_ref,
-            lambda blocks: _pair_text_lookup(blocks, id_col, text_col),
-            key_extra=("pair_texts",), latest_only=True)
-        cols = dict(zip(batch.column_names, batch.columns))
-        lo, n = {}, {}
-        for c in ("id_a", "id_b"):
-            if pa.types.is_signed_integer(cols[c].type):
-                cols[c] = pc.cast(cols[c], pa.int64())
-            v = cols[c].to_numpy(zero_copy_only=False).astype(np.int64)
-            lo[c] = np.searchsorted(ids, v, "left")
-            n[c] = np.searchsorted(ids, v, "right") - lo[c]
-        # one row per (id_a match, id_b match) of each pair
-        per_pair = n["id_a"] * n["id_b"]
-        row = np.repeat(np.arange(batch.num_rows), per_pair)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(per_pair) - per_pair,
-                                            per_pair)
-        nb = n["id_b"][row]
-        out = {c: v.take(row) for c, v in cols.items()}
-        out["text_a"] = texts.take(lo["id_a"][row] + k // nb)
-        out["text_b"] = texts.take(lo["id_b"][row] + k % nb)
-        return pa.table(out)
-
-    # (from_arrow_refs also takes the pandas blocks of a grouped apply)
-    return map_arrow(rd.from_arrow_refs(rel.nonempty_blocks(cand)), attach)
+    need = [ray.put(cand_refs)]
+    small = [_pair_text_filter.remote(ref, need, id_col, text_col)
+             for ref in rel.nonempty_blocks(ds)]
+    lookup = [ray.put(small)]
+    return rel.blocks_dataset([
+        _pair_text_attach.remote(ref, lookup, id_col, text_col, finish)
+        for ref in cand_refs])
 
 
 def _bucket_pairs(b: pd.DataFrame, keys: list[str], id_col: str,
@@ -885,11 +909,12 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
          across bands and, with ``degree_cap``, caps each doc's
          partners (every copy of a pair shares its ``id_b`` bucket);
          without it, a bucketed dedup of (id_a, id_b);
-      4. texts re-attached to the candidate table by ONE map stage
-         over a broadcast lookup of the candidates' texts
-         (:func:`_attach_pair_texts`) — no shuffle, no driver-side
-         corpus materialization;
-      5. verify: exact shingle-set Jaccard ≥ threshold.
+      4. texts re-attached to the candidate table by one task per
+         candidate block over a broadcast lookup of the candidates'
+         texts (:func:`_attach_pair_texts`) — no shuffle, no
+         driver-side corpus materialization;
+      5. verify, inside those attach tasks: exact shingle-set
+         Jaccard ≥ threshold.
 
     Returns a Dataset of (id_a, id_b, jaccard) with id_a < id_b.
     Scale note: run EXACT dedup first — a cluster of m identical docs
@@ -946,15 +971,25 @@ def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             return b.groupby("id_b", sort=False).head(_d)
 
         cand = rel.bucketed_group_apply(cand, ["id_b"], cap_degree)
-    cand = _attach_pair_texts(cand, ds, id_col, text_col)
-    if cand is None:                      # no-near-dup corpus
+    return _verified_pairs(cand, ds, id_col, text_col, threshold)
+
+
+def _verified_pairs(cand, ds, id_col: str, text_col: str,
+                    threshold: float):
+    """(id_a, id_b, jaccard) of the candidate pairs ``cand`` whose
+    exact shingle Jaccard is ≥ threshold: the verify runs inside
+    :func:`_attach_pair_texts`' attach tasks."""
+    import functools
+
+    out = _attach_pair_texts(cand, ds, id_col, text_col, finish=functools
+                             .partial(_verify_pairs, threshold=threshold))
+    if out is None:                       # no candidate pairs
         import ray.data as _rd
         return _rd.from_arrow(pa.table({
             "id_a": pa.array([], pa.int64()),
             "id_b": pa.array([], pa.int64()),
             "jaccard": pa.array([], pa.float64())}))
-
-    return _verify_pairs_batches(cand, threshold)
+    return out
 
 
 def _doc_shingles(batch: pa.Table, id_col: str,
@@ -987,15 +1022,7 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     cand = rel.bucketed_group_apply(
         bands, ["sh"], lambda b: _bucket_pairs(b, ["sh"], id_col)[0])
     cand = rel.dedup(cand, ["id_a", "id_b"])
-    cand = _attach_pair_texts(cand, ds, id_col, text_col)
-    if cand is None:                      # all-distinct corpus
-        import ray.data as _rd
-        return _rd.from_arrow(pa.table({
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64())}))
-
-    return _verify_pairs_batches(cand, threshold)
+    return _verified_pairs(cand, ds, id_col, text_col, threshold)
 
 
 def simhash64(text: str) -> int:

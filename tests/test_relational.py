@@ -245,9 +245,10 @@ def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
 
 
 def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session, tmp_path):
-    """Every grouped shuffle is a sort shuffle (group_apply pins it;
-    bucketed_group_apply's ``_bucket`` sort has no hash-shuffle plan):
-    under a global HASH_SHUFFLE, one caller per module
+    """No grouped shuffle follows the global shuffle strategy
+    (group_apply pins the sort shuffle; bucketed_group_apply's hash
+    exchange is plain Ray tasks, not a Ray Data shuffle): under a
+    global HASH_SHUFFLE, one caller per module
     returns the same rows as under the default strategy (and
     groupby_aggregate / join_large still equal pandas), and no
     hash-shuffle aggregator actor starts."""
@@ -344,10 +345,14 @@ def test_bucketed_shuffle_ignores_global_hash_shuffle(ray_session, tmp_path):
 
 
 def test_one_grouped_shuffle_entry_point():
-    """relational.group_apply is the package's only map_groups call,
-    ``bucketed_group_apply`` the only sort on the ``_bucket`` key; no
-    hand-rolled one-group gather (constant ``_one`` key or
-    ``repartition(1)``) remains."""
+    """relational.group_apply is the package's only map_groups call; no
+    sort on a ``_bucket`` key remains, and ``_exchange_split`` (the
+    split of ``bucketed_group_apply``'s hash exchange) is the only
+    function that routes rows to hash buckets, i.e. reduces a
+    ``hash_pandas_object`` hash ``% np.uint64(...)``; no hand-rolled
+    one-group gather (constant ``_one`` key or ``repartition(1)``)
+    remains."""
+    import ast
     import pathlib
 
     import pythongis_ray
@@ -355,8 +360,10 @@ def test_one_grouped_shuffle_entry_point():
     root = pathlib.Path(pythongis_ray.__file__).parent
     found = {"map_groups": [], "_bucket": [], "_one=": [],
              "repartition(1)": []}
+    routers = []
     for path in sorted(root.rglob("*.py")):
-        for i, line in enumerate(path.read_text().splitlines(), 1):
+        src = path.read_text()
+        for i, line in enumerate(src.splitlines(), 1):
             for pat, hits in (("map_groups(", found["map_groups"]),
                               ('sort("_bucket"', found["_bucket"]),
                               ("sort('_bucket'", found["_bucket"]),
@@ -364,9 +371,23 @@ def test_one_grouped_shuffle_entry_point():
                               ("repartition(1)", found["repartition(1)"])):
                 if pat in line:
                     hits.append(f"{path.relative_to(root)}:{i}")
-    for pat in ("map_groups", "_bucket"):
-        assert len(found[pat]) == 1, found[pat]
-        assert found[pat][0].startswith("relational.py:")
+        for fn in ast.walk(ast.parse(src)):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            hashes = any(isinstance(c, ast.Call) and getattr(
+                c.func, "attr", None) == "hash_pandas_object"
+                for c in ast.walk(fn))
+            mods = any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mod)
+                       and isinstance(b.right, ast.Call)
+                       and getattr(b.right.func, "attr", None) == "uint64"
+                       for b in ast.walk(fn))
+            if hashes and mods:
+                routers.append(f"{path.relative_to(root)}:"
+                               f"{getattr(fn, 'name', '<lambda>')}")
+    assert len(found["map_groups"]) == 1, found["map_groups"]
+    assert found["map_groups"][0].startswith("relational.py:")
+    assert found["_bucket"] == []
+    assert routers == ["relational.py:_exchange_split"], routers
     assert found["_one="] == [] and found["repartition(1)"] == []
 
 
@@ -850,10 +871,11 @@ def _rows(df, cols):
        st.integers(min_value=0, max_value=2**31))
 def test_bucketed_group_apply_matches_per_bucket_loop(
         ray_session, n, n_keys, num_buckets, n_blocks, seed):
-    """Per-block kernels give the per-bucket loop's rows: ``dedup``
-    with and without ``order_col``, the ``groupby_aggregate`` combine
-    and the LSH degree cap, each chained on a first call so the
-    per-block stage fuses with the next key stage."""
+    """Per-part kernels give the per-bucket loop's rows: ``dedup``
+    with and without ``order_col`` (without it, the first input row
+    per key), the ``groupby_aggregate`` combine and the LSH degree
+    cap, each chained on a first call so the second exchange reads the
+    first one's output blocks."""
     import ray.data as rd
 
     rng = np.random.default_rng(seed)
@@ -884,6 +906,8 @@ def test_bucketed_group_apply_matches_per_bucket_loop(
 
     real = rel.bucketed_group_apply
     with pytest.MonkeyPatch.context() as mp:
+        # one split per input block, so 4 blocks make up to 4 parts
+        mp.setattr(rel, "BUCKET_BATCH_SIZE", 1)
         mp.setattr(rel, "bucketed_group_apply",
                    lambda ds, keys, fn, num_buckets=num_buckets:
                    real(ds, keys, fn, num_buckets))
@@ -892,6 +916,7 @@ def test_bucketed_group_apply_matches_per_bucket_loop(
             ["s"], specs).to_pandas()
         firsts = rel.dedup(rel.dedup(blocks(df), ["k", "j"]), ["k"]) \
             .to_pandas()
+        one = rel.dedup(blocks(df), ["k"]).to_pandas()
         capped = rel.bucketed_group_apply(
             rel.dedup(blocks(pairs), ["id_a", "id_b"]), ["id_b"],
             cap_degree).to_pandas()
@@ -904,11 +929,17 @@ def test_bucketed_group_apply_matches_per_bucket_loop(
     assert list(ordered.columns) == ["s", "sv", "n", "mx"]
     assert _rows(ordered, list(want.columns)) == _rows(want, list(want.columns))
 
-    # without order_col a key keeps one of its rows (the sort shuffle
-    # does not keep input order among a key's rows)
-    assert sorted(firsts["k"]) == sorted(df["k"].unique())
-    assert set(map(tuple, firsts[list(df.columns)].to_numpy().tolist())) \
-        <= set(map(tuple, df.to_numpy().tolist()))
+    # without order_col a key keeps its first input row: each call
+    # hands a key's rows over in input block order, and the outputs
+    # come back in bucket order (the per-bucket loop's order)
+    want = _per_bucket_reference(
+        _per_bucket_reference(df, ["k", "j"],
+                              lambda g: g.drop_duplicates(["k", "j"]),
+                              num_buckets),
+        ["k"], lambda g: g.drop_duplicates(["k"]), num_buckets)
+    cols = list(df.columns)
+    assert _rows(firsts, cols) == _rows(want, cols)
+    assert _rows(one, cols) == _rows(df.drop_duplicates(["k"]), cols)
 
     want = _per_bucket_reference(
         _per_bucket_reference(pairs, ["id_a", "id_b"],
@@ -918,9 +949,10 @@ def test_bucketed_group_apply_matches_per_bucket_loop(
 
 
 def test_bucketed_group_apply_calls_kernel_once_per_sort_block(ray_session):
-    """``fn`` runs at most once per non-empty sort block, and each call
-    holds whole buckets: 4 input blocks of 9,000 rows over 64 buckets
-    make at most 4 calls (one per bucket would make 64)."""
+    """``fn`` runs at most once per non-empty exchange part (at most
+    one per input block), and each call holds whole buckets: 4 input
+    blocks of 9,000 rows over 64 buckets make at most 4 calls (one per
+    bucket would make 64)."""
     import ray.data as rd
 
     n = 36000
@@ -941,10 +973,10 @@ def test_bucketed_group_apply_calls_kernel_once_per_sort_block(ray_session):
 
 
 def test_bucketed_group_apply_skips_empty_sort_blocks(ray_session):
-    """A 0-row sort block never reaches ``fn``. An all-empty input
+    """A 0-row exchange part never reaches ``fn``. An all-empty input
     returns no rows (and, as ``map_groups`` did, no columns); rows that
-    all hash to one bucket across 3 input blocks leave two sort blocks
-    empty and reach ``fn`` once, whole."""
+    all hash to one bucket across 3 input blocks leave two parts empty
+    and reach ``fn`` once, whole."""
     import ray.data as rd
 
     def fn(b):
@@ -964,3 +996,57 @@ def test_bucketed_group_apply_skips_empty_sort_blocks(ray_session):
     assert list(out.columns) == ["k", "v", "calls", "seen"]
     assert sorted(out["v"]) == list(range(3 * n))
     assert set(out["seen"]) == {3 * n}
+
+
+@pytest.mark.parametrize("backing", ["pandas", "arrow"])
+def test_bucket_membership_is_the_key_hash(ray_session, backing,
+                                           monkeypatch):
+    """Every row lands in bucket ``hash_pandas_object(keys) % B`` for
+    int32, int64, object and string keys (and a two-column key), over
+    pandas- and Arrow-backed blocks. With B = 4 buckets and 4 input
+    blocks split one by one, the exchange has one part per bucket, so
+    each ``fn`` call must hold exactly the rows of one bucket, and the
+    calls come back in bucket order."""
+    import ray.data as rd
+
+    monkeypatch.setattr(rel, "BUCKET_BATCH_SIZE", 1)
+
+    n, nb = 400, 4
+    rng = np.random.default_rng(11)
+    words = np.array([f"w{i}" for i in range(40)], dtype=object)
+    df = pd.DataFrame({
+        "row": np.arange(n, dtype=np.int64),
+        "i32": rng.integers(-60, 60, n).astype(np.int32),
+        "i64": rng.integers(-60, 60, n).astype(np.int64),
+        "obj": words[rng.integers(0, 40, n)],
+        "str": pd.array(words[rng.integers(0, 40, n)], dtype="string")})
+    cuts = np.linspace(0, n, nb + 1).astype(int)
+    if backing == "pandas":
+        parts = [df.iloc[a:b] for a, b in zip(cuts, cuts[1:])]
+        ds = rd.from_pandas(parts)
+    else:
+        parts = [pa.Table.from_pandas(df.iloc[a:b], preserve_index=False)
+                 .replace_schema_metadata() for a, b in zip(cuts, cuts[1:])]
+        ds = rd.from_arrow(parts)
+        assert pa.types.is_int32(parts[0].schema.field("i32").type)
+    # the frames the exchange hashes: each block as pandas
+    seen = pd.concat([p if backing == "pandas" else p.to_pandas()
+                      for p in parts], ignore_index=True)
+
+    for keys in (["i32"], ["i64"], ["obj"], ["str"], ["i32", "obj"]):
+        h = pd.util.hash_pandas_object(seen[keys], index=False).to_numpy()
+        want = pd.Series((h % np.uint64(nb)).astype(np.int64),
+                         index=seen["row"].to_numpy())
+
+        def fn(b):
+            return pd.DataFrame({"row": b["row"].to_numpy(np.int64),
+                                 "call": np.int64(b["row"].min())})
+
+        out = rel.bucketed_group_apply(ds, keys, fn, num_buckets=nb) \
+            .to_pandas()
+        assert sorted(out["row"]) == list(range(n)), keys
+        bucket = want.loc[out["row"].to_numpy()].to_numpy()
+        per_call = pd.Series(bucket).groupby(out["call"].to_numpy(),
+                                              sort=False).unique()
+        assert all(len(b) == 1 for b in per_call), keys
+        assert [b[0] for b in per_call] == sorted(set(bucket)), keys

@@ -216,9 +216,9 @@ def test_attach_pair_texts_broadcast_matches_join(ray_session):
 def test_attach_pair_texts_keeps_one_lookup_per_worker(ray_session):
     """Every _attach_pair_texts call broadcasts a new text lookup; the
     worker that builds it drops the previous call's, so repeated calls
-    leave one lookup per worker, not one per call. The probe fuses
-    into the attach stage, so it reads the cache of the worker that
-    just attached."""
+    leave one lookup per worker, not one per call. The probe is the
+    attach tasks' ``finish`` step, so it reads the cache of the worker
+    that just attached."""
     import ray.data as rd
 
     ds = rd.from_arrow(pa.table({"doc_id": [1, 2, 3],
@@ -231,10 +231,9 @@ def test_attach_pair_texts_keeps_one_lookup_per_worker(ray_session):
         return pa.table({"lookups": [n]})
 
     for _ in range(6):
-        out = text._attach_pair_texts(cand, ds, "doc_id", "text")
-        assert out.map_batches(probe, batch_format="pyarrow",
-                               batch_size=None).to_pandas()["lookups"] \
-            .tolist() == [1]
+        out = text._attach_pair_texts(cand, ds, "doc_id", "text",
+                                      finish=probe)
+        assert out.to_pandas()["lookups"].tolist() == [1]
 
 
 def test_jaccard_pairs_batch_matches_scalar():

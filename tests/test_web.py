@@ -260,12 +260,14 @@ def _near_dup_corpus() -> pa.Table:
 
 def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
     """One corpus_build with near-dup pairs runs no ``limit=1`` schema
-    peek, at most 3 sort shuffles and at most 6 Dataset executions,
-    counted from the plans the streaming executor runs. The shuffles
-    are the exact dedup, the LSH band bucketing and the pair dedup
-    fused with the degree cap on ``id_b``; the verify stage reads its
-    pair texts and the representative filter its drop set from
-    broadcast lookups instead of join shuffles."""
+    peek, no sort shuffle and at most 3 Dataset executions, counted
+    from the plans the streaming executor runs. The executions are the
+    quality filter + fingerprint map, the LSH band explode, and the
+    representative filter + PII scrub. The exact dedup, the band
+    bucketing and the pair dedup fused with the degree cap on ``id_b``
+    are task hash exchanges (``bucketed_group_apply``), the text attach
+    and verify are tasks over block refs, and connected components and
+    the drop set read block refs: none of them runs a plan."""
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
@@ -294,8 +296,8 @@ def test_corpus_build_runs_no_schema_peek(ray_session, monkeypatch):
                 and op.name.startswith("Sort")
                 for ops in plans for op in ops)
     assert peeks == 0
-    assert sorts <= 3
-    assert len(plans) <= 6
+    assert sorts == 0
+    assert len(plans) <= 3
 
 
 def test_corpus_build_logs_no_refbundle_schema_warning(ray_session):

@@ -17,8 +17,10 @@ sf directory ``diff`` empty when no query's output changed.
 result: its wall time (the query call and ``to_pandas``, as printed),
 and, counted from the plans the streaming executor runs in that time,
 its Dataset executions, sort shuffles and ``limit=1`` peeks (a plan
-holding a one-row limit: a schema or first-row probe). The comparison
-with the oracle is the same with or without it.
+holding a one-row limit: a schema or first-row probe), and its
+``exchanges``: calls of ``relational.bucketed_group_apply``, whose hash
+exchange runs as Ray tasks and so shows up in none of the plan counts.
+The comparison with the oracle is the same with or without it.
 """
 
 from __future__ import annotations
@@ -82,15 +84,34 @@ def snapshot_line(name, res) -> str:
 class PlanCounter:
     """Counts the plans the streaming executor runs (wraps
     ``StreamingExecutor.execute`` on the driver): executions, sort
-    shuffles and ``limit=1`` peeks since the last ``reset``."""
+    shuffles and ``limit=1`` peeks since the last ``reset``; and the
+    grouped-shuffle exchanges (wraps ``bucketed_group_apply`` in every
+    loaded ``pythongis_ray`` module that holds it, so build it after
+    importing the queries)."""
 
     def __init__(self):
+        import functools
+
         from ray.data._internal.execution.streaming_executor import \
             StreamingExecutor
 
-        self.plans = []
+        from pythongis_ray import relational
+
+        self.plans, self.exchanges = [], 0
         execute = StreamingExecutor.execute
         counter = self
+        apply = relational.bucketed_group_apply
+
+        @functools.wraps(apply)
+        def counted(*args, **kwargs):
+            counter.exchanges += 1
+            return apply(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items()
+                    if n.split(".")[0] == "pythongis_ray"]:
+            for attr, val in list(vars(mod).items()):
+                if val is apply:
+                    setattr(mod, attr, counted)
 
         def counting(self, dag, *args, **kwargs):
             ops, todo = {}, [dag]
@@ -104,7 +125,7 @@ class PlanCounter:
         StreamingExecutor.execute = counting
 
     def reset(self):
-        self.plans = []
+        self.plans, self.exchanges = [], 0
 
     def line(self, name, wall_s) -> str:
         peeks = sum(any(type(op).__name__ == "LimitOperator"
@@ -115,7 +136,7 @@ class PlanCounter:
                     for ops in self.plans for op in ops)
         return json.dumps({"query": name, "wall_s": round(wall_s, 3),
                            "executions": len(self.plans), "sorts": sorts,
-                           "peeks": peeks})
+                           "exchanges": self.exchanges, "peeks": peeks})
 
 
 def main():
