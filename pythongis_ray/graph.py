@@ -1483,8 +1483,8 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
     nodes with deg >= 2. Triangles are enumerated once (a<b<c wedge
     join + closing-edge probe, the _truss_support plan) and each
     counts toward all three corners; degrees come from the doubled
-    distinct edge list. Both per-node tables are node-bounded; they
-    meet in ONE bucketed combine via union-all partials (no join)."""
+    distinct edge list. Both per-node tables meet in ONE two-input
+    bucketed combine (no join)."""
     e = _undirected_edges(edges, src, dst)
 
     supp = _truss_support(e)   # reuse: emits (u,v,support) per EDGE
@@ -1497,34 +1497,27 @@ def clustering_coefficient(edges, src: str = "src", dst: str = "dst"):
         s = batch["support"].to_numpy(zero_copy_only=False)
         return pa.table({
             "node": np.concatenate([u, v]).astype(np.int64),
-            "tri2": np.concatenate([s, s]).astype(np.int64),
-            "deg": np.zeros(2 * len(u), np.int64)})
+            "tri2": np.concatenate([s, s]).astype(np.int64)})
 
     def node_deg(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
-        n = 2 * len(u)
-        return pa.table({
-            "node": np.concatenate([u, v]).astype(np.int64),
-            "tri2": np.zeros(n, np.int64),
-            "deg": np.ones(n, np.int64)})
+        return pa.table({"node": np.concatenate([u, v]).astype(np.int64)})
 
-    tri_parts = map_arrow(supp, node_tri)
-    deg_parts = map_arrow(e, node_deg)
-    parts = tri_parts.union(deg_parts)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("node", sort=False)[["tri2", "deg"]].sum() \
-            .reset_index()
-        c = c[c["deg"] >= 2]
-        node = c["node"].to_numpy(np.int64)
-        tri = c["tri2"].to_numpy(np.int64) // 2
-        deg = c["deg"].to_numpy(np.int64)
+    def combine(t: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
+        deg = d.groupby("node", sort=False).size()
+        deg = deg[deg >= 2]
+        tri2 = t.groupby("node", sort=False)["tri2"].sum() if len(t) \
+            else pd.Series(dtype=np.int64)
+        tri = tri2.reindex(deg.index, fill_value=0).to_numpy(np.int64) // 2
+        n = deg.to_numpy(np.int64)
         return pd.DataFrame({
-            "node": node, "tri": tri, "deg": deg,
-            "cc_ppm": 2 * tri * 1_000_000 // (deg * (deg - 1))})
+            "node": deg.index.to_numpy(np.int64), "tri": tri, "deg": n,
+            "cc_ppm": 2 * tri * 1_000_000 // (n * (n - 1))})
 
-    out = rel.bucketed_group_apply(parts, ["node"], combine)
+    out = rel.bucketed_group_apply(
+        [map_arrow(supp, node_tri), map_arrow(e, node_deg)], ["node"],
+        combine)
     return rel.with_empty_schema(out, pa.schema(
         [("node", pa.int64()), ("tri", pa.int64()),
          ("deg", pa.int64()), ("cc_ppm", pa.int64())]))

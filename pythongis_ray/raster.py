@@ -1162,52 +1162,49 @@ def band_math_scalar(ds, op: str, scalar: float, t: int = TILE):
     return ds.map_batches(fn, batch_format="pandas", batch_size=256)
 
 
+_TILE_KEY = ["cell_id", "band"]
+
+
+def _first_tiles(g: pd.DataFrame) -> pd.DataFrame:
+    """One raster's rows of an exchange part: the first tile per
+    (cell_id, band), in key order."""
+    return g.drop_duplicates(_TILE_KEY).sort_values(_TILE_KEY, kind="stable")
+
+
+def _no_tiles() -> pd.DataFrame:
+    return pd.DataFrame({c: [] for c in ("cell_id", "band", "tile", "nodata")})
+
+
 def _paired_tile_combine(ds_a, ds_b, pixfn, t: int = TILE,
                          num_buckets: int = 16):
     """Tile-aligned binary combine on (cell_id, band), hash-bucketed:
-    ONE shuffle routes both sides into ``num_buckets`` buckets, and the
-    per-bucket kernel pairs ALL its (cell, band) keys at once — sort +
-    adjacent-row pairing, then ``pixfn`` over stacked (n, t, t) pixel
-    arrays. Replaces the sort-based ``groupby().map_groups`` combine,
+    ONE two-input exchange co-groups both sides into ``num_buckets``
+    buckets, and the per-part kernel pairs ALL its (cell, band) keys at
+    once — one merge of the sides' first tiles per key, then ``pixfn``
+    over stacked (n, t, t) pixel arrays. Replaces the sort-based ``groupby().map_groups`` combine,
     which iterates keys in Python (minutes at 10^5 tiles — the Ray
     2.49 gotcha measured on mosaic). Nodata mask union per the
     reference rule (raster/data.py:318-346)."""
-    def tag(side):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["_side"] = np.int8(side)
-            return b
-        return fn
-
-    both = ds_a.map_batches(tag(0), batch_format="pandas").union(
-        ds_b.map_batches(tag(1), batch_format="pandas"))
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cell_id", "band", "_side"], kind="stable") \
-            .drop_duplicates(["cell_id", "band", "_side"], keep="first")
-        cell = g["cell_id"].to_numpy(np.int64)
-        band = g["band"].to_numpy()
-        side = g["_side"].to_numpy(np.int8)
-        ai = np.flatnonzero(
-            (cell[1:] == cell[:-1]) & (band[1:] == band[:-1])
-            & (side[:-1] == 0) & (side[1:] == 1))
-        if len(ai) == 0:
-            return pd.DataFrame(
-                {c: [] for c in ("cell_id", "band", "tile", "nodata")})
-        tiles = g["tile"].to_numpy()
-        nd = g["nodata"].to_numpy(np.float64)
-        ta = np.stack([bytes_to_tile(tiles[i], t) for i in ai])
-        tb = np.stack([bytes_to_tile(tiles[i + 1], t) for i in ai])
-        nda = nd[ai].astype(np.float32)[:, None, None]
-        ndb = nd[ai + 1].astype(np.float32)[:, None, None]
+    def combine(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+        m = _first_tiles(a).merge(_first_tiles(b), on=_TILE_KEY,
+                                  suffixes=("_a", "_b")) \
+            if len(a) and len(b) else ()
+        if len(m) == 0:
+            return _no_tiles()
+        ta = np.stack([bytes_to_tile(x, t) for x in m["tile_a"]])
+        tb = np.stack([bytes_to_tile(x, t) for x in m["tile_b"]])
+        nd = m["nodata_a"].to_numpy(np.float64)
+        nda = nd.astype(np.float32)[:, None, None]
+        ndb = m["nodata_b"].to_numpy(np.float32)[:, None, None]
         mask = (ta == nda) | (tb == ndb)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(mask, nda, pixfn(ta, tb)).astype(np.float32)
-        return pd.DataFrame({"cell_id": cell[ai], "band": band[ai],
+        return pd.DataFrame({"cell_id": m["cell_id"].to_numpy(np.int64),
+                             "band": m["band"].to_numpy(),
                              "tile": [tile_to_bytes(x) for x in r],
-                             "nodata": nd[ai]})
+                             "nodata": nd})
 
-    return bucketed_group_apply(both, ["cell_id", "band"], combine,
+    return bucketed_group_apply([ds_a, ds_b], _TILE_KEY, combine,
                                 num_buckets=num_buckets)
 
 
@@ -1324,37 +1321,20 @@ def upscale(ds, t: int = TILE):
                                 num_buckets=16)
 
 
-def _tag_source(b: pd.DataFrame, i: int) -> pd.DataFrame:
-    b = b.copy()
-    b["_src"] = np.int64(i)
-    return b
-
-
-def _union_tagged(datasets):
-    """The union of the rasters' tiles, each row tagged with the index
-    of its raster in ``_src``."""
-    u = None
-    for i, d in enumerate(datasets):
-        t = d.map_batches(_tag_source, fn_kwargs={"i": i}, batch_format="pandas")
-        u = t if u is None else u.union(t)
-    return u
-
-
 def mosaic(datasets, rule: str = "first"):
-    """Paste rasters; overlapping tiles resolved first/last by a source
-    priority column (reference mosaic, raster/manager.py:23-63)."""
-    u = _union_tagged(datasets)
+    """Paste rasters; overlapping tiles resolved first/last by the
+    rasters' list order (reference mosaic, raster/manager.py:23-63)."""
+    # vectorized per-bucket pick (sources concatenated in priority
+    # order + keyed drop_duplicates) — the sort-based
+    # groupby().map_groups iterates cells in Python and is minutes at
+    # 10^4+ cells (CLAUDE.md Ray 2.49 gotcha)
+    def pick(*frames: pd.DataFrame) -> pd.DataFrame:
+        srt = pd.concat([f for f in frames if len(f)], ignore_index=True) \
+            .sort_values(_TILE_KEY, kind="stable")
+        return srt.drop_duplicates(subset=_TILE_KEY,
+                                   keep="first" if rule == "first" else "last")
 
-    # vectorized per-bucket pick (sort + keyed drop_duplicates) — the
-    # sort-based groupby().map_groups iterates cells in Python and is
-    # minutes at 10^4+ cells (CLAUDE.md Ray 2.49 gotcha)
-    def pick(b: pd.DataFrame) -> pd.DataFrame:
-        srt = b.sort_values(["cell_id", "band", "_src"], kind="stable")
-        keep = "first" if rule == "first" else "last"
-        return srt.drop_duplicates(subset=["cell_id", "band"],
-                                   keep=keep).drop(columns=["_src"])
-
-    return bucketed_group_apply(u, ["cell_id", "band"], pick)
+    return bucketed_group_apply(list(datasets), _TILE_KEY, pick)
 
 
 # -------------------------------------------------------- raster⟷vector
@@ -2385,37 +2365,26 @@ def raster_algebra(datasets, fn, t: int = TILE):
     with one groupby, apply ``fn(list_of_arrays) -> array``. User
     expressions are CALLABLES, not eval'd strings — no string eval on
     workers (SURVEY.md §2.7 sandboxing note)."""
-    u = _union_tagged(datasets)
     n = len(datasets)
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over ALL keys in the bucket: complete keys (one
-        # row per source raster) reshape into (k, n) row-index blocks;
+    def combine(*frames: pd.DataFrame) -> pd.DataFrame:
+        # vectorized over ALL keys in the part: the keys present in
+        # every raster are one inner merge of the rasters' first tiles;
         # ``fn`` receives n stacked (k, t, t) arrays — elementwise /
         # broadcast-safe callables (the documented contract) evaluate
-        # once for the whole bucket, not per key
-        g = g.sort_values(["cell_id", "band", "_src"], kind="stable") \
-            .drop_duplicates(["cell_id", "band", "_src"], keep="first")
-        if len(g) == 0:
-            return pd.DataFrame(
-                {c: [] for c in ("cell_id", "band", "tile", "nodata")})
-        cell = g["cell_id"].to_numpy(np.int64)
-        band = g["band"].to_numpy()
-        new = np.empty(len(g), bool)
-        new[0] = True
-        new[1:] = (cell[1:] != cell[:-1]) | (band[1:] != band[:-1])
-        gid = np.cumsum(new) - 1
-        cnt = np.bincount(gid)
-        keep_g = cnt == n                  # keys present in every raster
-        rows = np.flatnonzero(keep_g[gid])
-        if len(rows) == 0:
-            return pd.DataFrame(
-                {c: [] for c in ("cell_id", "band", "tile", "nodata")})
-        idx = rows.reshape(-1, n)          # (k, n): sorted by _src per key
-        tiles = g["tile"].to_numpy()
-        ndk = g["nodata"].to_numpy(np.float64)[idx[:, 0]]
+        # once for the whole part, not per key
+        if not all(len(f) for f in frames):
+            return _no_tiles()
+        m = None
+        for j, f in enumerate(frames):
+            f = _first_tiles(f)[_TILE_KEY + ["tile", "nodata"]].rename(
+                columns={"tile": f"tile{j}", "nodata": f"nodata{j}"})
+            m = f if m is None else m.merge(f, on=_TILE_KEY)
+        if len(m) == 0:
+            return _no_tiles()
+        ndk = m["nodata0"].to_numpy(np.float64)
         nd3 = ndk.astype(np.float32)[:, None, None]
-        stacks = [np.stack([bytes_to_tile(tiles[i], t) for i in idx[:, j]])
+        stacks = [np.stack([bytes_to_tile(x, t) for x in m[f"tile{j}"]])
                   for j in range(n)]
         mask = np.zeros(stacks[0].shape, dtype=bool)
         for a in stacks:
@@ -2423,12 +2392,12 @@ def raster_algebra(datasets, fn, t: int = TILE):
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(mask, nd3,
                          np.asarray(fn(stacks))).astype(np.float32)
-        return pd.DataFrame({"cell_id": cell[idx[:, 0]],
-                             "band": band[idx[:, 0]],
+        return pd.DataFrame({"cell_id": m["cell_id"].to_numpy(np.int64),
+                             "band": m["band"].to_numpy(),
                              "tile": [tile_to_bytes(x) for x in r],
                              "nodata": ndk})
 
-    return bucketed_group_apply(u, ["cell_id", "band"], combine,
+    return bucketed_group_apply(list(datasets), _TILE_KEY, combine,
                                 num_buckets=16)
 
 

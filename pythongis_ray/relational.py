@@ -36,16 +36,16 @@ split task per input block (small blocks bundled to
 ``BUCKET_BATCH_SIZE`` rows) routes rows to B hash buckets grouped into
 R = min(B, splits) parts, and one reduce task per part runs a
 vectorized pandas kernel over its rows in bucket order. Its kernel is
-key-wise and may see several buckets at once. Algebraic stats
+key-wise and may see several buckets at once; given several inputs,
+it co-groups them (one frame per input). Algebraic stats
 (count/sum/min/max/mean) pre-aggregate per batch inside
 ``map_batches`` (combiner), so the exchange moves one row per (key,
 batch) instead of every input row; holistic stats
 (majority/minority/concat/first/last/median/quantile) run the one
 group-stat kernel :func:`_group_stats` per part. The two-input joins
-(``join_large``, ``asof_join``, ``interval_join``) tag each side,
-union them and bucket the union, so one exchange co-locates every
-key's rows from both inputs; ``hash_join`` broadcasts a small right
-side instead and shuffles nothing. ``add_global_rank``'s range buckets
+(``join_large``, ``asof_join``, ``interval_join``) are kernels over
+the (left, right) frames of one two-input exchange; ``hash_join``
+broadcasts a small right side instead and shuffles nothing. ``add_global_rank``'s range buckets
 and ``skyline``'s single group call ``group_apply`` directly.
 """
 
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 from ray.data.context import ShuffleStrategy
 
@@ -128,17 +127,20 @@ def group_apply(ds, key: str | None, fn, batch_format: str = "pandas"):
 @ray.remote
 def _exchange_split(keys: list[str], num_buckets: int, n_parts: int,
                     *blocks):
-    """Consecutive input blocks of :func:`bucketed_group_apply` as
-    ``n_parts`` (frame, bucket ids) pieces: row r goes to bucket
+    """Consecutive blocks of one input of :func:`bucketed_group_apply`
+    as ``n_parts`` (frame, bucket ids) pieces: row r goes to bucket
     ``hash_pandas_object(keys) % num_buckets`` and bucket b to part
     ``b * n_parts // num_buckets`` (contiguous bucket ranges, so the
-    parts laid end to end are in bucket order). A piece keeps its rows
-    in block order."""
+    parts laid end to end are in bucket order). Signed-int keys hash
+    as int64, so an int32 key meets the same int64 key of another
+    input. A piece keeps its rows in block order, and an empty piece
+    keeps the input's columns."""
     from ray.data.block import BlockAccessor
 
     df = pd.concat([BlockAccessor.for_block(b).to_pandas() for b in blocks],
                    ignore_index=True)
-    h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+    k = df[keys] if len(df) else df.reindex(columns=keys)
+    h = pd.util.hash_pandas_object(_keys64(k, keys), index=False).to_numpy()
     bucket = (h % np.uint64(num_buckets)).astype(np.int64)
     part = bucket * n_parts // num_buckets
     order = np.argsort(part, kind="stable")
@@ -148,23 +150,38 @@ def _exchange_split(keys: list[str], num_buckets: int, n_parts: int,
     return pieces if n_parts > 1 else pieces[0]
 
 
+def _keys64(frame: pd.DataFrame, keys) -> pd.DataFrame:
+    """``frame`` with its signed-int ``keys`` columns as int64."""
+    wide = {c: np.int64 for c in keys
+            if frame[c].dtype.kind == "i" and frame[c].dtype.itemsize < 8}
+    return frame.astype(wide) if wide else frame
+
+
 @ray.remote(num_returns=2)
-def _exchange_reduce(fn, *pieces):
-    """One part of :func:`bucketed_group_apply`: its pieces (in input
-    block order) concatenated, stably ordered by bucket, and ``fn``
-    called once. Returns (block, rows); a part with no rows returns
-    (None, -1) without calling ``fn``."""
+def _exchange_reduce(fn, splits: list[int], *pieces):
+    """One part of :func:`bucketed_group_apply`: ``splits[i]`` of the
+    pieces (in input block order) are input i's. Each input's pieces
+    are concatenated and stably ordered by bucket, and ``fn`` is called
+    once with one frame per input. Returns (block, rows); a part with
+    no rows returns (None, -1) without calling ``fn``."""
     from ray.data.block import BlockAccessor
 
-    pieces = [(f, b) for f, b in pieces if len(b)]
-    if not pieces:
+    frames, at = [], 0
+    for n in splits:
+        mine, at = pieces[at:at + n], at + n
+        full = [(f, b) for f, b in mine if len(b)]
+        if not full:
+            frames.append(mine[0][0] if mine else pd.DataFrame())
+            continue
+        df = pd.concat([f for f, _ in full], ignore_index=True)
+        bucket = np.concatenate([b for _, b in full])
+        if (np.diff(bucket) < 0).any():
+            df = df.take(np.argsort(bucket, kind="stable")) \
+                .reset_index(drop=True)
+        frames.append(df)
+    if not any(len(f) for f in frames):
         return None, -1
-    df = pd.concat([f for f, _ in pieces], ignore_index=True)
-    bucket = np.concatenate([b for _, b in pieces])
-    if (np.diff(bucket) < 0).any():
-        df = df.take(np.argsort(bucket, kind="stable")) \
-            .reset_index(drop=True)
-    out = BlockAccessor.batch_to_block(fn(df))
+    out = BlockAccessor.batch_to_block(fn(*frames))
     return out, BlockAccessor.for_block(out).num_rows()
 
 
@@ -189,37 +206,64 @@ def bucketed_group_apply(ds, keys: list[str], fn, num_buckets: int = NUM_BUCKETS
     reach one call, and a key's rows arrive in input block order: a
     keep-first kernel (:func:`dedup`) keeps the first input row.
 
-    ``fn``'s contract: a key-wise VECTORIZED kernel. It receives a
-    pandas frame (with a fresh RangeIndex) that may hold several
+    Co-group: ``ds`` may be a LIST of Datasets, all split into the same
+    parts by the same key hash (``keys`` names the key columns of every
+    input, or is one list of names per input), and ``fn`` gets one
+    frame per input: that input's rows of the part, with its own
+    columns and dtypes. An input with no rows in the part arrives as a
+    0-row frame with its columns; one with no rows at all as a 0-row
+    frame with the columns of its first (0-row) block, or with NO
+    columns when it has no block. The joins are kernels over (left, right)
+    frames, so no side is tagged, padded or unioned, and no schema is
+    read on the driver.
+
+    ``fn``'s contract: a key-wise VECTORIZED kernel. It receives pandas
+    frames (each with a fresh RangeIndex) that may hold several
     buckets, i.e. any number of whole keys, and returns a frame of its
     rows computed key by key (a ``groupby`` on ``keys`` or a superset
-    of them, a sort by key, a self-merge on key). A kernel that folds
+    of them, a sort by key, a merge on key). A kernel that folds
     keys together (partial counts per another column, the frame's
     maximum) emits one set of rows per part, not per bucket, so its
-    caller must re-aggregate them. A 0-row part never reaches ``fn``;
-    an input with no rows gives a Dataset with no rows and no columns.
-    Bucket hash is ``pd.util.hash_pandas_object`` (deterministic,
-    fixed key).
+    caller must re-aggregate them. A part with no rows on any input
+    never reaches ``fn``; inputs with no rows give a Dataset with no
+    rows and no columns. Bucket hash is ``pd.util.hash_pandas_object``
+    (deterministic, fixed key).
     """
-    bundles, rows = [], BUCKET_BATCH_SIZE
-    for ref, n in _nonempty(ds):
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    if not (keys and isinstance(keys[0], (list, tuple))):
+        keys = [keys] * len(inputs)
+    bundles = [_bundles(d) for d in inputs]
+    if not any(b for b, _ in bundles):
+        return blocks_dataset([])
+    bundles = [b or empty for b, empty in bundles]
+    n_parts = min(num_buckets, sum(map(len, bundles)))
+    split = _exchange_split.options(num_returns=n_parts)
+    pieces = [split.remote(k, num_buckets, n_parts, *refs)
+              for k, b in zip(keys, bundles) for refs in b]
+    if n_parts == 1:
+        pieces = [[p] for p in pieces]
+    fn_ref = ray.put(fn)
+    splits = [len(b) for b in bundles]
+    return blocks_dataset([_exchange_reduce.remote(fn_ref, splits,
+                                                   *[p[t] for p in pieces])
+                           for t in range(n_parts)])
+
+
+def _bundles(ds):
+    """The non-empty block refs of ``ds`` in order, bundled into runs
+    of at least ``BUCKET_BATCH_SIZE`` rows (one exchange split each),
+    and the bundle of its first 0-row block, if it has one."""
+    bundles, rows, empty = [], BUCKET_BATCH_SIZE, []
+    for ref, n in _blocks(ds):
+        if not n:
+            empty = empty or [[ref]]
+            continue
         if rows >= BUCKET_BATCH_SIZE:
             bundles.append([])
             rows = 0
         bundles[-1].append(ref)
         rows += n
-    if not bundles:
-        return blocks_dataset([])
-    n_parts = min(num_buckets, len(bundles))
-    split = _exchange_split.options(num_returns=n_parts)
-    pieces = [split.remote(keys, num_buckets, n_parts, *refs)
-              for refs in bundles]
-    if n_parts == 1:
-        pieces = [[p] for p in pieces]
-    fn_ref = ray.put(fn)
-    return blocks_dataset([_exchange_reduce.remote(fn_ref,
-                                                   *[p[t] for p in pieces])
-                           for t in range(n_parts)])
+    return bundles, empty
 
 
 def blocks_dataset(outs: list):
@@ -480,86 +524,43 @@ def hash_join(left_ds, right: pd.DataFrame, on, how: str = "inner",
 
 
 def join_large(left_ds, right_ds, on, num_buckets: int = 32, how: str = "inner"):
-    """Partitioned hash join for two large Datasets: both sides are
-    tagged, unioned and co-located by ONE :func:`bucketed_group_apply`
-    shuffle over ``hash(on) % num_buckets``, then merged per bucket.
+    """Partitioned hash join for two large Datasets: ONE two-input
+    :func:`bucketed_group_apply` over ``hash(on) % num_buckets``
+    co-locates each key's rows of both sides, merged per part.
     Right-side non-key columns that the left side also has are DROPPED
-    first (the reference rule, vector/data.py:1040-1043, as in
-    :func:`hash_join`). Both inputs need a schema — guard a side that
-    may come out of a zero-group grouped apply with
-    :func:`with_empty_schema`."""
+    (the reference rule, vector/data.py:1040-1043, as in
+    :func:`hash_join`); signed-int keys come out int64. A side with no
+    rows at all joins as an empty frame of the keys, so an inner join
+    with it returns no rows."""
     on = [on] if isinstance(on, str) else list(on)
-    lnames = set(left_ds.schema().names)
-    rkeep = [c for c in right_ds.schema().names
-             if c in on or c not in lnames]
-    u, lcols, rcols = _two_sided_buckets(left_ds, right_ds, on, rkeep, {})
 
-    def bucket_join(g: pd.DataFrame) -> pd.DataFrame:
-        return g[g["_side"] == 0][lcols].merge(
-            g[g["_side"] == 1][rcols], on=on, how=how)
+    def bucket_join(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        l, r = _keys64(_or_keys(l, r, on), on), _keys64(_or_keys(r, l, on), on)
+        return l.merge(r.drop(columns=[c for c in r.columns
+                                       if c in l.columns and c not in on]),
+                       on=on, how=how)
 
-    return bucketed_group_apply(u, on, bucket_join, num_buckets)
+    return bucketed_group_apply([left_ds, right_ds], on, bucket_join,
+                                num_buckets)
 
 
-def _two_sided_buckets(left_ds, right_ds, keys: list[str], rkeep: list[str],
-                       rename: dict[str, str],
-                       shared: set[str] | None = None):
-    """Shared input skeleton of the two-input joins: tag each side with
-    ``_side`` (0 left, 1 right), rename the right side's ``rkeep``
-    columns into the left's namespace, pad each side with the other's
-    columns and union them, so ONE :func:`bucketed_group_apply` on
-    ``keys`` (left-namespace names) co-locates every key's rows from
-    both inputs. Integer keys are cast to int64 on both sides first
-    (object-typed ints of a pandas-backed side arrive as int64):
-    ``hash_pandas_object`` hashes a negative int32 differently from the
-    same int64. Both sides are Arrow tables in ONE column order (left
-    columns, right-only columns, ``_side``) without schema metadata, so
-    the union's blocks share one hashable schema.
-    Returns (unioned_ds, lcols, rcols_renamed)."""
-    lschema, rschema = left_ds.schema(), right_ds.schema()
-    lcols = list(lschema.names)
-    rcols = [rename.get(c, c) for c in rkeep]
-    ok = shared if shared is not None else set(keys)
-    clash = [c for c in rcols if c in lcols and c not in ok]
+def _or_keys(frame: pd.DataFrame, other: pd.DataFrame, keys) -> pd.DataFrame:
+    """``frame``, or a 0-row frame of ``other``'s ``keys`` when
+    ``frame`` is the no-column frame of an input with no rows."""
+    return other[keys].iloc[:0] if frame.columns.empty else frame
+
+
+def _right_frame(rg: pd.DataFrame, lcols, rkeep: list[str],
+                 rename: dict[str, str], shared: set[str]) -> pd.DataFrame:
+    """The right frame of :func:`asof_join` / :func:`interval_join`:
+    its ``rkeep`` columns renamed into the left's namespace (all of
+    them, empty, when the right side has no rows at all)."""
+    rg = pd.DataFrame(columns=rkeep) if rg.columns.empty else rg[rkeep]
+    rg = rg.rename(columns=rename)
+    clash = [c for c in rg.columns if c in lcols and c not in shared]
     if clash:
         raise ValueError(f"right columns collide with left: {clash}")
-
-    def pad(t, n: int):
-        # a null pad turns an integer or bool column into a float or
-        # object column in the buckets' pandas frames (slow to move,
-        # and it leaks into the output); a typed zero keeps its dtype.
-        # A pandas-backed side's schema has no Arrow type for its
-        # object columns: those pads are null-typed.
-        if not isinstance(t, pa.DataType):
-            return pa.nulls(n)
-        if pa.types.is_integer(t) or pa.types.is_boolean(t):
-            return pa.array(np.zeros(n, t.to_pandas_dtype()), t)
-        return pa.nulls(n, t)
-
-    rtypes = dict(zip(rschema.names, rschema.types))
-    lpad = {rename.get(c, c): rtypes[c] for c in rkeep
-            if rename.get(c, c) not in lcols}
-    rpad = {c: t for c, t in zip(lcols, lschema.types) if c not in rcols}
-    order = lcols + list(lpad) + ["_side"]
-
-    def key_side(side: int, keep: list[str] | None, pads: dict):
-        def fn(batch: pa.Table) -> pa.Table:
-            if keep is not None:
-                batch = batch.select(keep).rename_columns(rcols)
-            cols = dict(zip(batch.column_names, batch.columns))
-            for k in keys:
-                if pa.types.is_signed_integer(cols[k].type):
-                    cols[k] = pc.cast(cols[k], pa.int64())
-            n = batch.num_rows
-            cols["_side"] = pa.array(np.full(n, side, np.int8))
-            for c, t in pads.items():
-                cols[c] = pad(t, n)
-            return pa.table([cols[c] for c in order], names=order)
-        return fn
-
-    l = left_ds.map_batches(key_side(0, None, lpad), batch_format="pyarrow")
-    r = right_ds.map_batches(key_side(1, rkeep, rpad), batch_format="pyarrow")
-    return l.union(r), lcols, rcols
+    return rg
 
 
 def asof_join(left_ds, right_ds, left_on: str, right_on: str,
@@ -575,14 +576,13 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     ``moving_window``, /root/reference/pythongis/vector/data.py:653-695)
     and Ray Data lacks natively — DuckDB ``ASOF JOIN`` is the oracle.
 
-    Scale shape: both sides are tagged and unioned, and ONE
-    :func:`bucketed_group_apply` shuffle over B hash buckets of the key
-    co-locates each key's rows from both inputs; inside a bucket the
-    match is ``pd.merge_asof`` — a vectorized C merge over both sides
-    sorted by ``on``. A key's full right-side history lands in one
-    bucket (the documented partitioning assumption); under extreme
-    single-key skew, slice the time range and carry a one-row boundary
-    lookback per slice.
+    Scale shape: ONE two-input :func:`bucketed_group_apply` over B
+    hash buckets of the key co-locates each key's rows from both
+    inputs; inside a bucket the match is ``pd.merge_asof`` — a
+    vectorized C merge over both sides sorted by ``on``. A key's full
+    right-side history lands in one bucket (the documented
+    partitioning assumption); under extreme single-key skew, slice the
+    time range and carry a one-row boundary lookback per slice.
 
     Determinism: right rows sharing ``(by, on)`` resolve to the LAST in
     ``(on, *tie_cols)`` sort order, i.e. the max of ``tie_cols`` — stable
@@ -593,30 +593,24 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
     """
     tie_cols = list(tie_cols or [])
     rkeep = list(dict.fromkeys([right_by, right_on] + tie_cols + right_cols))
-    rename = {}
-    if right_by != left_by:
-        rename[right_by] = left_by
-    if right_on != left_on:
-        rename[right_on] = left_on
-    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, [left_by], rkeep,
-                                     rename, shared={left_by, left_on})
+    rename = {right_by: left_by, right_on: left_on}
     on, by = left_on, left_by
-    out_rcols = [c for c in right_cols if c not in lcols]
     tie_sorted = [rename.get(c, c) for c in tie_cols]
 
-    def bucket_asof(g: pd.DataFrame) -> pd.DataFrame:
-        # a None union pad leaves the OTHER side's columns object-typed
-        # in this bucket frame — infer_objects restores their dtypes on
-        # both sides so merge_asof dtypes and the output schema stay exact
-        lg = g[g["_side"] == 0][lcols].infer_objects()
-        rg = g[g["_side"] == 1][[by, on] + [c for c in dict.fromkeys(
-            tie_sorted + out_rcols)]]
+    def bucket_asof(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        if lg.columns.empty:
+            return lg
+        lg = _keys64(lg, [by])
+        rg = _keys64(_right_frame(rg, lg.columns, rkeep, rename, {by, on}),
+                     [by])
+        out_rcols = [c for c in right_cols if c not in lg.columns]
+        rg = rg[[by, on] + list(dict.fromkeys(tie_sorted + out_rcols))]
         lg = lg[lg[on].notna()].sort_values(on, kind="mergesort")
-        rg = rg.infer_objects()
         rg = rg[rg[on].notna()].sort_values([on] + tie_sorted,
                                             kind="mergesort")
-        if lg[on].dtype != rg[on].dtype:
-            rg[on] = rg[on].astype(lg[on].dtype)
+        for c in (on, by):
+            if lg[c].dtype != rg[c].dtype:
+                rg[c] = rg[c].astype(lg[c].dtype)
         rg = rg.assign(_rmatch=np.int8(1))
         out = pd.merge_asof(
             lg, rg.drop(columns=[c for c in tie_sorted if c not in out_rcols]),
@@ -631,7 +625,8 @@ def asof_join(left_ds, right_ds, left_on: str, right_on: str,
                     out[c] = out[c].astype(rg[c].dtype)
         return out.drop(columns=["_rmatch"])
 
-    return bucketed_group_apply(u, [by], bucket_asof, num_buckets)
+    return bucketed_group_apply([left_ds, right_ds], [[by], [right_by]],
+                                bucket_asof, num_buckets)
 
 
 def interval_join(left_ds, right_ds, left_by: str, right_by: str,
@@ -657,17 +652,17 @@ def interval_join(left_ds, right_ds, left_by: str, right_by: str,
     """
     rkeep = list(dict.fromkeys([right_by, right_start, right_end]
                                + right_cols))
-    rename = {right_by: left_by} if right_by != left_by else {}
-    u, lcols, _ = _two_sided_buckets(left_ds, right_ds, [left_by], rkeep,
-                                     rename)
+    rename = {right_by: left_by}
     by, t = left_by, left_time
-    out_rcols = [c for c in right_cols if c not in lcols]
 
-    def bucket_iv(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["_side"] == 0][lcols].infer_objects()
-        rg = g[g["_side"] == 1][[by, right_start, right_end] + out_rcols]
+    def bucket_iv(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        if lg.columns.empty:
+            return lg
+        lg = _keys64(lg, [by])
+        rg = _keys64(_right_frame(rg, lg.columns, rkeep, rename, {by}), [by])
+        out_rcols = [c for c in right_cols if c not in lg.columns]
+        rg = rg[[by, right_start, right_end] + out_rcols]
         lg = lg[lg[t].notna()]
-        rg = rg.infer_objects()
         rg = rg[rg[right_start].notna() & rg[right_end].notna()]
         rg = rg.sort_values([by, right_start], kind="mergesort") \
             .reset_index(drop=True)
@@ -712,7 +707,8 @@ def interval_join(left_ds, right_ds, left_by: str, right_by: str,
             [lg.iloc[lidx[keep]].reset_index(drop=True),
              rg[out_rcols].iloc[ridx[keep]].reset_index(drop=True)], axis=1)
 
-    return bucketed_group_apply(u, [by], bucket_iv, num_buckets)
+    return bucketed_group_apply([left_ds, right_ds], [[by], [right_by]],
+                                bucket_iv, num_buckets)
 
 
 # ------------------------------------------------------------ dedup/window
@@ -1023,20 +1019,12 @@ def driver_safe(ds, schema: pa.Schema):
 
 
 def with_empty_schema(ds, schema: pa.Schema):
-    """Union a zero-row TYPED block into ``ds`` so downstream joins
-    see a schema even when the dataset produced no blocks.
-
-    Why: a grouped apply with ZERO groups (``map_groups``, or
-    :func:`bucketed_group_apply` over no rows) yields a dataset with no
-    blocks and no schema, and the bucketed joins
-    (:func:`join_large` and the other users of
-    :func:`_two_sided_buckets`) read each side's ``schema()`` to pad
-    the union — ``None`` there fails at plan time instead of
-    returning empty. Candidate tables (near-dup pairs,
-    duplicated-window hashes) are legitimately empty on clean corpora,
-    so every join whose input comes from a grouped apply needs this
-    guard. The extra block has no rows — plans and results are
-    unchanged otherwise."""
+    """Union a zero-row TYPED block into ``ds`` so a query result keeps
+    its declared columns even when it has no rows: a grouped apply with
+    ZERO groups (``map_groups``, or :func:`bucketed_group_apply` over
+    no rows) yields a dataset with no blocks and no schema. Joins do
+    not need it: they read no schema. The extra block has no rows —
+    plans and results are unchanged otherwise."""
     import ray.data as rd
 
     return ds.union(rd.from_arrow(schema.empty_table()))
@@ -1059,13 +1047,18 @@ def nonempty_blocks(ds):
 def _nonempty(ds):
     """(block ref, rows) of each non-empty block of ``ds``, as
     :func:`nonempty_blocks` yields them."""
+    return ((ref, n) for ref, n in _blocks(ds) if n)
+
+
+def _blocks(ds):
+    """(block ref, rows) of each block of ``ds``, read as
+    :func:`nonempty_blocks` describes."""
     from ray.data.dataset import MaterializedDataset
 
     if isinstance(ds, MaterializedDataset):
         ds = ds.materialize()
     for bundle in ds.iter_internal_ref_bundles():
-        yield from ((ref, meta.num_rows) for ref, meta in bundle.blocks
-                    if meta.num_rows)
+        yield from ((ref, meta.num_rows) for ref, meta in bundle.blocks)
 
 
 # ---------------------------------------------------- bloom semi-join

@@ -1593,11 +1593,6 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
         })
 
     wins = ds.map_batches(explode, batch_format="pyarrow", batch_size=8192)
-    # all-empty output batches are dropped by Ray, losing the schema —
-    # guard BOTH join sides (see rel.with_empty_schema)
-    wins = rel.with_empty_schema(
-        wins, pa.schema([("h", pa.int64()), (id_col, pa.int64()),
-                         ("pos", pa.int64()), ("ntok", pa.int64())]))
 
     def count_keep_dups(bucket: pd.DataFrame) -> pd.DataFrame:
         c = bucket.groupby("h", sort=False).size()
@@ -1605,9 +1600,7 @@ def dup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
 
     dups = rel.bucketed_group_apply(wins.select_columns(["h"]),
                                     ["h"], count_keep_dups)
-    dups = rel.with_empty_schema(dups, pa.schema([("h", pa.int64())]))
-    # dups may be all-empty: the guard above gives the join a schema
-    # to read, and a bucket with no right rows joins to empty
+    # dups may be all-empty: an inner join with it returns no rows
     hits = rel.join_large(wins, dups, on="h")
 
     def coverage(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -1690,9 +1683,7 @@ def pmi_bigrams(ds, text_col: str = "text", k: int = 20,
         columns={"word": "w1", "cnt": "n_a"}), batch_format="pandas")
     u2 = uni.map_batches(lambda b: b.rename(
         columns={"word": "w2", "cnt": "n_b"}), batch_format="pandas")
-    bi = rel.with_empty_schema(bi, pa.schema([
-        ("w1", pa.string()), ("w2", pa.string()), ("n_ab", pa.int64())]))
-    # bi is empty when no doc has two tokens (schema guarded above)
+    # bi is empty when no doc has two tokens: the joins return no rows
     j = rel.join_large(rel.join_large(bi, u1, on="w1"),
                        u2, on="w2")
 
@@ -1731,24 +1722,18 @@ def dedup_incremental(new_ds, old_ds, text_col: str = "text",
     the production ingestion pattern (each crawl snapshot dedups
     against everything already accepted, without re-reading old text).
 
-    ONE bucketed shuffle over (fp, id) pairs: existing-corpus rows
-    ride as fp-only sentinels (id = -1, 16 bytes/row — the old TEXT
-    never moves), new rows carry their id; per fp-group, any sentinel
-    kills the group, else the min-id representative survives with its
-    copy count. Emits (doc_id, n_copies).
+    ONE two-input bucketed exchange on the fingerprint: new rows carry
+    (fp, id), existing-corpus rows only fp (8 bytes/row — the old TEXT
+    never moves); a new fp that the existing corpus also has is
+    dropped, else its min-id representative survives with its copy
+    count. Emits (doc_id, n_copies).
     """
     def old_rows(batch: pa.Table) -> pa.Table:
-        b = fingerprint(batch, text_col=text_col)
-        n = b.num_rows
-        return pa.table({"fp": b["fp"],
-                         "id": pa.array(np.full(n, -1, np.int64))})
+        return pa.table({"fp": fingerprint(batch, text_col=text_col)["fp"]})
 
     def new_rows(batch: pa.Table) -> pa.Table:
         b = fingerprint(batch, text_col=text_col)
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) and ids.min() < 0:
-            raise ValueError("dedup_incremental requires non-negative "
-                             f"{id_col} (id -1 is the seen-sentinel)")
         return pa.table({"fp": b["fp"], "id": pa.array(ids)})
 
     old = old_ds.map_batches(old_rows, batch_format="pyarrow",
@@ -1756,16 +1741,15 @@ def dedup_incremental(new_ds, old_ds, text_col: str = "text",
     new = new_ds.map_batches(new_rows, batch_format="pyarrow",
                              batch_size=4096)
 
-    def combine(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby("fp", sort=False)["id"].agg(["min", "count"]) \
-            .reset_index()
-        keep = g["min"] >= 0  # a sentinel (-1) marks an already-seen fp
-        out = g[keep]
+    def combine(n: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        n = n[~n["fp"].isin(o.get("fp", ()))] if len(n) \
+            else pd.DataFrame({"fp": [], "id": []}, dtype=np.int64)
+        g = n.groupby("fp", sort=False)["id"].agg(["min", "count"])
         return pd.DataFrame({
-            "doc_id": out["min"].to_numpy(np.int64),
-            "n_copies": out["count"].to_numpy(np.int64)})
+            "doc_id": g["min"].to_numpy(np.int64),
+            "n_copies": g["count"].to_numpy(np.int64)})
 
-    return bucketed_group_apply(new.union(old), ["fp"], combine)
+    return bucketed_group_apply([new, old], ["fp"], combine)
 
 
 # ------------------------------------------------------- Count-Min sketch

@@ -139,7 +139,6 @@ def test_hash_join_broadcast(ray_session):
 
 
 def test_join_large_matches_broadcast(ray_session):
-    import ray
     import ray.data as rd
 
     orders = rd.read_parquet(f"{SF}/orders.parquet")
@@ -157,7 +156,8 @@ def test_join_large_matches_broadcast(ray_session):
     left = pd.DataFrame({
         "k": rng.integers(-60, 60, n).astype(np.int64),
         "k2": rng.integers(0, 3, n).astype(np.int64),
-        "x": np.arange(n, dtype=np.int64)})
+        "x": np.arange(n, dtype=np.int64),
+        "flag": np.arange(n) % 3 == 0})
     right = pd.DataFrame({"k": np.arange(-40, 40, dtype=np.int64),
                           "y": np.arange(80, dtype=np.float64) * 1.5})
     right2 = pd.DataFrame({
@@ -182,10 +182,18 @@ def test_join_large_matches_broadcast(ray_session):
         ("inner", pd.DataFrame({
             "k": np.arange(-20000, 20000, dtype=np.int32),
             "y": np.arange(40000, dtype=np.float64)}), ["k"]),
+        # the right side lacks left keys -60..-41 and 40..59: the left's
+        # int64 and bool columns keep their dtypes (checked for every
+        # case below), with no typed pad to rely on
+        ("left", right.iloc[::2], ["k"]),
+        # an UNGUARDED exchange output with no rows and no columns
+        ("inner", right.iloc[:0], ["k"], no_groups),
     ]
-    for how, rpd, on in cases:
-        # the empty right side is a schema-less grouped output, guarded
-        rds = empty if rpd.empty else rd.from_pandas(rpd)
+    for how, rpd, on, *rds in cases:
+        # an empty right side is a schema-less grouped output, guarded
+        # unless the case names its Dataset
+        rds = rds[0] if rds else \
+            empty if rpd.empty else rd.from_pandas(rpd)
         got = rel.join_large(rd.from_pandas(left), rds, on=on if len(on) > 1
                              else on[0], how=how).to_pandas()
         exp = left.merge(rpd.drop(columns=[c for c in rpd.columns
@@ -197,18 +205,67 @@ def test_join_large_matches_broadcast(ray_session):
             assert len(got) == 0, (how, on)
             continue
         assert sorted(got.columns) == sorted(exp.columns), (how, on)
+        assert all(got[c].dtype == exp[c].dtype for c in left.columns), \
+            (how, on, got.dtypes)
         cols = sorted(exp.columns)
         canon = lambda d: d[cols].astype(np.float64) \
             .sort_values(cols).reset_index(drop=True)
         pd.testing.assert_frame_equal(canon(got), canon(exp))
 
-    # the joins' union: both sides' blocks in one column order, with no
-    # pandas schema metadata (Ray warns on a union whose blocks differ)
-    u, _, _ = rel._two_sided_buckets(rd.from_pandas(left), rd.from_pandas(right),
-                                     ["k"], ["k", "y"], {})
-    blocks = ray.get(u.materialize().to_arrow_refs())
-    assert {tuple(b.column_names) for b in blocks} == {("k", "k2", "x", "y", "_side")}
-    assert all(b.schema.metadata is None for b in blocks)
+
+def test_joins_run_no_schema_peek(ray_session, monkeypatch):
+    """``join_large`` chained on its own output, ``asof_join`` and
+    ``interval_join`` over lazy ``map_batches`` inputs run no ``limit=1``
+    schema peek, counted from the plans the streaming executor runs:
+    the joins read no schema, so each input's plan runs once, in the
+    exchange that splits it."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    plans = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        ops, todo = {}, [dag]
+        while todo:
+            op = todo.pop()
+            ops[id(op)] = op
+            todo.extend(op.input_dependencies)
+        plans.append(list(ops.values()))
+        return execute(self, dag, *args, **kwargs)
+
+    def lazy(df):
+        return rd.from_pandas(df).map_batches(lambda b: b,
+                                              batch_format="pandas")
+
+    a = pd.DataFrame({"k": np.arange(30, dtype=np.int64) % 7,
+                      "t": np.arange(30, dtype=np.int64),
+                      "x": np.arange(30, dtype=np.int64)})
+    b = pd.DataFrame({"k": np.arange(5, dtype=np.int64),
+                      "y": np.arange(5, dtype=np.float64)})
+    c = pd.DataFrame({"k": np.arange(3, 7, dtype=np.int64),
+                      "z": np.arange(4, dtype=np.int64)})
+    r = pd.DataFrame({"k": np.arange(6, dtype=np.int64),
+                      "s": np.arange(6, dtype=np.int64) * 3,
+                      "e": np.arange(6, dtype=np.int64) * 3 + 9,
+                      "v": np.arange(6, dtype=np.int64) + 100})
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    abc = rel.join_large(rel.join_large(lazy(a), lazy(b), on="k"),
+                         lazy(c), on="k").to_pandas()
+    asof = rel.asof_join(lazy(a), lazy(r), left_on="t", right_on="s",
+                         left_by="k", right_by="k", right_cols=["v"],
+                         how="inner").to_pandas()
+    iv = rel.interval_join(lazy(a), lazy(r), left_by="k", right_by="k",
+                           left_time="t", right_start="s", right_end="e",
+                           right_cols=["v"]).to_pandas()
+    peeks = sum(any(type(op).__name__ == "LimitOperator"
+                    and op._limit == 1 for op in ops) for ops in plans)
+    assert peeks == 0
+    assert sorted(abc["x"]) == sorted(a.merge(b).merge(c)["x"])
+    m = a.merge(r, on="k")
+    assert sorted(iv["x"]) == sorted(m.loc[(m.t >= m.s) & (m.t < m.e), "x"])
+    assert sorted(asof["x"]) == sorted(m.loc[m.t >= m.s, "x"].unique())
 
 
 def test_hash_join_collapse_matches_groupby_aggregate(ray_session):
@@ -351,18 +408,45 @@ def test_one_grouped_shuffle_entry_point():
     function that routes rows to hash buckets, i.e. reduces a
     ``hash_pandas_object`` hash ``% np.uint64(...)``; no hand-rolled
     one-group gather (constant ``_one`` key or ``repartition(1)``)
-    remains."""
+    remains. No package function hands ``bucketed_group_apply`` a
+    ``.union(...)`` of its inputs (directly, in its input list, or
+    through a name the function assigns from one): inputs that meet in
+    one exchange are its input list, one frame each per part, never
+    side-tagged rows of a union."""
     import ast
     import pathlib
 
     import pythongis_ray
 
+    # "module.py:function:input" -> why that union may reach an exchange
+    exempt: dict[str, str] = {}
+
+    def is_union(n):
+        return isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "union"
+
     root = pathlib.Path(pythongis_ray.__file__).parent
     found = {"map_groups": [], "_bucket": [], "_one=": [],
              "repartition(1)": []}
-    routers = []
+    routers, unions = [], []
     for path in sorted(root.rglob("*.py")):
         src = path.read_text()
+        for fn in ast.parse(src).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            named = {t.id for a in ast.walk(fn) if isinstance(a, ast.Assign)
+                     and any(map(is_union, ast.walk(a.value)))
+                     for t in a.targets if isinstance(t, ast.Name)}
+            for c in ast.walk(fn):
+                if not (isinstance(c, ast.Call) and c.args and getattr(
+                        c.func, "attr", getattr(c.func, "id", None))
+                        == "bucketed_group_apply"):
+                    continue
+                x = c.args[0]
+                for x in x.elts if isinstance(x, (ast.List, ast.Tuple)) else [x]:
+                    if any(map(is_union, ast.walk(x))) or \
+                            (isinstance(x, ast.Name) and x.id in named):
+                        unions.append(f"{path.relative_to(root)}:{fn.name}:"
+                                      f"{ast.unparse(x)}")
         for i, line in enumerate(src.splitlines(), 1):
             for pat, hits in (("map_groups(", found["map_groups"]),
                               ('sort("_bucket"', found["_bucket"]),
@@ -389,6 +473,7 @@ def test_one_grouped_shuffle_entry_point():
     assert found["_bucket"] == []
     assert routers == ["relational.py:_exchange_split"], routers
     assert found["_one="] == [] and found["repartition(1)"] == []
+    assert [u for u in unions if u not in exempt] == [], unions
 
 
 def test_keyed_reaggregation_uses_groupby_aggregate():
@@ -1003,7 +1088,8 @@ def test_bucket_membership_is_the_key_hash(ray_session, backing,
                                            monkeypatch):
     """Every row lands in bucket ``hash_pandas_object(keys) % B`` for
     int32, int64, object and string keys (and a two-column key), over
-    pandas- and Arrow-backed blocks. With B = 4 buckets and 4 input
+    pandas- and Arrow-backed blocks; a signed-int key hashes as int64,
+    so the int32 key and the same int64 key share a bucket. With B = 4 buckets and 4 input
     blocks split one by one, the exchange has one part per bucket, so
     each ``fn`` call must hold exactly the rows of one bucket, and the
     calls come back in bucket order."""
@@ -1033,8 +1119,9 @@ def test_bucket_membership_is_the_key_hash(ray_session, backing,
     seen = pd.concat([p if backing == "pandas" else p.to_pandas()
                       for p in parts], ignore_index=True)
 
+    as64 = seen.astype({"i32": np.int64})
     for keys in (["i32"], ["i64"], ["obj"], ["str"], ["i32", "obj"]):
-        h = pd.util.hash_pandas_object(seen[keys], index=False).to_numpy()
+        h = pd.util.hash_pandas_object(as64[keys], index=False).to_numpy()
         want = pd.Series((h % np.uint64(nb)).astype(np.int64),
                          index=seen["row"].to_numpy())
 

@@ -20,6 +20,9 @@ its Dataset executions, sort shuffles and ``limit=1`` peeks (a plan
 holding a one-row limit: a schema or first-row probe), and its
 ``exchanges``: calls of ``relational.bucketed_group_apply``, whose hash
 exchange runs as Ray tasks and so shows up in none of the plan counts.
+``peek_callers`` names, for each peek, the innermost ``pythongis_ray``
+function on the driver stack when the plan started (``module.function``
+with its count), so each peek names the call that made it.
 The comparison with the oracle is the same with or without it.
 """
 
@@ -90,6 +93,7 @@ class PlanCounter:
     importing the queries)."""
 
     def __init__(self):
+        import collections
         import functools
 
         from ray.data._internal.execution.streaming_executor import \
@@ -98,6 +102,7 @@ class PlanCounter:
         from pythongis_ray import relational
 
         self.plans, self.exchanges = [], 0
+        self.peek_callers = collections.Counter()
         execute = StreamingExecutor.execute
         counter = self
         apply = relational.bucketed_group_apply
@@ -120,23 +125,43 @@ class PlanCounter:
                 ops[id(op)] = op
                 todo.extend(op.input_dependencies)
             counter.plans.append(list(ops.values()))
+            if _is_peek(counter.plans[-1]):
+                counter.peek_callers[_package_caller()] += 1
             return execute(self, dag, *args, **kwargs)
 
         StreamingExecutor.execute = counting
 
     def reset(self):
         self.plans, self.exchanges = [], 0
+        self.peek_callers.clear()
 
     def line(self, name, wall_s) -> str:
-        peeks = sum(any(type(op).__name__ == "LimitOperator"
-                        and op._limit == 1 for op in ops)
-                    for ops in self.plans)
+        peeks = sum(map(_is_peek, self.plans))
         sorts = sum(type(op).__name__ == "AllToAllOperator"
                     and op.name.startswith("Sort")
                     for ops in self.plans for op in ops)
         return json.dumps({"query": name, "wall_s": round(wall_s, 3),
                            "executions": len(self.plans), "sorts": sorts,
-                           "exchanges": self.exchanges, "peeks": peeks})
+                           "exchanges": self.exchanges, "peeks": peeks,
+                           "peek_callers": dict(self.peek_callers)})
+
+
+def _is_peek(ops) -> bool:
+    """A plan holding a one-row limit: a schema or first-row probe."""
+    return any(type(op).__name__ == "LimitOperator" and op._limit == 1
+               for op in ops)
+
+
+def _package_caller() -> str:
+    """``module.function`` of the innermost ``pythongis_ray`` frame on
+    the calling thread's stack (``?`` when the package is not on it)."""
+    f = sys._getframe()
+    while f is not None:
+        mod = f.f_globals.get("__name__", "")
+        if mod.split(".")[0] == "pythongis_ray":
+            return f"{mod.split('.', 1)[-1]}.{f.f_code.co_name}"
+        f = f.f_back
+    return "?"
 
 
 def main():
